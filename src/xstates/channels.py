@@ -8,6 +8,7 @@ import numpy as np
 
 from .linalg import expectation
 from .model import XStateParams, family_residual, materialize
+from .pauli import PAULI_MATRICES
 from .witness import concurrence, make_witness
 
 COMPLETENESS_TOL = 1e-12
@@ -55,12 +56,9 @@ def standard_channel(kind: str, strength: float) -> Channel:
         k2 = np.sqrt(s) * np.diag([0.0, 1.0]).astype(complex)
         return Channel((k0, k1, k2), f"phase_damping({s})")
     if kind == "depolarizing":
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        sz = np.array([[1, 0], [0, -1]], dtype=complex)
-        k0 = np.sqrt(1 - 3 * s / 4) * np.eye(2, dtype=complex)
-        return Channel((k0, np.sqrt(s / 4) * sx, np.sqrt(s / 4) * sy,
-                        np.sqrt(s / 4) * sz), f"depolarizing({s})")
+        k0 = np.sqrt(1 - 3 * s / 4) * PAULI_MATRICES["I"]
+        kx, ky, kz = (np.sqrt(s / 4) * PAULI_MATRICES[axis] for axis in "XYZ")
+        return Channel((k0, kx, ky, kz), f"depolarizing({s})")
     raise ValueError(f"unknown channel kind {kind!r}")
 
 

@@ -8,23 +8,34 @@ where Dz_i = z_product(i, n), Axy_i = xy_product(i, n), F is one of the
 named axis frames and d_0 = 1 fixes the trace.  In the Z frame the nonzero
 entries of rho lie only on the diagonal and the anti-diagonal (the letter-X
 pattern); other frames conjugate that pattern by local rotations.
+
+Every family operator is a tensor product of one factor per qubit: I or F(Z)
+per bit of i in Dz_i, F(X) or F(Y) in Axy_i.  So, with vec(rho) the flattened
+matrix,
+
+    vec(rho) = 2**-n * ( B_d^{(x)n} d + B_a^{(x)n} a )
+
+for two 4x2 per-qubit factors: B_d has the columns vec(I), vec(F(Z)) and B_a
+the columns vec(F(X)), vec(F(Y)), with the frame's signs.  One transform and
+its adjoint, applied in blocks of qubits, serve every n, every frame and any
+stack of matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import hermiticity_deviation, hermitian_eigen
-from .pauli import FRAMES, PauliString, xy_product, z_product
+from .pauli import FRAMES, PAULI_MATRICES, AxisFrame
 
 MAX_QUBITS = 12
 
-# dense operator stacks are cached up to this size (2**7 * 64 * 64 complex)
-_STACK_MAX = 6
+# Qubits per Kronecker block: n <= 4 costs one matmul, n <= 12 at most three.
+_BLOCK = 4
 
 VALID_TRACE_TOL = 1e-10
 VALID_HERM_TOL = 1e-10
@@ -86,55 +97,105 @@ class StateReport:
         }
 
 
-def family_operators(n: int, frame: str = "Z") -> list[PauliString]:
-    """Identity, then the frame-relabeled z-products and xy-products in index order."""
-    f = FRAMES[frame]
-    ops = [PauliString.identity(n)]
-    ops += [f.apply(z_product(i, n)) for i in range(1, 1 << n)]
-    ops += [f.apply(xy_product(i, n)) for i in range(1 << n)]
-    return ops
+def _block_factors(frame: AxisFrame) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Kronecker powers of the per-qubit factors for g = 0.._BLOCK qubits.
+
+    forward[g] has shape (2, 2**g, 4**g): [0, c] is the flattened g-qubit
+    family operator of z-index c and [1, c] that of xy-index c, in (row bits,
+    column bits) order.  Bit k-1 of c picks the factor of the block's k-th
+    qubit, counted from the left.  adjoint[g] is its conjugate laid out as
+    (4**g, 2, 2**g).
+    """
+    def image(axis):
+        new_axis, sign = frame.image(axis)
+        return sign * PAULI_MATRICES[new_axis]
+
+    def grow(block, qubit):
+        # the next qubit is the rightmost factor and the highest bit of c
+        product = block[:, None, :, None, None, :] * qubit[None, :, None, :, :, None]
+        return product.reshape(2 * len(block), -1, 2 * block.shape[-1])
+
+    # (row, column, bit): bit 0/1 picks I/F(Z) for d and F(X)/F(Y) for a
+    per_qubit = (np.stack([PAULI_MATRICES["I"], image("Z")], axis=-1),
+                 np.stack([image("X"), image("Y")], axis=-1))
+    levels = [(np.ones((1, 1, 1)),) * 2]
+    for _ in range(_BLOCK):
+        levels.append(tuple(map(grow, levels[-1], per_qubit)))
+    forward = tuple(np.stack([b.reshape(-1, b.shape[-1]).T for b in level])
+                    for level in levels)
+    adjoint = tuple(np.ascontiguousarray(f.conj().transpose(2, 0, 1)) for f in forward)
+    for table in forward + adjoint:
+        table.setflags(write=False)
+    return forward, adjoint
 
 
-@lru_cache(maxsize=None)
-def _op_stack(n: int, frame: str) -> np.ndarray:
-    dim = 1 << n
-    ops = family_operators(n, frame)
-    stack = np.zeros((len(ops), dim, dim), dtype=complex)
-    for k, op in enumerate(ops):
-        rows, cols, vals = op.matrix_elements()
-        stack[k, rows, cols] = vals
-    stack.setflags(write=False)
-    return stack
+_FACTORS = {name: _block_factors(frame) for name, frame in FRAMES.items()}
 
 
-def _coefficient_vector(p: XStateParams) -> np.ndarray:
-    return np.concatenate([np.asarray(p.d, dtype=float),
-                           np.asarray(p.a, dtype=float)])
+class _Layout(NamedTuple):
+    """How n qubits split into blocks, and the block axes of a dense matrix."""
+
+    sizes: tuple[int, ...]      # qubits per block, from qubit 1 (the top row bit) on
+    matrix: tuple[int, ...]     # (batch, rows 1..m, cols 1..m)
+    pairs: tuple[int, ...]      # (batch, rows 1, cols 1, ..., rows m, cols m)
+    to_pairs: tuple[int, ...]   # axis order from the matrix shape to the pairs
+    to_matrix: tuple[int, ...]  # and back
+
+
+def _layout(n: int) -> _Layout:
+    sizes = tuple(min(_BLOCK, n - q) for q in range(0, n, _BLOCK))
+    dims = tuple(1 << g for g in sizes)
+    m = len(sizes)
+    return _Layout(sizes, (-1, *dims, *dims), (-1, *(d for d in dims for _ in (0, 1))),
+                   (0, *(k for j in range(1, m + 1) for k in (j, j + m))),
+                   (0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2)))
+
+
+_LAYOUTS = {n: _layout(n) for n in range(1, MAX_QUBITS + 1)}
+
+
+def _entries(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
+    """2**-n * sum_k coeffs[..., k] * P_k over the family operators P_k.
+
+    coeffs (..., 2**(n+1)) holds d then a; the result is (..., dim, dim).
+    The per-half factors act on blocks 1..m-1, lowest qubits first; block m
+    takes both halves in one matmul, which also sums them.
+    """
+    forward, _ = _FACTORS[frame]
+    layout = _LAYOUTS[n]
+    *inner, last = layout.sizes
+    # (batch, half, block m, ..., block 1) in the C order of the indices
+    t = coeffs.reshape(-1, 2, 1 << n) / (1 << n)
+    for g in inner:
+        # (B, half, R, block j) -> (B, 4**g, half, R): the block's image moves
+        # in front of the half axis, after the images of earlier blocks
+        t = t.reshape(-1, 2, t.shape[-1] >> g, 1 << g) @ forward[g]
+        t = np.moveaxis(t, -1, 1)
+    t = t.reshape(-1, 2 << last) @ forward[last].reshape(2 << last, -1)
+    t = t.reshape(layout.pairs).transpose(layout.to_matrix)
+    return t.reshape(*coeffs.shape[:-1], 1 << n, 1 << n)
+
+
+def _coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
+    """tr(P_k rho) for every family operator P_k: the adjoint of _entries.
+
+    rho (..., dim, dim) gives the real parts (..., 2**(n+1)), d then a.
+    """
+    _, adjoint = _FACTORS[frame]
+    layout = _LAYOUTS[n]
+    *inner, last = layout.sizes
+    t = rho.reshape(layout.matrix).transpose(layout.to_pairs)
+    t = t.reshape(-1, 4 ** last) @ adjoint[last].reshape(4 ** last, -1)
+    for g in reversed(inner):
+        # (B, 4**g, half, R) -> (B, half, R, block j)
+        t = t.reshape(-1, 4 ** g, 2, t.shape[-1] >> 1)
+        t = (np.moveaxis(t, 1, -1) @ adjoint[g].transpose(1, 0, 2)).reshape(len(t), -1)
+    return t.real.reshape(*rho.shape[:-2], 2 << n)
 
 
 def materialize(p: XStateParams) -> np.ndarray:
     """The dense density matrix of the parameterized X state."""
-    dim = 1 << p.n
-    coeffs = _coefficient_vector(p)
-    if p.n <= _STACK_MAX:
-        return np.tensordot(coeffs, _op_stack(p.n, p.frame), axes=1) / dim
-    rho = np.zeros((dim, dim), dtype=complex)
-    for c, op in zip(coeffs, family_operators(p.n, p.frame)):
-        if c == 0.0:
-            continue
-        rows, cols, vals = op.matrix_elements()
-        rho[rows, cols] += c * vals
-    return rho / dim
-
-
-def _raw_coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
-    if n <= _STACK_MAX:
-        return np.einsum("kij,...ji->...k", _op_stack(n, frame), rho).real
-    coeffs = np.empty(2 << n, dtype=float)
-    for k, op in enumerate(family_operators(n, frame)):
-        rows, cols, vals = op.matrix_elements()
-        coeffs[k] = np.sum(vals * rho[cols, rows]).real
-    return coeffs
+    return _entries(np.concatenate([p.d, p.a]), p.n, p.frame)
 
 
 def decompose(rho: np.ndarray, n: int, frame: str = "Z") -> tuple[XStateParams, float]:
@@ -148,10 +209,8 @@ def decompose(rho: np.ndarray, n: int, frame: str = "Z") -> tuple[XStateParams, 
     dim = 1 << n
     if rho.shape != (dim, dim):
         raise ValueError(f"state dimension {rho.shape} does not match n={n}")
-    coeffs = _raw_coefficients(rho, n, frame)
-    size = 1 << n
-    params = XStateParams(n, (1.0,) + tuple(coeffs[1:size]),
-                          tuple(coeffs[size:]), frame)
+    coeffs = _coefficients(rho, n, frame)
+    params = XStateParams(n, (1.0,) + tuple(coeffs[1:dim]), tuple(coeffs[dim:]), frame)
     residual = float(np.max(np.abs(rho - materialize(params))))
     return params, residual
 
@@ -159,8 +218,7 @@ def decompose(rho: np.ndarray, n: int, frame: str = "Z") -> tuple[XStateParams, 
 def family_residual(rho: np.ndarray, n: int, frame: str = "Z") -> "float | np.ndarray":
     """Max-norm weight of rho outside the frame's X family.
 
-    Accepts a single (dim, dim) matrix or any stack (..., dim, dim); batched
-    input requires n <= 6 where the dense operator stack is cached.
+    Accepts a single (dim, dim) matrix or any stack (..., dim, dim).
     """
     rho = np.asarray(rho, dtype=complex)
     dim = 1 << n
@@ -168,13 +226,9 @@ def family_residual(rho: np.ndarray, n: int, frame: str = "Z") -> "float | np.nd
         raise ValueError(f"state dimension {rho.shape[-2:]} does not match n={n}")
     if rho.ndim == 2:
         return decompose(rho, n, frame)[1]
-    if n > _STACK_MAX:
-        raise ValueError(f"batched residual supported only for n <= {_STACK_MAX}")
-    stack = _op_stack(n, frame)
-    coeffs = np.einsum("kij,...ji->...k", stack, rho).real
+    coeffs = _coefficients(rho, n, frame)
     coeffs[..., 0] = 1.0
-    proj = np.einsum("...k,kij->...ij", coeffs, stack) / dim
-    return np.max(np.abs(rho - proj), axis=(-2, -1))
+    return np.max(np.abs(rho - _entries(coeffs, n, frame)), axis=(-2, -1))
 
 
 def validate(p: XStateParams) -> StateReport:
@@ -267,7 +321,8 @@ def params_from_json(obj: dict) -> XStateParams:
         if key not in obj:
             raise ValueError(f"state file is missing key {key!r}")
     n = obj["n"]
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+    # bool subclasses int, but JSON true/false are not numbers
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"state file n must be an integer in 1..{MAX_QUBITS}")
     frame = obj["frame"]
     if frame not in FRAMES:
@@ -278,7 +333,8 @@ def params_from_json(obj: dict) -> XStateParams:
     for name, seq in (("d", d), ("a", a)):
         if not isinstance(seq, list) or len(seq) != size:
             raise ValueError(f"state file {name!r} must be a list of length {size}")
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in seq):
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in seq):
             raise ValueError(f"state file {name!r} entries must be finite numbers")
     if d[0] != 1:
         raise ValueError("state file d[0] must equal 1 (trace normalization)")

@@ -42,6 +42,16 @@ _PREFIX_PHASE = {v: k for k, v in _PHASE_PREFIX.items()}
 
 _LABEL_RE = re.compile(r"^([+-]i?)(I|(?:[XYZ]\d+)+)$")
 
+# The named single-qubit matrices; read-only because every module shares them.
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+for _m in PAULI_MATRICES.values():
+    _m.setflags(write=False)
+
 
 def _bit_reverse(mask: int, n: int) -> int:
     out = 0
@@ -228,14 +238,6 @@ def xy_product(index: int, n: int) -> PauliString:
     return PauliString(n, full, index, index.bit_count() % 4)
 
 
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    return p * q
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    return p.commutes(q)
-
-
 @dataclass(frozen=True)
 class AxisFrame:
     """A uniform signed relabeling of the Pauli axes (proper rotation).
@@ -332,10 +334,8 @@ class AxisFrame:
             qx = (m[0, 2] + m[2, 0]) / s
             qy = (m[1, 2] + m[2, 1]) / s
             qz = 0.25 * s
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        sz = np.array([[1, 0], [0, -1]], dtype=complex)
-        return w * np.eye(2, dtype=complex) - 1j * (qx * sx + qy * sy + qz * sz)
+        pm = PAULI_MATRICES
+        return w * pm["I"] - 1j * (qx * pm["X"] + qy * pm["Y"] + qz * pm["Z"])
 
     def describe(self) -> dict[str, str]:
         """JSON-friendly form, e.g. {'X': '-Y', 'Y': '-Z', 'Z': '+X'}."""

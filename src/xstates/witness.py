@@ -9,6 +9,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .linalg import expectation, hermitian_eigen, hermiticity_deviation, partial_transpose
+from .pauli import PAULI_MATRICES
 
 DETECTION_TOL = -1e-10
 
@@ -139,8 +140,7 @@ def concurrence(rho: np.ndarray) -> float:
         raise ValueError("state must be Hermitian")
     if abs(complex(np.trace(rho)) - 1.0) > 1e-10:
         raise ValueError("state must have unit trace")
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    yy = np.kron(sy, sy)
+    yy = np.kron(PAULI_MATRICES["Y"], PAULI_MATRICES["Y"])
     root = _sqrt_psd(rho)
     m = root @ yy @ rho.conj() @ yy @ root
     w, _ = hermitian_eigen(m)

@@ -107,6 +107,22 @@ def test_validate_exit_codes(tmp_path):
     assert "d[0]" in err
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda o: o.update(n=True, d=[True, False], a=[0, 0]),
+    lambda o: o.update(d=[1.0, False, 0.0, 0.0]),
+    lambda o: o.update(a=[0.0, 0.0, 0.0, True]),
+], ids=["n", "d", "a"])
+def test_validate_rejects_json_booleans(tmp_path, mutate):
+    obj = params_to_json(ghz_params(2))
+    mutate(obj)
+    state = tmp_path / "booleans.json"
+    state.write_text(json.dumps(obj))
+    code, out, err = invoke(["validate", "--state", str(state)])
+    assert code == 1
+    assert out == ""
+    assert "state file" in err
+
+
 def test_malformed_invocations_exit_one():
     for argv in (
         ["algebra", "--n", "2", "--bogus"],

@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import random_valid_x_params
+from conftest import oracle_pauli_matrix, random_density, random_valid_x_params
 from xstates import (FRAMES, XStateParams, bell_diagonal, decompose,
-                     dicke_state, family_residual, ghz_params, ghz_state,
-                     hermitian_eigen, materialize, named_example, negativity,
-                     params_from_json, params_to_json, partial_trace,
+                     dicke_state, family_residual, generate_set, ghz_params,
+                     ghz_state, hermitian_eigen, materialize, named_example,
+                     negativity, params_from_json, params_to_json, partial_trace,
                      partial_transpose, validate, werner)
 
 BELL = XStateParams.build(2, d={3: 1.0}, a={0: 1.0, 3: -1.0})
@@ -178,7 +180,7 @@ def test_x_frame_ghz_state_is_an_x_state_with_shifted_pattern():
 
 
 def test_materialize_beyond_stack_cache():
-    # n = 7 exercises the per-operator accumulation path
+    # n = 7 spans two Kronecker blocks (4 + 3 qubits)
     p = ghz_params(7)
     rho = materialize(p)
     assert abs(np.trace(rho) - 1.0) < 1e-12
@@ -223,3 +225,48 @@ def test_state_file_rejections(mutate, fragment):
     mutate(obj)
     with pytest.raises(ValueError, match=fragment):
         params_from_json(obj)
+
+
+@st.composite
+def x_params(draw, max_n):
+    """Any parameters with entries in [-1, 1], physical or not, in any frame."""
+    n = draw(st.integers(1, max_n))
+    frame = draw(st.sampled_from(sorted(FRAMES)))
+    coeffs = arrays(np.float64, 1 << n, elements=st.floats(-1.0, 1.0))
+    d = draw(coeffs)
+    d[0] = 1.0
+    return XStateParams(n, tuple(d), tuple(draw(coeffs)), frame)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x_params(6))
+def test_materialize_matches_oracle_operator_sum(p):
+    ops = [oracle_pauli_matrix(q) for q in generate_set(p.n, p.frame).elements]
+    expect = np.eye(1 << p.n) * p.d[0]
+    for c, op in zip(p.d[1:] + p.a, ops):
+        expect = expect + c * op
+    expect /= 1 << p.n
+    assert np.max(np.abs(materialize(p) - expect)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(x_params(8))
+def test_decompose_inverts_materialize(p):
+    q, residual = decompose(materialize(p), p.n, p.frame)
+    assert residual <= 1e-12
+    assert q.frame == p.frame
+    assert np.max(np.abs(np.array(q.d) - np.array(p.d))) <= 1e-12
+    assert np.max(np.abs(np.array(q.a) - np.array(p.a))) <= 1e-12
+
+
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+def test_family_residual_batched_beyond_six_qubits(rng, frame):
+    n = 7
+    inside = materialize(random_valid_x_params(rng, n, frame))
+    stack = np.stack([inside, random_density(rng, 1 << n),
+                      0.5 * inside + 0.5 * random_density(rng, 1 << n)])
+    res = family_residual(stack, n, frame)
+    assert res.shape == (3,)
+    each = [family_residual(m, n, frame) for m in stack]
+    assert np.max(np.abs(res - each)) <= 1e-12
+    assert res[0] <= 1e-12 and min(res[1:]) > 1e-3
