@@ -175,32 +175,36 @@ def _cmd_marginal(args) -> tuple[str, int]:
     return _matrix_payload(reduced, fmt), 0
 
 
+# Every other flag takes a string and defaults to None.
+_FLAG_OPTIONS = {
+    "--n": dict(type=int),
+    "--frame": dict(choices=("Z", "X", "Y"), default="Z"),
+}
+
+_STATE_FLAGS = ("--state", "--n", "--frame")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="xstates", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, flags):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--frame", choices=("Z", "X", "Y"), default="Z")
-        p.add_argument("--state", default=None)
-        p.add_argument("--kind", default=None)
-        p.add_argument("--channel", default=None)
-        p.add_argument("--strength-grid", dest="strength_grid", default=None)
-        p.add_argument("--qubits", default=None)
-        p.add_argument("--keep", default=None)
-        p.add_argument("--format", default=None)
-        p.add_argument("--out", default=None)
-        return p
+        for flag in (*flags, "--out"):
+            p.add_argument(flag, **_FLAG_OPTIONS.get(flag, {}))
 
-    add("gen", _cmd_gen, "emit a named family or params file as state JSON or matrix dump")
-    add("validate", _cmd_validate, "check a state file; exit 0 iff physical")
-    add("algebra", _cmd_algebra, "operator counts, center, and design report")
-    add("incidence", _cmd_incidence, "labeled simplex as DOT or JSON")
-    add("witness", _cmd_witness, "evaluate a witness on a state")
-    add("evolve", _cmd_evolve, "channel sweep to a trajectory CSV")
-    add("marginal", _cmd_marginal, "partial trace to a matrix dump")
+    add("gen", _cmd_gen, "emit a named family or params file as state JSON or matrix dump",
+        (*_STATE_FLAGS, "--format"))
+    add("validate", _cmd_validate, "check a state file; exit 0 iff physical", _STATE_FLAGS)
+    add("algebra", _cmd_algebra, "operator counts, center, and design report",
+        ("--n", "--frame"))
+    add("incidence", _cmd_incidence, "labeled simplex as DOT or JSON", ("--n", "--format"))
+    add("witness", _cmd_witness, "evaluate a witness on a state", (*_STATE_FLAGS, "--kind"))
+    add("evolve", _cmd_evolve, "channel sweep to a trajectory CSV",
+        (*_STATE_FLAGS, "--channel", "--strength-grid", "--qubits", "--kind"))
+    add("marginal", _cmd_marginal, "partial trace to a matrix dump",
+        (*_STATE_FLAGS, "--keep", "--format"))
     return parser
 
 
@@ -213,8 +217,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             raise CliError("a subcommand is required (see --help)")
-        if args.func in (_cmd_gen, _cmd_validate, _cmd_witness, _cmd_evolve,
-                         _cmd_marginal) and args.state is None:
+        if "state" in vars(args) and args.state is None:
             raise CliError(f"{args.command} requires --state")
         payload, code = args.func(args)
     except SystemExit as exc:  # argparse --help

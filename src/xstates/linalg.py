@@ -60,7 +60,7 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     h = _as_square(h)
     dev = hermiticity_deviation(h)
-    if dev > HERMITIAN_TOL:
+    if not dev <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
     try:
         w, v = np.linalg.eigh(h)
@@ -118,9 +118,11 @@ def expectation(rho: np.ndarray, m: np.ndarray) -> float:
     if rho.shape != m.shape:
         raise ValueError("dimension mismatch between state and observable")
     dev = hermiticity_deviation(m)
-    if dev > HERMITIAN_TOL:
+    if not dev <= HERMITIAN_TOL:
         raise ValueError(f"observable is not Hermitian (deviation {dev:.3e})")
-    value = complex(np.trace(m @ rho))
+    value = complex(np.einsum("ij,ji->", m, rho))
+    if not np.isfinite(value):
+        raise ValueError(f"expectation {value} is not finite")
     if abs(value.imag) > 1e-10:
         raise ToleranceError(f"expectation has imaginary part {value.imag:.3e}")
     return value.real

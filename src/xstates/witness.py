@@ -23,7 +23,7 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (1 << self.n,):
             raise ValueError(f"amplitude vector must have length {1 << self.n}")
-        if abs(np.linalg.norm(amp) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(amp) - 1.0) <= 1e-12:
             raise ValueError("amplitudes must be normalized")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -38,7 +38,7 @@ class Witness:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if hermiticity_deviation(m) > 1e-12:
+        if not hermiticity_deviation(m) <= 1e-12:
             raise ValueError("witness matrix must be Hermitian")
         object.__setattr__(self, "matrix", m)
 
@@ -136,9 +136,9 @@ def concurrence(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("concurrence is defined for a two-qubit state")
-    if hermiticity_deviation(rho) > 1e-10:
+    if not hermiticity_deviation(rho) <= 1e-10:
         raise ValueError("state must be Hermitian")
-    if abs(complex(np.trace(rho)) - 1.0) > 1e-10:
+    if not abs(complex(np.trace(rho)) - 1.0) <= 1e-10:
         raise ValueError("state must have unit trace")
     yy = np.kron(PAULI_MATRICES["Y"], PAULI_MATRICES["Y"])
     root = _sqrt_psd(rho)

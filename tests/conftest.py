@@ -25,6 +25,16 @@ def oracle_pauli_matrix(p: PauliString) -> np.ndarray:
     return (1j ** p.named_phase) * kron_chain(mats)
 
 
+def oracle_apply_kraus(rho, kraus, qubits, n):
+    """Literal lifted Kraus sum: rho -> sum_k L rho L^dag with L = I (x) K_k (x) I,
+    one listed qubit at a time; works on single matrices and stacks."""
+    for q in qubits:
+        pre, post = np.eye(1 << (q - 1)), np.eye(1 << (n - q))
+        lifted = [kron_chain([pre, k, post]) for k in kraus]
+        rho = sum(l @ rho @ l.conj().T for l in lifted)
+    return rho
+
+
 def oracle_partial_trace(rho, keep, n):
     """Index-summation partial trace, written without reshape tricks."""
     keep = sorted(keep)

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_density, random_valid_x_params
+from conftest import oracle_apply_kraus, random_density, random_valid_x_params
 from xstates import (Channel, Trajectory, apply_channel, bell_diagonal,
                      dicke_state, ghz_params, materialize, standard_channel,
                      strength_grid, sweep, x_form_residual)
@@ -36,6 +37,11 @@ def test_standard_channel_forms():
 def test_channel_rejects_incomplete_kraus():
     with pytest.raises(ValueError):
         Channel((np.eye(2) * 0.5,), "broken")
+
+
+def test_channel_rejects_non_finite_kraus():
+    with pytest.raises(ValueError):
+        Channel((np.full((2, 2), np.nan),), "x")
 
 
 def test_identity_channel_fixes_state(rng):
@@ -103,6 +109,39 @@ def test_apply_channel_rejects_bad_qubits(rng):
     rho = random_density(rng, 4)
     with pytest.raises(ValueError):
         apply_channel(rho, standard_channel("phase_damping", 0.2), [3], 2)
+
+
+def _isometry_channel(rng, k):
+    """k Kraus operators cut from a random (2k, 2) isometry: a CPTP map."""
+    g = rng.normal(size=(2 * k, 2)) + 1j * rng.normal(size=(2 * k, 2))
+    v, _ = np.linalg.qr(g)
+    return Channel(tuple(v[2 * j:2 * j + 2] for j in range(k)), f"isometry({k})")
+
+
+@st.composite
+def channel_cases(draw):
+    """A state or stack, a repeated/any-order qubit list, and a channel."""
+    n = draw(st.integers(1, 6))
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    qubits = draw(st.lists(st.integers(1, n), min_size=0, max_size=2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(KINDS + ("isometry",)))
+    if kind == "isometry":
+        ch = _isometry_channel(rng, draw(st.integers(1, 5)))
+    else:
+        ch = standard_channel(kind, draw(st.floats(0.0, 1.0)))
+    shape = batch + (1 << n, 1 << n)
+    rho = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return rho, ch, qubits, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(channel_cases())
+def test_apply_channel_matches_lifted_kraus_oracle(case):
+    rho, ch, qubits, n = case
+    out = apply_channel(rho, ch, qubits, n)
+    assert out.shape == rho.shape
+    assert np.max(np.abs(out - oracle_apply_kraus(rho, ch.kraus, qubits, n))) <= 1e-12
 
 
 def test_x_form_residual_baseline():

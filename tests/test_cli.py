@@ -140,6 +140,25 @@ def test_malformed_invocations_exit_one():
         assert err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--state", "ghz", "--n", "3", "--keep", "1"],
+    ["validate", "--state", "ghz", "--n", "4", "--format", "csv"],
+    ["algebra", "--n", "2", "--channel", "foo"],
+    ["incidence", "--n", "2", "--state", "bell"],
+    ["witness", "--state", "w_witness_state_3", "--kind", "w_type",
+     "--qubits", "1"],
+    ["evolve", "--state", "bell", "--channel", "amplitude_damping",
+     "--strength-grid", "0:1:5", "--keep", "1"],
+    ["marginal", "--state", "ghz", "--n", "3", "--keep", "2,3",
+     "--strength-grid", "0:1:5"],
+], ids=lambda a: a[0])
+def test_flag_of_another_subcommand_exits_one(argv):
+    code, out, err = invoke(argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "payload.json"
     code, out, _ = invoke(["algebra", "--n", "2", "--out", str(target)])

@@ -53,6 +53,11 @@ def test_eigen_rejects_non_hermitian():
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigen_rejects_non_finite():
+    with pytest.raises(ValueError):
+        hermitian_eigen(np.full((2, 2), np.nan))
+
+
 def test_partial_trace_ghz_marginals():
     rho = ghz_state(3).projector()
     reduced = partial_trace(rho, {2, 3}, 3)
@@ -128,6 +133,16 @@ def test_expectation_errors(rng):
     skew = np.array([[0.0, 1j], [0.0, 0.0]])  # not a state: forces imaginary trace
     with pytest.raises(ToleranceError):
         expectation(skew, SX)
+
+
+def test_expectation_rejects_non_finite_observable():
+    with pytest.raises(ValueError):
+        expectation(np.eye(2) / 2, np.full((2, 2), np.nan))
+
+
+def test_expectation_rejects_non_finite_state():
+    with pytest.raises(ValueError):
+        expectation(np.full((2, 2), np.nan), SZ)
 
 
 def test_matrix_dump_round_trip(rng):

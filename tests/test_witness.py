@@ -3,7 +3,7 @@ import pytest
 
 from conftest import (oracle_wootters_concurrence, random_product_states,
                       random_unitary, random_valid_x_params)
-from xstates import (PureState, concurrence, dicke_state, evaluate_witness,
+from xstates import (PureState, Witness, concurrence, dicke_state, evaluate_witness,
                      ghz_params, ghz_state, make_witness, materialize,
                      named_example, negativity, werner, witness_report)
 
@@ -46,6 +46,16 @@ def test_ghz_projector_matches_params_z_and_y_frames():
 def test_pure_state_requires_normalization():
     with pytest.raises(ValueError):
         PureState(1, np.array([1.0, 1.0]))
+
+
+def test_pure_state_rejects_non_finite_amplitudes():
+    with pytest.raises(ValueError):
+        PureState(1, np.array([np.nan, 0.0]))
+
+
+def test_witness_rejects_non_finite_matrix():
+    with pytest.raises(ValueError):
+        Witness(np.full((2, 2), np.nan))
 
 
 def test_witness_values():
@@ -138,6 +148,11 @@ def test_concurrence_rejects_bad_input():
         concurrence(np.eye(8) / 8)
     with pytest.raises(ValueError):
         concurrence(np.eye(4))  # trace 4, not a state
+
+
+def test_concurrence_rejects_non_finite_state():
+    with pytest.raises(ValueError):
+        concurrence(np.full((4, 4), np.nan))
 
 
 def test_concurrence_negativity_agree_for_two_qubit_x_states(rng):
