@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import AxisFrame, PauliString, resolve_frame, xy_product, z_product
+from .pauli import (MAX_DENSE_QUBITS, AxisFrame, PauliString, resolve_frame,
+                    xy_product, z_product)
 
-MAX_QUBITS = 12
 MAX_LINE_QUBITS = 8
 MAX_SECTOR_QUBITS = 6
 
@@ -81,8 +81,8 @@ class SectorDecomposition:
 
 def generate_set(n: int, frame: "str | AxisFrame" = "Z") -> OperatorSet:
     """All 2**(n+1) - 1 non-identity operators of the family, frame-relabeled."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+    if not 1 <= n <= MAX_DENSE_QUBITS:
+        raise ValueError(f"qubit count must be in 1..{MAX_DENSE_QUBITS}, got {n}")
     f = resolve_frame(frame)
     elements = [f.apply(z_product(i, n)) for i in range(1, 1 << n)]
     elements += [f.apply(xy_product(i, n)) for i in range(1 << n)]
@@ -144,49 +144,22 @@ def verify_design(opset: OperatorSet) -> DesignReport:
 
 
 def sector_decomposition(opset: OperatorSet) -> SectorDecomposition:
-    """Split the computational basis into joint eigenspaces of the center.
+    """Restrict every element of the Z-frame set to the sectors.
 
-    Only defined on Z-frame sets, where the center elements are diagonal;
-    each sector pairs a basis index with its bitwise complement and every
-    element of the set maps each sector to itself.
+    The sectors are the joint eigenspaces of the center: each pairs a basis
+    index b < 2**(n-1) with its bitwise complement, and every element of
+    ``generate_set(n)`` maps each sector to itself.
     """
     if opset.n > MAX_SECTOR_QUBITS:
         raise ValueError(f"sector decomposition limited to n <= {MAX_SECTOR_QUBITS}")
-    if not opset.frame.is_identity:
-        raise ValueError("sector decomposition requires a Z-frame operator set")
-    n = opset.n
-    dim = 1 << n
-    full = dim - 1
-    central = center(opset)
-    sectors = []
-    seen = set()
-    for b in range(dim):
-        if b in seen:
-            continue
-        mate = b ^ full
-        sectors.append((b, mate))
-        seen.update((b, mate))
-    # group by center eigenvalue signature; must reproduce the pairing above
-    signature = {}
-    for b in range(dim):
-        signature[b] = tuple((b & c.z_mask).bit_count() % 2 for c in central)
-    for b, mate in sectors:
-        if signature[b] != signature[mate]:
-            raise RuntimeError("sector pairing failed; inconsistent center spectrum")
-    if len({signature[b] for b, _ in sectors}) != len(sectors):
-        raise RuntimeError("sector signatures are degenerate")
-
-    restrictions = np.zeros((len(sectors), len(opset.elements), 2, 2), dtype=complex)
-    for k, p in enumerate(opset.elements):
-        rows, _, vals = p.matrix_elements()
-        for s, (lo, hi) in enumerate(sectors):
-            for col_pos, col in enumerate((lo, hi)):
-                row = int(rows[col])
-                if row not in (lo, hi):
-                    raise RuntimeError("element does not preserve a sector")
-                row_pos = 0 if row == lo else 1
-                restrictions[s, k, row_pos, col_pos] = vals[col]
-    return SectorDecomposition(n, tuple(sectors), restrictions)
+    if opset != generate_set(opset.n):
+        raise ValueError("sector decomposition requires the Z-frame set generate_set(n)")
+    full = (1 << opset.n) - 1
+    sectors = tuple((b, b ^ full) for b in range(1 << (opset.n - 1)))
+    pairs = np.array(sectors)
+    rows, cols = pairs[:, :, None], pairs[:, None, :]
+    restrictions = np.stack([p.to_matrix()[rows, cols] for p in opset.elements], axis=1)
+    return SectorDecomposition(opset.n, sectors, restrictions)
 
 
 def iterate_construction(prev: OperatorSet) -> OperatorSet:
@@ -197,8 +170,8 @@ def iterate_construction(prev: OperatorSet) -> OperatorSet:
     result equals generate_set(n, frame) element for element.
     """
     n = prev.n + 1
-    if n > MAX_QUBITS:
-        raise ValueError(f"qubit count must stay within {MAX_QUBITS}")
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError(f"qubit count must stay within {MAX_DENSE_QUBITS}")
     if len(prev.elements) != (1 << (prev.n + 1)) - 1:
         raise ValueError("input set does not have the canonical element count")
     if any(p.n != prev.n for p in prev.elements):

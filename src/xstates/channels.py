@@ -6,10 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expectation
 from .model import XStateParams, family_residual, materialize
 from .pauli import PAULI_MATRICES
-from .witness import concurrence, make_witness
+from .witness import concurrence, evaluate_witness, make_witness
 
 COMPLETENESS_TOL = 1e-12
 
@@ -157,7 +156,7 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
         if w is None:
             conc_records.append(concurrence(rho))
         else:
-            wit_records.append(expectation(rho, w.matrix))
+            wit_records.append(evaluate_witness(w, rho)[0])
         residuals.append(float(x_form_residual(rho, p0.frame, p0.n)))
     return Trajectory(
         strengths,

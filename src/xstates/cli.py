@@ -18,6 +18,7 @@ from .linalg import (ConvergenceError, ToleranceError, matrix_to_csv,
 from .model import (NAMED_EXAMPLES, XStateParams, bell_diagonal, ghz_params,
                     materialize, named_example, params_from_json,
                     params_to_json, validate, werner)
+from .pauli import FRAMES
 from .witness import make_witness, witness_report
 
 
@@ -178,7 +179,7 @@ def _cmd_marginal(args) -> tuple[str, int]:
 # Every other flag takes a string and defaults to None.
 _FLAG_OPTIONS = {
     "--n": dict(type=int),
-    "--frame": dict(choices=("Z", "X", "Y"), default="Z"),
+    "--frame": dict(choices=tuple(FRAMES), default="Z"),
 }
 
 _STATE_FLAGS = ("--state", "--n", "--frame")

@@ -1,15 +1,17 @@
 """Dense complex matrix kernels shared by the rest of the package.
 
-All matrices are square with power-of-two dimension up to 4096 (12 qubits),
-double precision, row-major.  Qubit 1 is the most significant basis bit and
-qubit indices are 1-based everywhere.
+All matrices are square with power-of-two dimension up to ``MAX_DIM`` =
+2**MAX_DENSE_QUBITS (4096, 12 qubits), double precision, row-major.  Qubit 1
+is the most significant basis bit and qubit indices are 1-based everywhere.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-MAX_DIM = 4096
+from .pauli import MAX_DENSE_QUBITS
+
+MAX_DIM = 1 << MAX_DENSE_QUBITS
 
 HERMITIAN_TOL = 1e-10
 
@@ -113,13 +115,22 @@ def partial_transpose(rho: np.ndarray, subset: "set[int] | list[int] | tuple[int
 
 def expectation(rho: np.ndarray, m: np.ndarray) -> float:
     """Re tr(M rho) for Hermitian M; asserts the imaginary part is negligible."""
-    rho = _as_square(rho, "state")
     m = _as_square(m, "observable")
-    if rho.shape != m.shape:
-        raise ValueError("dimension mismatch between state and observable")
     dev = hermiticity_deviation(m)
     if not dev <= HERMITIAN_TOL:
         raise ValueError(f"observable is not Hermitian (deviation {dev:.3e})")
+    return _real_trace(rho, m)
+
+
+def _real_trace(rho: np.ndarray, m: np.ndarray) -> float:
+    """Re tr(M rho) for a square M already known to be Hermitian.
+
+    The value must be finite (a NaN state fails here) and its imaginary part
+    negligible.
+    """
+    rho = _as_square(rho, "state")
+    if rho.shape != m.shape:
+        raise ValueError("dimension mismatch between state and observable")
     value = complex(np.einsum("ij,ji->", m, rho))
     if not np.isfinite(value):
         raise ValueError(f"expectation {value} is not finite")

@@ -30,9 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import hermiticity_deviation, hermitian_eigen
-from .pauli import FRAMES, PAULI_MATRICES, AxisFrame
-
-MAX_QUBITS = 12
+from .pauli import FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame
 
 # Qubits per Kronecker block: n <= 4 costs one matmul, n <= 12 at most three.
 _BLOCK = 4
@@ -52,8 +50,8 @@ class XStateParams:
     frame: str = "Z"
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
+        if not 1 <= self.n <= MAX_DENSE_QUBITS:
+            raise ValueError(f"qubit count must be in 1..{MAX_DENSE_QUBITS}, got {self.n}")
         size = 1 << self.n
         if len(self.d) != size:
             raise ValueError(f"d must have length {size}, got {len(self.d)}")
@@ -151,7 +149,7 @@ def _layout(n: int) -> _Layout:
                    (0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2)))
 
 
-_LAYOUTS = {n: _layout(n) for n in range(1, MAX_QUBITS + 1)}
+_LAYOUTS = {n: _layout(n) for n in range(1, MAX_DENSE_QUBITS + 1)}
 
 
 def _entries(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
@@ -263,8 +261,8 @@ def ghz_params(n: int, frame: str = "Z") -> XStateParams:
     d_i = 1 exactly on even-popcount indices; a_i alternates +1/-1 on
     popcount 0/2 mod 4 and vanishes on odd popcount.
     """
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 2..{MAX_QUBITS}, got {n}")
+    if not 2 <= n <= MAX_DENSE_QUBITS:
+        raise ValueError(f"qubit count must be in 2..{MAX_DENSE_QUBITS}, got {n}")
     d = {}
     a = {}
     for i in range(1 << n):
@@ -322,8 +320,8 @@ def params_from_json(obj: dict) -> XStateParams:
             raise ValueError(f"state file is missing key {key!r}")
     n = obj["n"]
     # bool subclasses int, but JSON true/false are not numbers
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"state file n must be an integer in 1..{MAX_QUBITS}")
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_DENSE_QUBITS:
+        raise ValueError(f"state file n must be an integer in 1..{MAX_DENSE_QUBITS}")
     frame = obj["frame"]
     if frame not in FRAMES:
         raise ValueError(f"state file frame must be one of {sorted(FRAMES)}")

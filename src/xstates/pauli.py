@@ -10,7 +10,13 @@ where ``x_j`` is bit ``j-1`` of ``x_mask`` and ``z_j`` is bit ``j-1`` of
 is the *leftmost* tensor factor of the dense matrix (most significant basis
 bit).  The pair x_j = z_j = 1 realizes a Y factor: Y = i * X @ Z, and the
 extra i per Y is absorbed into ``phase``, so all sign bookkeeping stays in
-exact integer arithmetic (never floats).
+exact integer arithmetic (never floats).  ``to_matrix`` builds the same
+matrix from the named factors,
+
+    i**named_phase * kron_{j=1..n} PAULI_MATRICES[axis_on(j)],
+
+with the first factor leftmost; this is the only dense realization, and
+every dense operator of the package (n <= MAX_DENSE_QUBITS) uses its order.
 
 Index encodings used throughout the package:
 
@@ -26,6 +32,7 @@ Y_iY_j products) characterizes an X-state family.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -35,7 +42,7 @@ import numpy as np
 AXES = ("X", "Y", "Z")
 
 MAX_QUBITS = 16       # masks must fit comfortably in one machine word
-MAX_DENSE_QUBITS = 12  # dense realization bound (4096 x 4096)
+MAX_DENSE_QUBITS = 12  # every dense operator and state: at most 4096 x 4096
 
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PREFIX_PHASE = {v: k for k, v in _PHASE_PREFIX.items()}
@@ -51,24 +58,6 @@ PAULI_MATRICES = {
 }
 for _m in PAULI_MATRICES.values():
     _m.setflags(write=False)
-
-
-def _bit_reverse(mask: int, n: int) -> int:
-    out = 0
-    for j in range(n):
-        if (mask >> j) & 1:
-            out |= 1 << (n - 1 - j)
-    return out
-
-
-def _parity_of(values: np.ndarray) -> np.ndarray:
-    """Bitwise parity of each entry (entries < 2**16)."""
-    v = values.copy()
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return v & 1
 
 
 @dataclass(frozen=True)
@@ -154,28 +143,13 @@ class PauliString:
                 + (self.z_mask & other.x_mask).bit_count()) % 2 == 0
 
     # ---- dense realization ----
-    def matrix_elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparse action (rows, cols, values): one nonzero per column.
-
-        The dense matrix is M[rows[c], c] = values[c], zero elsewhere.
-        """
-        dim = 1 << self.n
-        cols = np.arange(dim)
-        x_rev = _bit_reverse(self.x_mask, self.n)
-        z_rev = _bit_reverse(self.z_mask, self.n)
-        rows = cols ^ x_rev
-        signs = 1 - 2 * _parity_of(cols & z_rev)
-        return rows, cols, (1j ** self.phase) * signs.astype(complex)
-
     def to_matrix(self) -> np.ndarray:
         """Dense matrix with qubit 1 as the leftmost (most significant) factor."""
         if self.n > MAX_DENSE_QUBITS:
             raise ValueError(f"dense realization limited to n <= {MAX_DENSE_QUBITS}")
-        dim = 1 << self.n
-        rows, cols, vals = self.matrix_elements()
-        m = np.zeros((dim, dim), dtype=complex)
-        m[rows, cols] = vals
-        return m
+        factors = (PAULI_MATRICES[self.axis_on(j)] for j in range(1, self.n + 1))
+        # the phase enters as a 1x1 first factor, saving a pass over the result
+        return functools.reduce(np.kron, factors, np.array([[1j ** self.named_phase]]))
 
     # ---- text form ----
     def label(self) -> str:
@@ -306,36 +280,16 @@ class AxisFrame:
     def unitary(self) -> np.ndarray:
         """A 2x2 unitary U with U sigma_a U^dag = sign * sigma_image(a).
 
-        Fixed up to global phase; computed from the rotation's quaternion.
+        Fixed up to global phase: U|0> is the +1 eigenvector of the image of
+        Z and U|1> = image(X) U|0>, so U maps Z and X to their images, and Y
+        = iXZ follows because the rotation is proper.
         """
-        m = self.rotation().astype(float)
-        tr = m[0, 0] + m[1, 1] + m[2, 2]
-        if tr > 0:
-            s = 2.0 * np.sqrt(tr + 1.0)
-            w = 0.25 * s
-            qx = (m[2, 1] - m[1, 2]) / s
-            qy = (m[0, 2] - m[2, 0]) / s
-            qz = (m[1, 0] - m[0, 1]) / s
-        elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-            s = 2.0 * np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-            w = (m[2, 1] - m[1, 2]) / s
-            qx = 0.25 * s
-            qy = (m[0, 1] + m[1, 0]) / s
-            qz = (m[0, 2] + m[2, 0]) / s
-        elif m[1, 1] > m[2, 2]:
-            s = 2.0 * np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2])
-            w = (m[0, 2] - m[2, 0]) / s
-            qx = (m[0, 1] + m[1, 0]) / s
-            qy = 0.25 * s
-            qz = (m[1, 2] + m[2, 1]) / s
-        else:
-            s = 2.0 * np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1])
-            w = (m[1, 0] - m[0, 1]) / s
-            qx = (m[0, 2] + m[2, 0]) / s
-            qy = (m[1, 2] + m[2, 1]) / s
-            qz = 0.25 * s
-        pm = PAULI_MATRICES
-        return w * pm["I"] - 1j * (qx * pm["X"] + qy * pm["Y"] + qz * pm["Z"])
+        def image_matrix(axis: str) -> np.ndarray:
+            new_axis, sign = self.image(axis)
+            return sign * PAULI_MATRICES[new_axis]
+
+        up = np.linalg.eigh(image_matrix("Z"))[1][:, 1]  # ascending: +1 is last
+        return np.column_stack([up, image_matrix("X") @ up])
 
     def describe(self) -> dict[str, str]:
         """JSON-friendly form, e.g. {'X': '-Y', 'Y': '-Z', 'Z': '+X'}."""

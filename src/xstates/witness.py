@@ -8,8 +8,8 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .linalg import expectation, hermitian_eigen, hermiticity_deviation, partial_transpose
-from .pauli import PAULI_MATRICES
+from .linalg import _real_trace, hermitian_eigen, hermiticity_deviation, partial_transpose
+from .pauli import MAX_DENSE_QUBITS, PAULI_MATRICES
 
 DETECTION_TOL = -1e-10
 
@@ -33,18 +33,25 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class Witness:
+    """A Hermitian observable, checked once and held as a read-only copy."""
+
     matrix: np.ndarray
     label: str = field(default="witness")
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if not hermiticity_deviation(m) <= 1e-12:
+        # checked before copying, so the check's temporaries and the copy
+        # are never alive together
+        if not hermiticity_deviation(self.matrix) <= 1e-12:
             raise ValueError("witness matrix must be Hermitian")
+        m = np.array(self.matrix, dtype=complex)
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
 def dicke_state(n: int, k: int) -> PureState:
     """Equal superposition of all basis states with exactly k excitations."""
+    if not 1 <= n <= MAX_DENSE_QUBITS:
+        raise ValueError(f"qubit count must be in 1..{MAX_DENSE_QUBITS}, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"excitation count must be in 0..{n}")
     amp = np.zeros(1 << n, dtype=complex)
@@ -68,6 +75,8 @@ def ghz_state(n: int, frame: str = "Z") -> PureState:
     """(|u..u> + |v..v>)/sqrt(2) for the +1/-1 eigenbasis of the frame axis."""
     if n < 2:
         raise ValueError("a GHZ state needs at least 2 qubits")
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError(f"qubit count must be in 2..{MAX_DENSE_QUBITS}, got {n}")
     try:
         up, down = _BASIS_PAIR[frame]
     except KeyError:
@@ -81,29 +90,35 @@ def ghz_state(n: int, frame: str = "Z") -> PureState:
     return PureState(n, (plus + minus) / sqrt(2))
 
 
+def _fidelity_witness(alpha: float, psi: PureState, label: str) -> Witness:
+    """alpha*I - |psi><psi|, formed in the projector's buffer (the Witness
+    keeps a copy of its own) without a dense identity matrix."""
+    m = psi.projector()
+    np.subtract(0.0, m, out=m)  # 0 - m, not -m: zero entries stay +0.0
+    m.flat[::len(m) + 1] += alpha
+    return Witness(m, label)
+
+
 def make_witness(kind: str, n: int) -> Witness:
     """Fidelity witnesses alpha*I - |psi><psi| for the bundled target states."""
     if kind == "w_type":
         if n != 3:
             raise ValueError("w_type witness is defined for n=3")
-        proj = dicke_state(3, 1).projector()
-        return Witness((2.0 / 3.0) * np.eye(8) - proj, "w_type_3")
+        return _fidelity_witness(2.0 / 3.0, dicke_state(3, 1), "w_type_3")
     if kind == "dicke_2_4":
         if n != 4:
             raise ValueError("dicke_2_4 witness is defined for n=4")
-        proj = dicke_state(4, 2).projector()
-        return Witness((2.0 / 3.0) * np.eye(16) - proj, "dicke_2_4")
+        return _fidelity_witness(2.0 / 3.0, dicke_state(4, 2), "dicke_2_4")
     if kind == "ghz_type":
         if n < 2:
             raise ValueError("ghz_type witness needs at least 2 qubits")
-        proj = ghz_state(n, "Z").projector()
-        return Witness(0.5 * np.eye(1 << n) - proj, f"ghz_type_{n}")
+        return _fidelity_witness(0.5, ghz_state(n, "Z"), f"ghz_type_{n}")
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
 def evaluate_witness(w: Witness, rho: np.ndarray) -> tuple[float, bool]:
     """Expectation of the witness; detection means a strictly negative value."""
-    value = expectation(rho, w.matrix)
+    value = _real_trace(rho, w.matrix)
     return value, value < DETECTION_TOL
 
 

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from xstates import (center, generate_set, incidence_json,
+from conftest import oracle_pauli_matrix
+from xstates import (FRAME_Z, OperatorSet, center, generate_set, incidence_json,
                      iterate_construction, lines, sector_decomposition,
                      verify_design)
 
@@ -140,9 +141,36 @@ def test_sector_restrictions_multiply_like_elements():
         assert np.max(np.abs(got - phase_fix * dec.restrictions[s, k])) < 1e-12
 
 
+def test_sectors_are_joint_eigenspaces_of_center():
+    for n in range(1, 7):
+        opset = generate_set(n)
+        dec = sector_decomposition(opset)
+        central = set(center(opset))
+        blocks = dec.restrictions[:, [k for k, p in enumerate(opset.elements) if p in central]]
+        signs = blocks[:, :, 0, 0]
+        assert np.isin(signs, (1.0, -1.0)).all()
+        assert np.array_equal(blocks, signs[:, :, None, None] * np.eye(2))
+        assert len({tuple(row) for row in signs}) == len(dec.sectors)
+
+
+def test_sector_restrictions_match_oracle_blocks():
+    for n in range(1, 7):
+        opset = generate_set(n)
+        dec = sector_decomposition(opset)
+        for k, p in enumerate(opset.elements):
+            dense = oracle_pauli_matrix(p)
+            for s, (lo, hi) in enumerate(dec.sectors):
+                assert np.array_equal(dec.restrictions[s, k], dense[np.ix_([lo, hi], [lo, hi])])
+
+
 def test_sector_requires_z_frame():
     with pytest.raises(ValueError):
         sector_decomposition(generate_set(2, "X"))
+
+
+def test_sector_rejects_partial_set():
+    with pytest.raises(ValueError):
+        sector_decomposition(OperatorSet(2, FRAME_Z, generate_set(2).elements[:3]))
 
 
 def test_iterate_construction_matches_generate():

@@ -189,7 +189,7 @@ def test_to_matrix_examples():
 
 def test_to_matrix_matches_kron_oracle(rng):
     for _ in range(400):
-        p = random_pauli(rng, int(rng.integers(1, 5)))
+        p = random_pauli(rng, int(rng.integers(1, 9)))
         assert np.array_equal(p.to_matrix(), oracle_pauli_matrix(p))
 
 

@@ -58,6 +58,31 @@ def test_witness_rejects_non_finite_matrix():
         Witness(np.full((2, 2), np.nan))
 
 
+def test_witness_holds_read_only_copy():
+    source = make_witness("ghz_type", 2).matrix.copy()
+    w = Witness(source)
+    assert not w.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        w.matrix[0, 1] = 1.0
+    source[0, 1] = 1.0  # would break Hermiticity if the witness shared it
+    assert w.matrix[0, 1] == 0.0
+
+
+def test_evaluate_witness_rejects_bad_state():
+    w = make_witness("ghz_type", 2)
+    with pytest.raises(ValueError):
+        evaluate_witness(w, np.full((4, 4), np.nan))
+    with pytest.raises(ValueError):
+        evaluate_witness(w, np.eye(8) / 8)
+
+
+def test_dense_states_reject_qubit_counts_beyond_limit():
+    with pytest.raises(ValueError):
+        ghz_state(13)
+    with pytest.raises(ValueError):
+        dicke_state(13, 1)
+
+
 def test_witness_values():
     w = make_witness("w_type", 3)
     rho = materialize(named_example("w_witness_state_3"))
