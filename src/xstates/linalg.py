@@ -7,6 +7,8 @@ is the most significant basis bit and qubit indices are 1-based everywhere.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .pauli import MAX_DENSE_QUBITS
@@ -14,6 +16,9 @@ from .pauli import MAX_DENSE_QUBITS
 MAX_DIM = 1 << MAX_DENSE_QUBITS
 
 HERMITIAN_TOL = 1e-10
+
+# Bytes of one row strip of hermiticity_deviation's temporaries.
+_STRIP_BYTES = 1 << 20
 
 
 class ConvergenceError(RuntimeError):
@@ -37,9 +42,65 @@ def _check_power_of_two(dim: int, name: str = "dimension") -> None:
 
 
 def hermiticity_deviation(m: np.ndarray) -> float:
-    """Max-norm distance from the Hermitian cone, max |M - M^dag|."""
+    """Max-norm distance from the Hermitian cone, max |M - M^dag|.
+
+    Compared in strips of rows against the matching strips of columns, so
+    the temporaries stay near ``_STRIP_BYTES`` at any size; a NaN entry
+    gives NaN.
+    """
     m = _as_square(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if not m.size:
+        return 0.0
+    rows = max(1, _STRIP_BYTES // m[0].nbytes)
+    strips = (np.abs(m[i:i + rows] - m[:, i:i + rows].conj().T).max()
+              for i in range(0, len(m), rows))
+    return float(reduce(np.maximum, strips))
+
+
+def sector_eigenvalues(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
+    """Spectrum of a Hermitian X matrix from its 2x2 sector blocks.
+
+    ``diag[b] = M[b, b]`` and ``anti[b] = M[b, ~b]`` with ~b the complement of
+    b's bits.  The block on {b, ~b} with diagonal p, q and corner c has the
+    eigenvalues (p + q)/2 +- hypot((p - q)/2, |c|); they are returned for the
+    sectors b < dim/2, all + branches first, then the - branches.
+    """
+    half = len(diag) >> 1
+    p = diag[:half].real
+    q = diag[::-1][:half].real
+    mid = (p + q) / 2
+    rad = np.hypot((p - q) / 2, np.abs(anti[:half]))
+    return np.concatenate([mid + rad, mid - rad])
+
+
+def sector_hermiticity_deviation(diag: np.ndarray, anti: np.ndarray) -> float:
+    """max |M - M^dag| of the X matrix with these diagonal and anti-diagonal
+    entries (see sector_eigenvalues); NaN for NaN input."""
+    return float(np.max(np.abs(np.concatenate([diag - diag.conj(),
+                                               anti - anti[::-1].conj()]))))
+
+
+def x_matrix_entries(m: np.ndarray) -> "tuple[np.ndarray, np.ndarray] | None":
+    """(diag, anti) of an X-shaped matrix, else None.
+
+    X-shaped means every entry off the diagonal and the anti-diagonal is
+    exactly zero, as ``materialize`` and ``apply_channel`` leave a Z-frame
+    state.  The entries are laid out as for sector_eigenvalues, with the
+    diagonal made real after the same Hermiticity check as hermitian_eigen.
+    """
+    m = _as_square(m)
+    diag = m.diagonal()
+    anti = m[:, ::-1].diagonal()
+    # the two diagonals are disjoint only in even dimension
+    if len(m) % 2 or np.count_nonzero(m) != np.count_nonzero(diag) + np.count_nonzero(anti):
+        return None
+    _require_hermitian(sector_hermiticity_deviation(diag, anti))
+    return diag.real, anti
+
+
+def _require_hermitian(dev: float) -> None:
+    if not dev <= HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,9 +122,7 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ConvergenceError if the underlying iteration fails.
     """
     h = _as_square(h)
-    dev = hermiticity_deviation(h)
-    if not dev <= HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
+    _require_hermitian(hermiticity_deviation(h))
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -95,9 +154,9 @@ def partial_trace(rho: np.ndarray, keep: "set[int] | list[int] | tuple[int, ...]
     return out
 
 
-def partial_transpose(rho: np.ndarray, subset: "set[int] | list[int] | tuple[int, ...]",
-                      n: int) -> np.ndarray:
-    """Transpose the tensor factors of the listed qubits (1-based)."""
+def _state_and_subset(rho: np.ndarray, subset, n: int) -> tuple[np.ndarray, set[int]]:
+    """The n-qubit state as a complex matrix and the qubit subset as a set,
+    checked to lie in 1..n."""
     rho = _as_square(rho, "state")
     dim = 1 << n
     if rho.shape != (dim, dim):
@@ -105,6 +164,14 @@ def partial_transpose(rho: np.ndarray, subset: "set[int] | list[int] | tuple[int
     subset_set = set(subset)
     if not subset_set <= set(range(1, n + 1)):
         raise ValueError(f"qubit subset must lie in 1..{n}")
+    return rho, subset_set
+
+
+def partial_transpose(rho: np.ndarray, subset: "set[int] | list[int] | tuple[int, ...]",
+                      n: int) -> np.ndarray:
+    """Transpose the tensor factors of the listed qubits (1-based)."""
+    rho, subset_set = _state_and_subset(rho, subset, n)
+    dim = 1 << n
     arr = rho.reshape((2,) * (2 * n))
     axes = list(range(2 * n))
     for q in subset_set:

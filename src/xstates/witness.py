@@ -8,7 +8,8 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .linalg import _real_trace, hermitian_eigen, hermiticity_deviation, partial_transpose
+from .linalg import (_real_trace, _state_and_subset, hermitian_eigen, hermiticity_deviation,
+                     partial_transpose, sector_eigenvalues, x_matrix_entries)
 from .pauli import MAX_DENSE_QUBITS, PAULI_MATRICES
 
 DETECTION_TOL = -1e-10
@@ -128,9 +129,22 @@ def witness_report(w: Witness, rho: np.ndarray) -> dict:
 
 
 def negativity(rho: np.ndarray, subset, n: int) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose."""
-    pt = partial_transpose(rho, subset, n)
-    eigenvalues, _ = hermitian_eigen(pt)
+    """Sum of |negative eigenvalues| of the partial transpose.
+
+    The partial transpose of an X-shaped input (see linalg.x_matrix_entries)
+    is again an X matrix: transposing the qubits of S keeps the diagonal and
+    moves the anti-diagonal entry of row b to row b ^ m_S, where m_S holds
+    their basis bits.  Such input is solved from its 2x2 sector blocks; any
+    other input takes the dense partial transpose and eigh.
+    """
+    rho, qubits = _state_and_subset(rho, subset, n)
+    entries = x_matrix_entries(rho)
+    if entries is None:
+        eigenvalues, _ = hermitian_eigen(partial_transpose(rho, qubits, n))
+    else:
+        diag, anti = entries
+        flip = sum(1 << (n - q) for q in qubits)
+        eigenvalues = sector_eigenvalues(diag, anti[np.arange(1 << n) ^ flip])
     return float(-eigenvalues[eigenvalues < 0].sum())
 
 
@@ -141,12 +155,16 @@ def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
 
 
 def concurrence(rho: np.ndarray) -> float:
-    """Two-qubit concurrence via the Hermitian reformulation.
+    """Two-qubit concurrence.
 
-    The usual descending lambdas are the square roots of the eigenvalues of
-    rho (Y x Y) rho* (Y x Y); that product is similar to the Hermitian PSD
-    matrix sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho), whose spectrum a
-    Hermitian solver delivers directly.
+    An X-shaped state (see linalg.x_matrix_entries) takes the Yu-Eberly
+    closed form 2 max(0, |r03| - sqrt(r11 r22), |r12| - sqrt(r00 r33)), with
+    the products clipped at 0 so that an unphysical input still gives a
+    finite value >= 0.  Any other state takes the Hermitian reformulation of
+    Wootters' formula: the usual descending lambdas are the square roots of
+    the eigenvalues of rho (Y x Y) rho* (Y x Y); that product is similar to
+    the Hermitian PSD matrix sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho), whose
+    spectrum a Hermitian solver delivers directly.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -155,6 +173,11 @@ def concurrence(rho: np.ndarray) -> float:
         raise ValueError("state must be Hermitian")
     if not abs(complex(np.trace(rho)) - 1.0) <= 1e-10:
         raise ValueError("state must have unit trace")
+    entries = x_matrix_entries(rho)
+    if entries is not None:
+        diag, anti = entries
+        return float(2 * max(0.0, abs(anti[0]) - sqrt(max(0.0, diag[1] * diag[2])),
+                             abs(anti[1]) - sqrt(max(0.0, diag[0] * diag[3]))))
     yy = np.kron(PAULI_MATRICES["Y"], PAULI_MATRICES["Y"])
     root = _sqrt_psd(rho)
     m = root @ yy @ rho.conj() @ yy @ root

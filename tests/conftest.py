@@ -64,6 +64,21 @@ def oracle_partial_trace(rho, keep, n):
     return out
 
 
+def oracle_negativity(rho, subset, n):
+    """Negativity from a partial transpose written as an index loop: entry
+    (r, c) moves to the pair with the subset's row and column bits exchanged;
+    then a dense eigvalsh."""
+    dim = 1 << n
+    mask = sum(1 << (n - q) for q in set(subset))
+    pt = np.zeros_like(rho)
+    for r in range(dim):
+        for c in range(dim):
+            swap = (r ^ c) & mask
+            pt[r ^ swap, c ^ swap] = rho[r, c]
+    w = np.linalg.eigvalsh(pt)
+    return float(-w[w < 0].sum())
+
+
 def oracle_wootters_concurrence(rho):
     """Brute-force concurrence via a general (non-Hermitian) eigensolver."""
     yy = np.kron(SY, SY)

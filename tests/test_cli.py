@@ -185,3 +185,13 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["points"] == 7
+
+
+def test_validate_twelve_qubit_ghz_end_to_end():
+    proc = subprocess.run(
+        [sys.executable, "-m", "xstates", "validate", "--state", "ghz", "--n", "12"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["is_valid"] is True
+    assert abs(report["min_eigenvalue"]) <= 1e-12

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import SX, SZ, oracle_partial_trace, random_density
 from xstates import (PauliString, ToleranceError, expectation, ghz_state,
                      hermitian_eigen, kron, matrix_from_json, matrix_to_csv,
                      matrix_to_json, partial_trace, partial_transpose)
+from xstates.linalg import hermiticity_deviation
 
 
 def test_kron_examples():
@@ -25,6 +28,28 @@ def test_kron_rejects_bad_dims():
         kron(np.eye(3), np.eye(2))
     with pytest.raises(ValueError):
         kron(np.eye(2048), np.eye(4))
+
+
+def test_hermiticity_deviation_equals_dense_formula(rng):
+    # 512 and 1024 span several row strips, 2 and 64 one
+    for dim in (2, 64, 512, 1024):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for m in (g, g + g.conj().T, g + g.conj().T + 1e-9 * g):
+            assert hermiticity_deviation(m) == float(np.max(np.abs(m - m.conj().T)))
+        nan = g + g.conj().T
+        nan[dim - 1, 0] = np.nan
+        assert np.isnan(hermiticity_deviation(nan))
+
+
+def test_hermiticity_deviation_bounded_memory(rng):
+    m = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
+    tracemalloc.start()
+    try:
+        hermiticity_deviation(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # the matrix itself takes 16 MiB
 
 
 def test_eigen_examples():

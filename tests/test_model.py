@@ -11,6 +11,8 @@ from xstates import (FRAMES, XStateParams, bell_diagonal, decompose,
                      ghz_state, hermitian_eigen, materialize, named_example,
                      negativity, params_from_json, params_to_json, partial_trace,
                      partial_transpose, validate, werner)
+from xstates.linalg import sector_eigenvalues
+from xstates.model import VALID_EIG_TOL, _sector_entries
 
 BELL = XStateParams.build(2, d={3: 1.0}, a={0: 1.0, 3: -1.0})
 
@@ -270,3 +272,19 @@ def test_family_residual_batched_beyond_six_qubits(rng, frame):
     each = [family_residual(m, n, frame) for m in stack]
     assert np.max(np.abs(res - each)) <= 1e-12
     assert res[0] <= 1e-12 and min(res[1:]) > 1e-3
+
+
+@settings(max_examples=100, deadline=None)
+@given(x_params(8), st.floats(0.0, 9.0))
+def test_validate_matches_dense_spectrum(p, shrink):
+    # 2**-shrink scales the non-trace parameters, so physical states occur too
+    scale = 2.0 ** -shrink
+    p = XStateParams(p.n, (1.0,) + tuple(scale * v for v in p.d[1:]),
+                     tuple(scale * v for v in p.a), p.frame)
+    dense = np.linalg.eigvalsh(materialize(p))
+    assert np.max(np.abs(np.sort(sector_eigenvalues(*_sector_entries(p))) - dense)) <= 1e-12
+    report = validate(p)
+    assert abs(report.min_eigenvalue - dense[0]) <= 1e-12
+    assert report.trace_deviation <= 1e-12 and report.hermiticity_deviation <= 1e-12
+    if abs(dense[0] - VALID_EIG_TOL) > 1e-12:
+        assert report.is_valid == (dense[0] >= VALID_EIG_TOL)

@@ -1,11 +1,17 @@
+from math import sqrt
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import (oracle_wootters_concurrence, random_product_states,
-                      random_unitary, random_valid_x_params)
-from xstates import (PureState, Witness, concurrence, dicke_state, evaluate_witness,
-                     ghz_params, ghz_state, make_witness, materialize,
-                     named_example, negativity, werner, witness_report)
+from conftest import (oracle_negativity, oracle_wootters_concurrence,
+                      random_product_states, random_unitary, random_valid_x_params)
+from xstates import (PureState, Witness, XStateParams, concurrence, dicke_state,
+                     evaluate_witness, ghz_params, ghz_state, make_witness,
+                     materialize, named_example, negativity, strength_grid, sweep,
+                     werner, witness_report)
+from xstates.linalg import x_matrix_entries
 
 
 def test_dicke_examples():
@@ -192,3 +198,56 @@ def test_concurrence_negativity_agree_for_two_qubit_x_states(rng):
         if neg > 1e-8:
             assert c > 1e-12
     assert 0 < detected < 1000  # the draw mixes entangled and separable states
+
+
+@st.composite
+def z_frame_x_matrix_and_subset(draw):
+    """A Z-frame X matrix of any sign pattern (often not PSD, sometimes
+    entangled), a nonempty qubit subset, and an off-X index pair."""
+    n = draw(st.integers(2, 7))
+    coeffs = arrays(np.float64, 1 << n, elements=st.floats(-1.0, 1.0))
+    scale = 2.0 ** -draw(st.floats(0.0, n + 1.0))
+    d = scale * draw(coeffs)
+    d[0] = 1.0
+    rho = materialize(XStateParams(n, tuple(d), tuple(scale * draw(coeffs)), "Z"))
+    subset = draw(st.sets(st.integers(1, n), min_size=1))
+    full = (1 << n) - 1
+    i = draw(st.integers(0, full))
+    j = draw(st.integers(0, full).filter(lambda j: j not in (i, i ^ full)))
+    return rho, subset, n, (i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(z_frame_x_matrix_and_subset())
+def test_negativity_matches_index_loop_oracle(case):
+    rho, subset, n, (i, j) = case
+    assert x_matrix_entries(rho) is not None  # the sector path
+    assert abs(negativity(rho, subset, n) - oracle_negativity(rho, subset, n)) <= 1e-12
+    rho = rho.copy()
+    rho[i, j] = rho[j, i] = 1e-3
+    assert x_matrix_entries(rho) is None      # the dense path
+    assert abs(negativity(rho, subset, n) - oracle_negativity(rho, subset, n)) <= 1e-12
+
+
+def test_negativity_rejects_non_hermitian_x_matrix():
+    rho = materialize(ghz_params(3))
+    rho[0, 7] = 0.25          # rho[7, 0] stays 0.5
+    with pytest.raises(ValueError, match="not Hermitian"):
+        negativity(rho, {1}, 3)
+    rho = materialize(ghz_params(3))
+    rho[2, 2] += 1e-6j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        negativity(rho, {1}, 3)
+
+
+@pytest.mark.parametrize("qubits", [[1], [2], [1, 2]])
+def test_concurrence_of_damped_bell_state_matches_yu_eberly(qubits):
+    # Amplitude damping at strength g scales the |00><11| coherence of |Phi+>
+    # by sqrt(1 - g) per damped qubit.  One damped qubit leaves one of |01>,
+    # |10> empty; both put g (1 - g) / 2 on each.  Yu-Eberly then gives
+    # sqrt(1 - g) and (1 - g) - g (1 - g) = (1 - g)**2.
+    grid = strength_grid(0.0, 1.0, 21)
+    traj = sweep(werner(1.0), "amplitude_damping", qubits, grid)
+    for g, c in zip(grid, traj.concurrence):
+        expect = sqrt(1 - g) if len(qubits) == 1 else (1 - g) ** 2
+        assert abs(c - expect) <= 1e-12, (g, c, expect)
