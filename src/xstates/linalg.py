@@ -17,6 +17,11 @@ MAX_DIM = 1 << MAX_DENSE_QUBITS
 
 HERMITIAN_TOL = 1e-10
 
+# Largest sqrt(dim) * ||rho - fitted||_F at which negativity and concurrence
+# of a dense rho use the sector entries of the X/Y-frame X state fitted to
+# it.  It bounds their trace-norm distance and the negativity error.
+SECTOR_FIT_TOL = 1e-12
+
 # Bytes of one row strip of hermiticity_deviation's temporaries.
 _STRIP_BYTES = 1 << 20
 
@@ -30,7 +35,11 @@ class ToleranceError(RuntimeError):
 
 
 def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    """m checked square; float64 and complex128 input is used as given, any
+    other dtype is converted to complex."""
+    m = np.asarray(m)
+    if m.dtype.char not in "dD":    # float64, complex128
+        m = m.astype(complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
@@ -114,6 +123,17 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _hermitian_solve(h: np.ndarray, solver):
+    """solver(h) for a matrix checked to be Hermitian, with LAPACK's
+    LinAlgError raised as ConvergenceError."""
+    h = _as_square(h)
+    _require_hermitian(hermiticity_deviation(h))
+    try:
+        return solver(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+
+
 def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -121,13 +141,14 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors as columns.  Raises ValueError for non-Hermitian input and
     ConvergenceError if the underlying iteration fails.
     """
-    h = _as_square(h)
-    _require_hermitian(hermiticity_deviation(h))
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    w, v = _hermitian_solve(h, np.linalg.eigh)
     return w[::-1].copy(), v[:, ::-1].copy()
+
+
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """The eigenvalues of hermitian_eigen, descending, with the same errors,
+    computed without eigenvectors."""
+    return _hermitian_solve(h, np.linalg.eigvalsh)[::-1]
 
 
 def partial_trace(rho: np.ndarray, keep: "set[int] | list[int] | tuple[int, ...]",

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import sector_eigenvalues, sector_hermiticity_deviation
+from .linalg import SECTOR_FIT_TOL, sector_eigenvalues, sector_hermiticity_deviation
 from .pauli import FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame
 
 # Qubits per Kronecker block: n <= 4 costs one matmul, n <= 12 at most three.
@@ -224,19 +224,43 @@ def _coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
     return t.real.reshape(*rho.shape[:-2], 2 << n)
 
 
-def _sector_entries(p: XStateParams) -> tuple[np.ndarray, np.ndarray]:
-    """Z-frame diag[b] = rho[b, b] and anti[b] = rho[b, ~b] of the parameters.
+def _sector_entries(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z-frame diag[b] = rho[b, b] and anti[b] = rho[b, ~b] of the
+    coefficients (2**(n+1),), d then a.
 
     The same block loop as _entries with the sector tables; block j's basis
     bits land in front of the later blocks', so the result is in basis order.
     """
-    t = np.concatenate([p.d, p.a]).reshape(2, 1 << p.n) / (1 << p.n)
-    for g in _LAYOUTS[p.n].sizes:
+    t = coeffs.reshape(2, 1 << n) / (1 << n)
+    for g in _LAYOUTS[n].sizes:
         # (rows so far, half, R, block j) -> (rows so far, block j's rows, half, R)
         t = t.reshape(-1, 2, t.shape[-1] >> g, 1 << g) @ _SECTOR_FACTORS[g]
         t = np.moveaxis(t, -1, 1)
     diag, anti = t.reshape(-1, 2).T
     return diag.real, anti
+
+
+def _fit_sector_entries(rho: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray] | None":
+    """Z-frame (diag, anti) of the X- or Y-frame X state that rho is, else None.
+
+    Each frame's coefficients, with d_0 pinned to 1, rebuild a matrix; its
+    Frobenius distance from rho times sqrt(dim) bounds their trace-norm
+    distance and the change of any negativity between the two, since the
+    partial transpose keeps the Frobenius norm and ||.||_1 <= sqrt(dim)
+    ||.||_F.  The first frame whose bound is within SECTOR_FIT_TOL gives the
+    sector entries; the frames are local unitary conjugations of the Z
+    frame, so they share its negativities and two-qubit concurrence.  The
+    rebuilt matrix is Hermitian with unit trace, so a non-Hermitian rho, or
+    one of another trace, fails the bound.
+    """
+    for frame in ("X", "Y"):
+        coeffs = _coefficients(rho, n, frame)
+        coeffs[0] = 1.0
+        diff = _entries(coeffs, n, frame)
+        diff -= rho
+        if math.sqrt(len(rho)) * np.linalg.norm(diff) <= SECTOR_FIT_TOL:
+            return _sector_entries(coeffs, n)
+    return None
 
 
 def materialize(p: XStateParams) -> np.ndarray:
@@ -286,7 +310,7 @@ def validate(p: XStateParams) -> StateReport:
     and the minimum eigenvalue comes from the 2x2 sector blocks in closed
     form.  No dense matrix is built.
     """
-    diag, anti = _sector_entries(p)
+    diag, anti = _sector_entries(np.concatenate([p.d, p.a]), p.n)
     trace_dev = abs(float(diag.sum()) - 1.0)
     herm_dev = sector_hermiticity_deviation(diag, anti)
     min_eig = float(sector_eigenvalues(diag, anti).min())

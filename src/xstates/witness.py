@@ -8,8 +8,10 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .linalg import (_real_trace, _state_and_subset, hermitian_eigen, hermiticity_deviation,
-                     partial_transpose, sector_eigenvalues, x_matrix_entries)
+from .linalg import (_real_trace, _state_and_subset, hermitian_eigen, hermitian_eigenvalues,
+                     hermiticity_deviation, partial_transpose, sector_eigenvalues,
+                     x_matrix_entries)
+from .model import _fit_sector_entries
 from .pauli import MAX_DENSE_QUBITS, PAULI_MATRICES
 
 DETECTION_TOL = -1e-10
@@ -134,13 +136,19 @@ def negativity(rho: np.ndarray, subset, n: int) -> float:
     The partial transpose of an X-shaped input (see linalg.x_matrix_entries)
     is again an X matrix: transposing the qubits of S keeps the diagonal and
     moves the anti-diagonal entry of row b to row b ^ m_S, where m_S holds
-    their basis bits.  Such input is solved from its 2x2 sector blocks; any
-    other input takes the dense partial transpose and eigh.
+    their basis bits.  Such input is solved from its 2x2 sector blocks.  An
+    X- or Y-frame X state is a local unitary conjugate of a Z-frame one with
+    the same negativity, so it is solved from the sector entries of the
+    state fitted to it (model._fit_sector_entries) when the two lie within
+    linalg.SECTOR_FIT_TOL in trace norm, which bounds the negativity error.
+    Any other input takes the dense partial transpose and its eigenvalues.
     """
     rho, qubits = _state_and_subset(rho, subset, n)
     entries = x_matrix_entries(rho)
     if entries is None:
-        eigenvalues, _ = hermitian_eigen(partial_transpose(rho, qubits, n))
+        entries = _fit_sector_entries(rho, n)
+    if entries is None:
+        eigenvalues = hermitian_eigenvalues(partial_transpose(rho, qubits, n))
     else:
         diag, anti = entries
         flip = sum(1 << (n - q) for q in qubits)
@@ -160,11 +168,15 @@ def concurrence(rho: np.ndarray) -> float:
     An X-shaped state (see linalg.x_matrix_entries) takes the Yu-Eberly
     closed form 2 max(0, |r03| - sqrt(r11 r22), |r12| - sqrt(r00 r33)), with
     the products clipped at 0 so that an unphysical input still gives a
-    finite value >= 0.  Any other state takes the Hermitian reformulation of
-    Wootters' formula: the usual descending lambdas are the square roots of
-    the eigenvalues of rho (Y x Y) rho* (Y x Y); that product is similar to
-    the Hermitian PSD matrix sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho), whose
-    spectrum a Hermitian solver delivers directly.
+    finite value >= 0.  So does an X- or Y-frame X state, from the Z-frame
+    entries of the state fitted to it (model._fit_sector_entries) when the
+    two lie within linalg.SECTOR_FIT_TOL in trace norm: concurrence is
+    invariant under local unitaries.  Any other state takes the Hermitian
+    reformulation of Wootters' formula: the usual descending lambdas are the
+    square roots of the eigenvalues of rho (Y x Y) rho* (Y x Y); that
+    product is similar to the Hermitian PSD matrix
+    sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho), whose spectrum a Hermitian
+    solver delivers directly.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -174,6 +186,8 @@ def concurrence(rho: np.ndarray) -> float:
     if not abs(complex(np.trace(rho)) - 1.0) <= 1e-10:
         raise ValueError("state must have unit trace")
     entries = x_matrix_entries(rho)
+    if entries is None:
+        entries = _fit_sector_entries(rho, 2)
     if entries is not None:
         diag, anti = entries
         return float(2 * max(0.0, abs(anti[0]) - sqrt(max(0.0, diag[1] * diag[2])),
@@ -181,6 +195,6 @@ def concurrence(rho: np.ndarray) -> float:
     yy = np.kron(PAULI_MATRICES["Y"], PAULI_MATRICES["Y"])
     root = _sqrt_psd(rho)
     m = root @ yy @ rho.conj() @ yy @ root
-    w, _ = hermitian_eigen(m)
+    w = hermitian_eigenvalues(m)
     lam = np.sqrt(np.clip(w, 0.0, None))
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from xstates import PauliString, decompose
+
+# An example's cost grows with its qubit count, so no per-example deadline;
+# each @settings gives only its max_examples.
+settings.register_profile("xstates", deadline=None)
+settings.load_profile("xstates")
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

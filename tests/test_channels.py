@@ -135,7 +135,7 @@ def channel_cases(draw):
     return rho, ch, qubits, n
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(channel_cases())
 def test_apply_channel_matches_lifted_kraus_oracle(case):
     rho, ch, qubits, n = case

@@ -7,7 +7,8 @@ from conftest import SX, SZ, oracle_partial_trace, random_density
 from xstates import (PauliString, ToleranceError, expectation, ghz_state,
                      hermitian_eigen, kron, matrix_from_json, matrix_to_csv,
                      matrix_to_json, partial_trace, partial_transpose)
-from xstates.linalg import hermiticity_deviation
+from xstates.linalg import (ConvergenceError, hermitian_eigenvalues, hermiticity_deviation,
+                            x_matrix_entries)
 
 
 def test_kron_examples():
@@ -50,6 +51,50 @@ def test_hermiticity_deviation_bounded_memory(rng):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20  # the matrix itself takes 16 MiB
+
+
+def test_real_input_checked_without_complex_copy(rng):
+    dense = rng.normal(size=(1024, 1024))
+    x = np.zeros((1024, 1024))
+    x[np.arange(1024), np.arange(1024)] = rng.random(1024)
+    anti = rng.normal(size=1024)
+    x[np.arange(1024), np.arange(1024)[::-1]] = anti + anti[::-1]
+    for check, m in ((hermiticity_deviation, dense), (x_matrix_entries, x)):
+        tracemalloc.start()
+        try:
+            got = check(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, check.__name__  # the matrix itself takes 8 MiB
+        want = check(m.astype(complex))
+        assert np.array_equal(got, want), check.__name__
+    assert x_matrix_entries(dense) is None
+
+
+def test_hermitian_eigenvalues_match_hermitian_eigen(rng):
+    for dim in (1, 2, 4, 16, 64, 256):
+        h = random_density(rng, dim)
+        for m in (h + h.conj().T, (h + h.conj().T).real):
+            w = hermitian_eigenvalues(m)
+            assert np.all(np.diff(w) <= 0)
+            assert np.max(np.abs(w - hermitian_eigen(m)[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("solve, lapack", [(hermitian_eigen, "eigh"),
+                                           (hermitian_eigenvalues, "eigvalsh")])
+def test_eigensolvers_share_their_errors(solve, lapack, monkeypatch):
+    with pytest.raises(ValueError, match="not Hermitian"):
+        solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        solve(np.full((2, 2), np.nan))
+
+    def fail(h):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, lapack, fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        solve(np.eye(2))
 
 
 def test_eigen_examples():

@@ -240,7 +240,7 @@ def x_params(draw, max_n):
     return XStateParams(n, tuple(d), tuple(draw(coeffs)), frame)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(x_params(6))
 def test_materialize_matches_oracle_operator_sum(p):
     ops = [oracle_pauli_matrix(q) for q in generate_set(p.n, p.frame).elements]
@@ -251,7 +251,7 @@ def test_materialize_matches_oracle_operator_sum(p):
     assert np.max(np.abs(materialize(p) - expect)) <= 1e-12
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(x_params(8))
 def test_decompose_inverts_materialize(p):
     q, residual = decompose(materialize(p), p.n, p.frame)
@@ -274,7 +274,7 @@ def test_family_residual_batched_beyond_six_qubits(rng, frame):
     assert res[0] <= 1e-12 and min(res[1:]) > 1e-3
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(x_params(8), st.floats(0.0, 9.0))
 def test_validate_matches_dense_spectrum(p, shrink):
     # 2**-shrink scales the non-trace parameters, so physical states occur too
@@ -282,7 +282,8 @@ def test_validate_matches_dense_spectrum(p, shrink):
     p = XStateParams(p.n, (1.0,) + tuple(scale * v for v in p.d[1:]),
                      tuple(scale * v for v in p.a), p.frame)
     dense = np.linalg.eigvalsh(materialize(p))
-    assert np.max(np.abs(np.sort(sector_eigenvalues(*_sector_entries(p))) - dense)) <= 1e-12
+    entries = _sector_entries(np.concatenate([p.d, p.a]), p.n)
+    assert np.max(np.abs(np.sort(sector_eigenvalues(*entries)) - dense)) <= 1e-12
     report = validate(p)
     assert abs(report.min_eigenvalue - dense[0]) <= 1e-12
     assert report.trace_deviation <= 1e-12 and report.hermiticity_deviation <= 1e-12

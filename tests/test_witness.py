@@ -1,4 +1,5 @@
 from math import sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,14 @@ from conftest import (oracle_negativity, oracle_wootters_concurrence,
 from xstates import (PureState, Witness, XStateParams, concurrence, dicke_state,
                      evaluate_witness, ghz_params, ghz_state, make_witness,
                      materialize, named_example, negativity, strength_grid, sweep,
-                     werner, witness_report)
-from xstates.linalg import x_matrix_entries
+                     werner, witness, witness_report)
+from xstates.linalg import hermitian_eigenvalues, x_matrix_entries
+
+
+def spy_dense_spectrum():
+    """Patch negativity's and concurrence's dense eigenvalue solver with a
+    spy that still solves."""
+    return mock.patch.object(witness, "hermitian_eigenvalues", wraps=hermitian_eigenvalues)
 
 
 def test_dicke_examples():
@@ -167,6 +174,19 @@ def test_concurrence_matches_brute_force(rng):
         assert abs(concurrence(rho) - oracle_wootters_concurrence(rho)) < 1e-9
 
 
+@pytest.mark.parametrize("frame", ["X", "Y"])
+def test_concurrence_of_xy_frame_states_takes_yu_eberly(rng, frame):
+    cases = [werner(p) for p in (0.2, 0.5, 0.9)]
+    cases += [random_valid_x_params(rng, 2) for _ in range(50)]
+    with spy_dense_spectrum() as dense:
+        for p in cases:
+            want = concurrence(materialize(p))      # Z frame: X-shaped
+            rho = materialize(XStateParams(2, p.d, p.a, frame))
+            assert abs(concurrence(rho) - want) <= 1e-12
+            assert abs(oracle_wootters_concurrence(rho) - want) <= 1e-9
+        assert dense.call_count == 0
+
+
 def test_concurrence_swap_invariant(rng):
     swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
     for _ in range(20):
@@ -201,15 +221,16 @@ def test_concurrence_negativity_agree_for_two_qubit_x_states(rng):
 
 
 @st.composite
-def z_frame_x_matrix_and_subset(draw):
-    """A Z-frame X matrix of any sign pattern (often not PSD, sometimes
-    entangled), a nonempty qubit subset, and an off-X index pair."""
+def x_matrix_and_subset(draw, frames):
+    """An X matrix in one of the frames, of any sign pattern (often not PSD,
+    sometimes entangled), a nonempty qubit subset, and an off-X index pair."""
     n = draw(st.integers(2, 7))
     coeffs = arrays(np.float64, 1 << n, elements=st.floats(-1.0, 1.0))
     scale = 2.0 ** -draw(st.floats(0.0, n + 1.0))
     d = scale * draw(coeffs)
     d[0] = 1.0
-    rho = materialize(XStateParams(n, tuple(d), tuple(scale * draw(coeffs)), "Z"))
+    frame = draw(st.sampled_from(frames))
+    rho = materialize(XStateParams(n, tuple(d), tuple(scale * draw(coeffs)), frame))
     subset = draw(st.sets(st.integers(1, n), min_size=1))
     full = (1 << n) - 1
     i = draw(st.integers(0, full))
@@ -217,8 +238,8 @@ def z_frame_x_matrix_and_subset(draw):
     return rho, subset, n, (i, j)
 
 
-@settings(max_examples=60, deadline=None)
-@given(z_frame_x_matrix_and_subset())
+@settings(max_examples=60)
+@given(x_matrix_and_subset(("Z",)))
 def test_negativity_matches_index_loop_oracle(case):
     rho, subset, n, (i, j) = case
     assert x_matrix_entries(rho) is not None  # the sector path
@@ -227,6 +248,25 @@ def test_negativity_matches_index_loop_oracle(case):
     rho[i, j] = rho[j, i] = 1e-3
     assert x_matrix_entries(rho) is None      # the dense path
     assert abs(negativity(rho, subset, n) - oracle_negativity(rho, subset, n)) <= 1e-12
+
+
+@settings(max_examples=60)
+@given(x_matrix_and_subset(("X", "Y")))
+def test_negativity_of_xy_frame_states_from_fitted_sectors(case):
+    rho, subset, n, (i, j) = case
+    off_family = rho.copy()
+    off_family[i, j] += 1e-3
+    off_family[j, i] += 1e-3
+    with spy_dense_spectrum() as dense:
+        assert abs(negativity(rho, subset, n) - oracle_negativity(rho, subset, n)) <= 1e-12
+        assert dense.call_count == 0                # the fitted sector path
+        for m in (off_family, 2 * rho):             # off the family; trace 2
+            assert abs(negativity(m, subset, n) - oracle_negativity(m, subset, n)) <= 1e-12
+        # the dense path, except for an X-shaped 2 * rho (the Z-sector path)
+        assert dense.call_count == 1 + (x_matrix_entries(rho) is None)
+    rho[i, j] += 0.25
+    with pytest.raises(ValueError, match="not Hermitian"):
+        negativity(rho, subset, n)
 
 
 def test_negativity_rejects_non_hermitian_x_matrix():
