@@ -2,9 +2,13 @@
 
 The set holds the 2**(n+1) - 1 non-identity operators (z-products and
 xy-products, frame-relabeled) in a fixed canonical order: z-products by
-index 1..2**n - 1, then xy-products by index 0..2**n - 1.  Closed triples
-under multiplication ("lines", phases dropped) realize a projective
-point-line incidence: every unordered pair of operators lies on exactly one
+index 1..2**n - 1, then xy-products by index 0..2**n - 1.
+
+With phases dropped, an operator is its vector (x_mask, z_mask) over GF(2)
+and a product is the XOR of vectors.  The set's vectors are the nonzero
+vectors of a subspace isomorphic to GF(2)^(n+1) (an xy flag plus an index),
+so the closed triples {u, v, u ^ v} ("lines") are the lines of PG(n, 2), the
+Fano plane at n = 2: every unordered pair of operators lies on exactly one
 line, i.e. a 2-(2**(n+1)-1, 3, 1) block design.
 """
 
@@ -96,49 +100,49 @@ def center(opset: OperatorSet) -> tuple[PauliString, ...]:
 
 
 def lines(opset: OperatorSet) -> LineSet:
-    """All closed triples under multiplication, phases dropped."""
+    """All closed triples {u, v, u ^ v} of the set's vectors, ascending.
+
+    Each line comes from its two smallest points i < j, whose product is
+    element k > j, so the pairs' lexicographic order is the lines' order.
+    """
     if opset.n > MAX_LINE_QUBITS:
         raise ValueError(f"line enumeration limited to n <= {MAX_LINE_QUBITS}")
-    index = {(p.x_mask, p.z_mask): k for k, p in enumerate(opset.elements)}
-    seen = set()
-    for i, p in enumerate(opset.elements):
-        for j in range(i + 1, len(opset.elements)):
-            q = opset.elements[j]
-            k = index[(p.x_mask ^ q.x_mask, p.z_mask ^ q.z_mask)]
-            seen.add(tuple(sorted((i, j, k))))
-    return LineSet(tuple(sorted(seen)))
+    if any(p.n != opset.n for p in opset.elements):
+        raise ValueError("elements must act on the set's qubit count")
+    # the GF(2)^(2n) vector (x_mask, z_mask) of each element, as one integer
+    vectors = np.fromiter(((p.x_mask << opset.n) | p.z_mask for p in opset.elements),
+                          dtype=np.int64, count=len(opset.elements))
+    index = np.full(1 << (2 * opset.n), -1, dtype=np.int64)
+    index[vectors] = np.arange(len(vectors))
+    i, j = np.triu_indices(len(vectors), 1)
+    k = index[vectors[i] ^ vectors[j]]
+    if not np.all((k >= 0) & (k != i) & (k != j)):
+        raise ValueError("elements must be distinct non-identity operators "
+                         "closed under multiplication")
+    keep = j < k
+    triples = np.stack([i[keep], j[keep], k[keep]], axis=1)
+    return LineSet(tuple(map(tuple, triples.tolist())))
 
 
 def verify_design(opset: OperatorSet) -> DesignReport:
     """Check the 2-(v, 3, 1) property exhaustively over all point pairs."""
     ls = lines(opset)
     v = len(opset.elements)
-    cover: dict[tuple[int, int], int] = {}
-    per_point = [0] * v
-    for (i, j, k) in ls.lines:
-        for a, b in ((i, j), (i, k), (j, k)):
-            cover[(a, b)] = cover.get((a, b), 0) + 1
-        for p in (i, j, k):
-            per_point[p] += 1
-    counterexample = None
-    lam: int | None = 1
-    for i in range(v):
-        for j in range(i + 1, v):
-            if cover.get((i, j), 0) != 1:
-                counterexample = (i, j)
-                lam = None
-                break
-        if counterexample:
-            break
-    uniform = len(set(per_point)) == 1
-    passed = counterexample is None and uniform
+    triples = np.array(ls.lines, dtype=np.int64).reshape(-1, 3)
+    i, j, k = triples.T
+    cover = np.bincount(np.concatenate([i * v + j, i * v + k, j * v + k]), minlength=v * v)
+    per_point = np.bincount(triples.ravel(), minlength=v)
+    a, b = np.triu_indices(v, 1)
+    uncovered = np.flatnonzero(cover[a * v + b] != 1)
+    counterexample = (int(a[uncovered[0]]), int(b[uncovered[0]])) if uncovered.size else None
+    uniform = np.unique(per_point).size == 1
     return DesignReport(
         points=v,
         blocks=len(ls.lines),
         block_size=3,
-        lam=lam,
-        lines_per_point=per_point[0] if uniform else None,
-        passed=passed,
+        lam=1 if counterexample is None else None,
+        lines_per_point=int(per_point[0]) if uniform else None,
+        passed=counterexample is None and uniform,
         counterexample=counterexample,
     )
 
@@ -177,26 +181,16 @@ def iterate_construction(prev: OperatorSet) -> OperatorSet:
     if any(p.n != prev.n for p in prev.elements):
         raise ValueError("input set mixes qubit counts")
     f = prev.frame
-    half = 1 << prev.n
 
-    def embed(p: PauliString) -> PauliString:
-        return PauliString(n, p.x_mask, p.z_mask, p.phase)
+    def embed(part: tuple[PauliString, ...]) -> list[PauliString]:
+        return [PauliString(n, p.x_mask, p.z_mask, p.phase) for p in part]
 
     fz = f.apply(PauliString.single("Z", n, n))
     fx = f.apply(PauliString.single("X", n, n))
     fy = f.apply(PauliString.single("Y", n, n))
-
-    z_slots: dict[int, PauliString] = {half: fz}
-    for i, p in enumerate(prev.z_part, start=1):
-        z_slots[i] = embed(p)
-        z_slots[i + half] = embed(p) * fz
-    xy_slots: dict[int, PauliString] = {}
-    for i, p in enumerate(prev.xy_part):
-        xy_slots[i] = embed(p) * fx
-        xy_slots[i + half] = embed(p) * fy
-
-    elements = [z_slots[i] for i in range(1, 1 << n)]
-    elements += [xy_slots[i] for i in range(1 << n)]
+    z_old, xy_old = embed(prev.z_part), embed(prev.xy_part)
+    elements = z_old + [fz] + [p * fz for p in z_old]
+    elements += [p * fx for p in xy_old] + [p * fy for p in xy_old]
     return OperatorSet(n, f, tuple(elements))
 
 

@@ -17,6 +17,9 @@ MAX_DIM = 1 << MAX_DENSE_QUBITS
 
 HERMITIAN_TOL = 1e-10
 
+# Largest imaginary part of an expectation tr(M rho) with M Hermitian.
+EXPECTATION_IMAG_TOL = 1e-10
+
 # Largest sqrt(dim) * ||rho - fitted||_F at which negativity and concurrence
 # of a dense rho use the sector entries of the X/Y-frame X state fitted to
 # it.  It bounds their trace-norm distance and the negativity error.
@@ -222,7 +225,7 @@ def _real_trace(rho: np.ndarray, m: np.ndarray) -> float:
     value = complex(np.einsum("ij,ji->", m, rho))
     if not np.isfinite(value):
         raise ValueError(f"expectation {value} is not finite")
-    if abs(value.imag) > 1e-10:
+    if abs(value.imag) > EXPECTATION_IMAG_TOL:
         raise ToleranceError(f"expectation has imaginary part {value.imag:.3e}")
     return value.real
 
@@ -234,8 +237,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
     m = _as_square(m)
     return {
         "dim": int(m.shape[0]),
-        "re": [[float(x) for x in row] for row in m.real],
-        "im": [[float(x) for x in row] for row in m.imag],
+        "re": m.real.tolist(),
+        "im": m.imag.tolist(),
     }
 
 
@@ -254,11 +257,5 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 def matrix_to_csv(m: np.ndarray) -> str:
     """CSV rows of alternating re,im cell pairs, one matrix row per line."""
     m = _as_square(m)
-    lines = []
-    for row in m:
-        cells = []
-        for x in row:
-            cells.append(repr(float(x.real)))
-            cells.append(repr(float(x.imag)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = np.stack([m.real, m.imag], axis=-1).reshape(len(m), 2 * len(m)).tolist()
+    return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"

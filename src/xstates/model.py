@@ -288,17 +288,20 @@ def decompose(rho: np.ndarray, n: int, frame: str = "Z") -> tuple[XStateParams, 
 def family_residual(rho: np.ndarray, n: int, frame: str = "Z") -> "float | np.ndarray":
     """Max-norm weight of rho outside the frame's X family.
 
-    Accepts a single (dim, dim) matrix or any stack (..., dim, dim).
+    Accepts a single (dim, dim) matrix, giving a float, or any stack
+    (..., dim, dim), giving an array of the stack's shape.  A non-finite
+    residual (NaN or infinite input) raises ValueError.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = 1 << n
     if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"state dimension {rho.shape[-2:]} does not match n={n}")
-    if rho.ndim == 2:
-        return decompose(rho, n, frame)[1]
     coeffs = _coefficients(rho, n, frame)
     coeffs[..., 0] = 1.0
-    return np.max(np.abs(rho - _entries(coeffs, n, frame)), axis=(-2, -1))
+    residual = np.abs(rho - _entries(coeffs, n, frame)).max(axis=(-2, -1))
+    if not np.isfinite(residual).all():
+        raise ValueError("family residual is not finite")
+    return float(residual) if rho.ndim == 2 else residual
 
 
 def validate(p: XStateParams) -> StateReport:

@@ -8,13 +8,16 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .linalg import (_real_trace, _state_and_subset, hermitian_eigen, hermitian_eigenvalues,
-                     hermiticity_deviation, partial_transpose, sector_eigenvalues,
-                     x_matrix_entries)
+from .linalg import (HERMITIAN_TOL, _real_trace, _state_and_subset, hermitian_eigen,
+                     hermitian_eigenvalues, hermiticity_deviation, partial_transpose,
+                     sector_eigenvalues, x_matrix_entries)
 from .model import _fit_sector_entries
 from .pauli import MAX_DENSE_QUBITS, PAULI_MATRICES
 
 DETECTION_TOL = -1e-10
+NORMALIZATION_TOL = 1e-12      # largest | ||amplitudes|| - 1 | of a PureState
+WITNESS_HERMITIAN_TOL = 1e-12  # largest max |W - W^dag| of a Witness
+UNIT_TRACE_TOL = 1e-10         # largest |tr rho - 1| that concurrence accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,7 +29,7 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (1 << self.n,):
             raise ValueError(f"amplitude vector must have length {1 << self.n}")
-        if not abs(np.linalg.norm(amp) - 1.0) <= 1e-12:
+        if not abs(np.linalg.norm(amp) - 1.0) <= NORMALIZATION_TOL:
             raise ValueError("amplitudes must be normalized")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -44,7 +47,7 @@ class Witness:
     def __post_init__(self):
         # checked before copying, so the check's temporaries and the copy
         # are never alive together
-        if not hermiticity_deviation(self.matrix) <= 1e-12:
+        if not hermiticity_deviation(self.matrix) <= WITNESS_HERMITIAN_TOL:
             raise ValueError("witness matrix must be Hermitian")
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
@@ -181,9 +184,9 @@ def concurrence(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("concurrence is defined for a two-qubit state")
-    if not hermiticity_deviation(rho) <= 1e-10:
+    if not hermiticity_deviation(rho) <= HERMITIAN_TOL:
         raise ValueError("state must be Hermitian")
-    if not abs(complex(np.trace(rho)) - 1.0) <= 1e-10:
+    if not abs(complex(np.trace(rho)) - 1.0) <= UNIT_TRACE_TOL:
         raise ValueError("state must have unit trace")
     entries = x_matrix_entries(rho)
     if entries is None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from xstates import PauliString, decompose
+from xstates import DesignReport, PauliString, decompose
 
 # An example's cost grows with its qubit count, so no per-example deadline;
 # each @settings gives only its max_examples.
@@ -91,6 +91,59 @@ def oracle_wootters_concurrence(rho):
     m = rho @ yy @ rho.conj() @ yy
     lam = np.sqrt(np.abs(np.sort(np.linalg.eigvals(m).real)[::-1]))
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def oracle_lines(opset):
+    """Closed triples by a literal pair loop over the elements' masks."""
+    index = {(p.x_mask, p.z_mask): k for k, p in enumerate(opset.elements)}
+    seen = set()
+    for i, p in enumerate(opset.elements):
+        for j in range(i + 1, len(opset.elements)):
+            q = opset.elements[j]
+            k = index[(p.x_mask ^ q.x_mask, p.z_mask ^ q.z_mask)]
+            seen.add(tuple(sorted((i, j, k))))
+    return tuple(sorted(seen))
+
+
+def oracle_verify_design(opset):
+    """Pair coverage counted in a dict and searched pair by pair."""
+    triples = oracle_lines(opset)
+    v = len(opset.elements)
+    cover = {}
+    per_point = [0] * v
+    for (i, j, k) in triples:
+        for a, b in ((i, j), (i, k), (j, k)):
+            cover[(a, b)] = cover.get((a, b), 0) + 1
+        for p in (i, j, k):
+            per_point[p] += 1
+    counterexample = next(((i, j) for i in range(v) for j in range(i + 1, v)
+                           if cover.get((i, j), 0) != 1), None)
+    uniform = len(set(per_point)) == 1
+    return DesignReport(points=v, blocks=len(triples), block_size=3,
+                        lam=1 if counterexample is None else None,
+                        lines_per_point=per_point[0] if uniform else None,
+                        passed=counterexample is None and uniform,
+                        counterexample=counterexample)
+
+
+def oracle_matrix_to_json(m):
+    """The matrix dump built element by element."""
+    m = np.asarray(m)
+    return {"dim": int(m.shape[0]),
+            "re": [[float(x) for x in row] for row in m.real],
+            "im": [[float(x) for x in row] for row in m.imag]}
+
+
+def oracle_matrix_to_csv(m):
+    """The CSV dump built cell by cell."""
+    lines = []
+    for row in np.asarray(m):
+        cells = []
+        for x in row:
+            cells.append(repr(float(x.real)))
+            cells.append(repr(float(x.imag)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def random_pauli(rng, n) -> PauliString:

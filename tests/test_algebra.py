@@ -1,12 +1,21 @@
+import hashlib
+import io
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from conftest import oracle_pauli_matrix
-from xstates import (FRAME_Z, OperatorSet, center, generate_set, incidence_json,
+from conftest import oracle_lines, oracle_pauli_matrix, oracle_verify_design
+from xstates import (FRAME_Z, LineSet, OperatorSet, PauliString, algebra,
+                     all_proper_frames, center, generate_set, incidence_json,
                      iterate_construction, lines, sector_decomposition,
                      verify_design)
+from xstates.cli import run
+
+ALGEBRA_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "algebra_digests.json").read_text())
 
 
 def expected_line_count(n):
@@ -80,6 +89,61 @@ def test_lines_close_under_multiplication():
         p, q, r = (opset.elements[t] for t in (i, j, k))
         assert (p * q).proportional_to(r)
         assert (q * r).proportional_to(p)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lines_and_design_match_oracles(n):
+    for frame in all_proper_frames():
+        opset = generate_set(n, frame)
+        ls = lines(opset)
+        assert ls.lines == oracle_lines(opset)
+        assert all(type(t) is tuple and all(type(e) is int for e in t) for t in ls.lines)
+        assert verify_design(opset) == oracle_verify_design(opset)
+
+
+FANO = generate_set(2).elements
+
+
+@pytest.mark.parametrize("elements", [(), FANO[:1], FANO[:3]], ids=["empty", "one", "line"])
+def test_small_sets_match_oracles(elements):
+    opset = OperatorSet(2, FRAME_Z, elements)
+    assert lines(opset).lines == oracle_lines(opset)
+    assert verify_design(opset) == oracle_verify_design(opset)
+
+
+@pytest.mark.parametrize("elements", [
+    FANO[:4],
+    FANO + FANO[:1],
+    (PauliString.identity(2),) + FANO,
+    FANO[:-1] + (PauliString(3, FANO[-1].x_mask, FANO[-1].z_mask, FANO[-1].phase),),
+], ids=["not closed", "repeated element", "identity", "mixed qubit counts"])
+def test_lines_rejects_improper_sets(elements):
+    with pytest.raises(ValueError):
+        lines(OperatorSet(2, FRAME_Z, elements))
+
+
+def test_verify_design_reports_uncovered_pair(monkeypatch):
+    opset = generate_set(3)
+    full = algebra.lines(opset)
+    dropped = full.lines[5]
+    monkeypatch.setattr(algebra, "lines",
+                        lambda s: LineSet(full.lines[:5] + full.lines[6:]))
+    report = verify_design(opset)
+    assert not report.passed
+    assert report.lam is None
+    assert report.lines_per_point is None
+    assert report.counterexample == dropped[:2]
+    assert report.blocks == len(full.lines) - 1
+
+
+def test_algebra_output_digests():
+    # `algebra --n N --frame F` stdout for N = 1..8 in the Z, X and Y frames
+    got = {}
+    for argv in ALGEBRA_DIGESTS:
+        out = io.StringIO()
+        assert run(argv.split(), stdout=out) == 0
+        got[argv] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert got == ALGEBRA_DIGESTS
 
 
 def test_verify_design():
@@ -174,9 +238,9 @@ def test_sector_rejects_partial_set():
 
 
 def test_iterate_construction_matches_generate():
-    for frame in ("Z", "X"):
+    for frame in ("Z", "X", "Y"):
         opset = generate_set(1, frame)
-        for n in range(2, 7):
+        for n in range(2, 9):
             opset = iterate_construction(opset)
             direct = generate_set(n, frame)
             assert opset == direct

@@ -1,9 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import SX, SZ, oracle_partial_trace, random_density
+from conftest import (SX, SZ, oracle_matrix_to_csv, oracle_matrix_to_json,
+                      oracle_partial_trace, random_density)
 from xstates import (PauliString, ToleranceError, expectation, ghz_state,
                      hermitian_eigen, kron, matrix_from_json, matrix_to_csv,
                      matrix_to_json, partial_trace, partial_transpose)
@@ -225,3 +227,24 @@ def test_matrix_dump_round_trip(rng):
     assert np.max(np.abs(rebuilt - m)) == 0.0
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]})
+
+
+def _special_matrix(rng, dim):
+    """Random complex entries with -0.0, NaN and +-inf mixed into both parts."""
+    specials = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, -2.5e17])
+    parts = rng.standard_normal((2, dim, dim))
+    mask = rng.random((2, dim, dim)) < 0.4
+    parts[mask] = rng.choice(specials, size=mask.sum())
+    m = np.empty((dim, dim), dtype=complex)
+    m.real, m.imag = parts    # 1j * inf would turn the real part to NaN
+    return m
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 5, 16])
+def test_matrix_dumps_match_elementwise_oracles(rng, dim):
+    for m in (_special_matrix(rng, dim), rng.standard_normal((dim, dim))):
+        got = matrix_to_json(m)
+        assert all(type(x) is float for part in ("re", "im") for row in got[part] for x in row)
+        # NaN != NaN, so the dumps are compared as the text the CLI prints
+        assert json.dumps(got, indent=2) == json.dumps(oracle_matrix_to_json(m), indent=2)
+        assert matrix_to_csv(m) == oracle_matrix_to_csv(m)

@@ -262,6 +262,26 @@ def test_decompose_inverts_materialize(p):
 
 
 @pytest.mark.parametrize("frame", sorted(FRAMES))
+def test_family_residual_single_matrix_equals_decompose(rng, frame):
+    for n in (1, 2, 3, 5, 7):
+        inside = materialize(random_valid_x_params(rng, n, frame))
+        outside = random_density(rng, 1 << n)
+        for rho in (inside, outside, 0.5 * inside + 0.5 * outside):
+            res = family_residual(rho, n, frame)
+            assert type(res) is float
+            assert res == decompose(rho, n, frame)[1]
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
+def test_family_residual_rejects_non_finite(shape):
+    for bad in (np.nan, np.inf):
+        rho = np.tile(np.eye(4) / 4, (*shape[:-2], 1, 1))
+        rho[..., 1, 2] = bad
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            family_residual(rho, 2, "Z")
+
+
+@pytest.mark.parametrize("frame", sorted(FRAMES))
 def test_family_residual_batched_beyond_six_qubits(rng, frame):
     n = 7
     inside = materialize(random_valid_x_params(rng, n, frame))
