@@ -9,7 +9,8 @@ and a product is the XOR of vectors.  The set's vectors are the nonzero
 vectors of a subspace isomorphic to GF(2)^(n+1) (an xy flag plus an index),
 so the closed triples {u, v, u ^ v} ("lines") are the lines of PG(n, 2), the
 Fano plane at n = 2: every unordered pair of operators lies on exactly one
-line, i.e. a 2-(2**(n+1)-1, 3, 1) block design.
+line, i.e. a 2-(2**(n+1)-1, 3, 1) block design.  In the Z frame each element
+maps every sector {b, ~b} to itself; the model's sector tables give its blocks.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _sector_entries
 from .pauli import (MAX_DENSE_QUBITS, AxisFrame, PauliString, resolve_frame,
                     xy_product, z_product)
 
-MAX_LINE_QUBITS = 8
-MAX_SECTOR_QUBITS = 6
+MAX_GEOMETRY_QUBITS = 8  # lines, the design check, sector decomposition, simplex
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,8 @@ def lines(opset: OperatorSet) -> LineSet:
     Each line comes from its two smallest points i < j, whose product is
     element k > j, so the pairs' lexicographic order is the lines' order.
     """
-    if opset.n > MAX_LINE_QUBITS:
-        raise ValueError(f"line enumeration limited to n <= {MAX_LINE_QUBITS}")
+    if opset.n > MAX_GEOMETRY_QUBITS:
+        raise ValueError(f"line enumeration limited to n <= {MAX_GEOMETRY_QUBITS}")
     if any(p.n != opset.n for p in opset.elements):
         raise ValueError("elements must act on the set's qubit count")
     # the GF(2)^(2n) vector (x_mask, z_mask) of each element, as one integer
@@ -152,18 +153,21 @@ def sector_decomposition(opset: OperatorSet) -> SectorDecomposition:
 
     The sectors are the joint eigenspaces of the center: each pairs a basis
     index b < 2**(n-1) with its bitwise complement, and every element of
-    ``generate_set(n)`` maps each sector to itself.
+    ``generate_set(n)`` maps each sector to itself.  Element k is the family
+    operator of coefficient k + 1 (d, then a): its entries at (b, b) and
+    (b, ~b) are 2**n times the model's sector entries of that unit vector.
     """
-    if opset.n > MAX_SECTOR_QUBITS:
-        raise ValueError(f"sector decomposition limited to n <= {MAX_SECTOR_QUBITS}")
+    if opset.n > MAX_GEOMETRY_QUBITS:
+        raise ValueError(f"sector decomposition limited to n <= {MAX_GEOMETRY_QUBITS}")
     if opset != generate_set(opset.n):
         raise ValueError("sector decomposition requires the Z-frame set generate_set(n)")
-    full = (1 << opset.n) - 1
-    sectors = tuple((b, b ^ full) for b in range(1 << (opset.n - 1)))
-    pairs = np.array(sectors)
-    rows, cols = pairs[:, :, None], pairs[:, None, :]
-    restrictions = np.stack([p.to_matrix()[rows, cols] for p in opset.elements], axis=1)
-    return SectorDecomposition(opset.n, sectors, restrictions)
+    n, full = opset.n, (1 << opset.n) - 1
+    sectors = tuple((b, b ^ full) for b in range(1 << (n - 1)))
+    b, c = np.array(sectors).T
+    diag, anti = _sector_entries(np.eye(2 << n)[1:] * (1 << n), n)
+    # (row, column, element, sector) -> (sector, element, row, column)
+    blocks = np.array([[diag[:, b], anti[:, b]], [anti[:, c], diag[:, c]]])
+    return SectorDecomposition(n, sectors, blocks.transpose(3, 2, 0, 1))
 
 
 def iterate_construction(prev: OperatorSet) -> OperatorSet:

@@ -53,12 +53,13 @@ def _check_power_of_two(dim: int, name: str = "dimension") -> None:
         raise ValueError(f"{name} must be a power of two, got {dim}")
 
 
+@np.errstate(invalid="ignore")  # inf - inf gives NaN, quietly
 def hermiticity_deviation(m: np.ndarray) -> float:
     """Max-norm distance from the Hermitian cone, max |M - M^dag|.
 
     Compared in strips of rows against the matching strips of columns, so
-    the temporaries stay near ``_STRIP_BYTES`` at any size; a NaN entry
-    gives NaN.
+    the temporaries stay near ``_STRIP_BYTES`` at any size; a NaN or
+    infinite entry gives NaN or inf, without a warning.
     """
     m = _as_square(m)
     if not m.size:
@@ -85,9 +86,11 @@ def sector_eigenvalues(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
     return np.concatenate([mid + rad, mid - rad])
 
 
+@np.errstate(invalid="ignore")  # inf - inf gives NaN, quietly
 def sector_hermiticity_deviation(diag: np.ndarray, anti: np.ndarray) -> float:
     """max |M - M^dag| of the X matrix with these diagonal and anti-diagonal
-    entries (see sector_eigenvalues); NaN for NaN input."""
+    entries (see sector_eigenvalues); NaN or inf for non-finite input,
+    without a warning."""
     return float(np.max(np.abs(np.concatenate([diag - diag.conj(),
                                                anti - anti[::-1].conj()]))))
 

@@ -211,7 +211,10 @@ def _coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
     """tr(P_k rho) for every family operator P_k: the adjoint of _entries.
 
     rho (..., dim, dim) gives the real parts (..., 2**(n+1)), d then a.
+    Non-finite input raises ValueError before the transform.
     """
+    if not np.isfinite(rho).all():
+        raise ValueError("state entries must be finite")
     _, adjoint = _FACTORS[frame]
     layout = _LAYOUTS[n]
     *inner, last = layout.sizes
@@ -225,19 +228,19 @@ def _coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
 
 
 def _sector_entries(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z-frame diag[b] = rho[b, b] and anti[b] = rho[b, ~b] of the
-    coefficients (2**(n+1),), d then a.
+    """Z-frame diag[..., b] = rho[b, b] and anti[..., b] = rho[b, ~b] of the
+    coefficients (..., 2**(n+1)), d then a.
 
     The same block loop as _entries with the sector tables; block j's basis
     bits land in front of the later blocks', so the result is in basis order.
     """
-    t = coeffs.reshape(2, 1 << n) / (1 << n)
+    t = coeffs.reshape(-1, 2, 1 << n) / (1 << n)
     for g in _LAYOUTS[n].sizes:
         # (rows so far, half, R, block j) -> (rows so far, block j's rows, half, R)
         t = t.reshape(-1, 2, t.shape[-1] >> g, 1 << g) @ _SECTOR_FACTORS[g]
         t = np.moveaxis(t, -1, 1)
-    diag, anti = t.reshape(-1, 2).T
-    return diag.real, anti
+    t = t.reshape(*coeffs.shape[:-1], 1 << n, 2)
+    return t[..., 0].real, t[..., 1]
 
 
 def _fit_sector_entries(rho: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray] | None":
@@ -289,8 +292,8 @@ def family_residual(rho: np.ndarray, n: int, frame: str = "Z") -> "float | np.nd
     """Max-norm weight of rho outside the frame's X family.
 
     Accepts a single (dim, dim) matrix, giving a float, or any stack
-    (..., dim, dim), giving an array of the stack's shape.  A non-finite
-    residual (NaN or infinite input) raises ValueError.
+    (..., dim, dim), giving an array of the stack's shape.  Non-finite
+    input, or a residual that overflows, raises ValueError.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = 1 << n

@@ -5,18 +5,17 @@ X1 and Y1; growing to m qubits multiplies the two X/Y-type endpoint labels
 by a chosen axis on the new qubit (Y by default) and adjoins the new vertex
 Z_m, leaving earlier Z-type vertices untouched.  (Multiplying the Z-type
 vertices too would push them outside the operator set and break the face
-bijection below.)  Every nonempty vertex subset is a face whose label is the
-product of its vertex labels with the phase dropped, and the face labels
-biject onto the operator set of the same qubit count.
+bijection below.)  Every nonempty vertex subset is a face labeled by the product
+of its vertex labels with the phase dropped, the XOR of their (x_mask, z_mask)
+vectors at named phase 0; the face labels biject onto the operator set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import MAX_GEOMETRY_QUBITS
 from .pauli import PauliString
-
-MAX_QUBITS = 8
 
 
 @dataclass(frozen=True)
@@ -39,14 +38,10 @@ class LabeledSimplex:
         return {f.verts: f.label for f in self.faces}
 
 
-def _drop_phase(p: PauliString) -> PauliString:
-    return PauliString(p.n, p.x_mask, p.z_mask, p.y_mask.bit_count() % 4)
-
-
 def build_simplex(n: int, step_axis: str = "Y") -> LabeledSimplex:
     """The labeled n-simplex with n + 1 vertices and 2**(n+1) - 1 faces."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+    if not 1 <= n <= MAX_GEOMETRY_QUBITS:
+        raise ValueError(f"qubit count must be in 1..{MAX_GEOMETRY_QUBITS}, got {n}")
     if step_axis not in ("Y", "X"):
         raise ValueError("step axis must be 'Y' or 'X'")
     vertices = [PauliString.single("X", 1, 1), PauliString.single("Y", 1, 1)]
@@ -64,10 +59,10 @@ def build_simplex(n: int, step_axis: str = "Y") -> LabeledSimplex:
     count = len(vertices)
     for subset in range(1, 1 << count):
         verts = tuple(v + 1 for v in range(count) if (subset >> v) & 1)
-        label = PauliString.identity(n)
+        x = z = 0
         for v in verts:
-            label = label * vertices[v - 1]
-        faces.append(SimplexFace(verts, _drop_phase(label)))
+            x, z = x ^ vertices[v - 1].x_mask, z ^ vertices[v - 1].z_mask
+        faces.append(SimplexFace(verts, PauliString(n, x, z, (x & z).bit_count() % 4)))
     faces.sort(key=lambda f: (len(f.verts), f.verts))
     return LabeledSimplex(n, tuple(vertices), tuple(faces))
 

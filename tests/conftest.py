@@ -1,5 +1,7 @@
 """Shared independent oracles and random generators for the test suite."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -124,6 +126,20 @@ def oracle_verify_design(opset):
                         lines_per_point=per_point[0] if uniform else None,
                         passed=counterexample is None and uniform,
                         counterexample=counterexample)
+
+
+def oracle_simplex_labels(s):
+    """Face labels as phase-tracked products of the vertex labels over every
+    vertex subset, with the phase then dropped to named phase 0."""
+    labels = {}
+    for size in range(1, len(s.vertices) + 1):
+        for verts in itertools.combinations(range(1, len(s.vertices) + 1), size):
+            label = PauliString.identity(s.n)
+            for v in verts:
+                label = label * s.vertices[v - 1]
+            labels[verts] = PauliString(s.n, label.x_mask, label.z_mask,
+                                        label.y_mask.bit_count() % 4)
+    return labels
 
 
 def oracle_matrix_to_json(m):

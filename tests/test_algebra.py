@@ -9,9 +9,9 @@ import pytest
 
 from conftest import oracle_lines, oracle_pauli_matrix, oracle_verify_design
 from xstates import (FRAME_Z, LineSet, OperatorSet, PauliString, algebra,
-                     all_proper_frames, center, generate_set, incidence_json,
-                     iterate_construction, lines, sector_decomposition,
-                     verify_design)
+                     all_proper_frames, build_simplex, center, generate_set,
+                     incidence_json, iterate_construction, lines,
+                     sector_decomposition, verify_design)
 from xstates.cli import run
 
 ALGEBRA_DIGESTS = json.loads(
@@ -218,13 +218,27 @@ def test_sectors_are_joint_eigenspaces_of_center():
 
 
 def test_sector_restrictions_match_oracle_blocks():
-    for n in range(1, 7):
+    # every element up to n = 7, every 17th at n = 8
+    for n in range(1, 9):
         opset = generate_set(n)
         dec = sector_decomposition(opset)
-        for k, p in enumerate(opset.elements):
-            dense = oracle_pauli_matrix(p)
-            for s, (lo, hi) in enumerate(dec.sectors):
-                assert np.array_equal(dec.restrictions[s, k], dense[np.ix_([lo, hi], [lo, hi])])
+        pairs = np.array(dec.sectors)
+        for k in range(0, len(opset.elements), 17 if n == 8 else 1):
+            dense = oracle_pauli_matrix(opset.elements[k])
+            assert np.array_equal(dec.restrictions[:, k],
+                                  dense[pairs[:, :, None], pairs[:, None, :]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: lines(generate_set(n)),
+    lambda n: verify_design(generate_set(n)),
+    lambda n: sector_decomposition(generate_set(n)),
+    build_simplex,
+], ids=["lines", "verify_design", "sector_decomposition", "build_simplex"])
+def test_geometry_cap(build):
+    build(8)
+    with pytest.raises(ValueError, match=r"n <= 8|1\.\.8"):
+        build(9)
 
 
 def test_sector_requires_z_frame():

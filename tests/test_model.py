@@ -274,11 +274,33 @@ def test_family_residual_single_matrix_equals_decompose(rng, frame):
 
 @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
 def test_family_residual_rejects_non_finite(shape):
-    for bad in (np.nan, np.inf):
+    # RuntimeWarnings are errors in the test settings, so this also checks
+    # that the input is rejected before a transform warns
+    for bad in (np.nan, np.inf, -np.inf):
         rho = np.tile(np.eye(4) / 4, (*shape[:-2], 1, 1))
         rho[..., 1, 2] = bad
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError):
             family_residual(rho, 2, "Z")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_decompose_rejects_non_finite(bad):
+    for frame in sorted(FRAMES):
+        rho = np.eye(8, dtype=complex) / 8
+        rho[2, 5] = rho[5, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            decompose(rho, 3, frame)
+
+
+def test_sector_entries_of_stack_equal_rows(rng):
+    for n in range(1, 9):
+        coeffs = rng.normal(size=(2, 3, 2 << n))
+        diag, anti = _sector_entries(coeffs, n)
+        assert diag.shape == anti.shape == (2, 3, 1 << n)
+        for idx in np.ndindex(2, 3):
+            row_diag, row_anti = _sector_entries(coeffs[idx], n)
+            assert np.array_equal(diag[idx], row_diag)
+            assert np.array_equal(anti[idx], row_anti)
 
 
 @pytest.mark.parametrize("frame", sorted(FRAMES))

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from conftest import oracle_simplex_labels
 from xstates import build_simplex, export, face_label, generate_set, lines
 
 
@@ -47,6 +48,14 @@ def test_face_labels_biject_onto_operator_set():
         set_masks = {mask_pair(p) for p in generate_set(n).elements}
         assert len(face_masks) == len(s.faces)
         assert face_masks == set_masks
+
+
+@pytest.mark.parametrize("step_axis", ["Y", "X"])
+def test_face_labels_match_product_chain_oracle(step_axis):
+    for n in range(1, 9):
+        s = build_simplex(n, step_axis)
+        assert s.face_map() == oracle_simplex_labels(s)
+        assert all(f.label.named_phase == 0 for f in s.faces)
 
 
 def test_face_labels_multiply_by_symmetric_difference():

@@ -204,6 +204,23 @@ def test_concurrence_rejects_bad_input():
 def test_concurrence_rejects_non_finite_state():
     with pytest.raises(ValueError):
         concurrence(np.full((4, 4), np.nan))
+    # on the diagonal, the anti-diagonal and off both, as Hermitian pairs
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (0, 3), (0, 1)):
+            rho = np.eye(4, dtype=complex) / 4
+            rho[i, j] = rho[j, i] = bad
+            with pytest.raises(ValueError):
+                concurrence(rho)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_negativity_rejects_non_finite(bad):
+    # X-shaped input takes the sector path, the rest the fit and dense path
+    for i, j in ((1, 6), (1, 1), (0, 1)):
+        rho = np.eye(8, dtype=complex) / 8
+        rho[i, j] = rho[j, i] = bad
+        with pytest.raises(ValueError):
+            negativity(rho, {1}, 3)
 
 
 def test_concurrence_negativity_agree_for_two_qubit_x_states(rng):
