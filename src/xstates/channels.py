@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_state
 from .model import XStateParams, family_residual, materialize
 from .pauli import PAULI_MATRICES
 from .witness import concurrence, evaluate_witness, make_witness
@@ -73,10 +74,7 @@ def apply_channel(rho: np.ndarray, ch: Channel, qubits, n: int) -> np.ndarray:
     state, so each qubit costs O(16 * 4^n) whatever the number of Kraus
     operators.
     """
-    rho = np.asarray(rho, dtype=complex)
-    dim = 1 << n
-    if rho.shape[-2:] != (dim, dim):
-        raise ValueError(f"state dimension {rho.shape[-2:]} does not match n={n}")
+    rho = as_state(rho, n, stack=True)
     qubit_list = list(qubits)
     if not set(qubit_list) <= set(range(1, n + 1)):
         raise ValueError(f"qubit subset must lie in 1..{n}")

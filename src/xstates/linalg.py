@@ -37,15 +37,29 @@ class ToleranceError(RuntimeError):
     """A computed quantity violated an internal tolerance contract."""
 
 
-def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """m checked square; float64 and complex128 input is used as given, any
-    other dtype is converted to complex."""
+def _as_array(m: np.ndarray) -> np.ndarray:
+    """m as an array: float64 and complex128 as given, other dtypes complex."""
     m = np.asarray(m)
-    if m.dtype.char not in "dD":    # float64, complex128
-        m = m.astype(complex)
+    return m if m.dtype.char in "dD" else m.astype(complex)
+
+
+def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """m checked square, with the dtype rule of _as_array."""
+    m = _as_array(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
+
+
+def as_state(rho: np.ndarray, n: int, *, stack: bool = False) -> np.ndarray:
+    """rho checked to be an n-qubit state (2**n, 2**n), or with stack=True a
+    stack (..., 2**n, 2**n), under _as_array's dtype rule."""
+    rho = _as_array(rho)
+    dim = 1 << n
+    if rho.shape[-2:] != (dim, dim) or not (stack or rho.ndim == 2):
+        raise ValueError(f"{n}-qubit state must have shape "
+                         f"({'..., ' * stack}{dim}, {dim}), got {rho.shape}")
+    return rho
 
 
 def _check_power_of_two(dim: int, name: str = "dimension") -> None:
@@ -160,10 +174,7 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
 def partial_trace(rho: np.ndarray, keep: "set[int] | list[int] | tuple[int, ...]",
                   n: int) -> np.ndarray:
     """Trace out all qubits not in ``keep`` (1-based), preserving their order."""
-    rho = _as_square(rho, "state")
-    dim = 1 << n
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state dimension {rho.shape[0]} does not match n={n}")
+    rho = as_state(rho, n)
     keep_set = set(keep)
     if not keep_set or not keep_set <= set(range(1, n + 1)):
         raise ValueError(f"keep set must be a nonempty subset of 1..{n}")
@@ -182,12 +193,9 @@ def partial_trace(rho: np.ndarray, keep: "set[int] | list[int] | tuple[int, ...]
 
 
 def _state_and_subset(rho: np.ndarray, subset, n: int) -> tuple[np.ndarray, set[int]]:
-    """The n-qubit state as a complex matrix and the qubit subset as a set,
+    """The n-qubit state through as_state and the qubit subset as a set,
     checked to lie in 1..n."""
-    rho = _as_square(rho, "state")
-    dim = 1 << n
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state dimension {rho.shape[0]} does not match n={n}")
+    rho = as_state(rho, n)
     subset_set = set(subset)
     if not subset_set <= set(range(1, n + 1)):
         raise ValueError(f"qubit subset must lie in 1..{n}")

@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SECTOR_FIT_TOL, sector_eigenvalues, sector_hermiticity_deviation
+from .linalg import (SECTOR_FIT_TOL, as_state, sector_eigenvalues,
+                     sector_hermiticity_deviation, x_matrix_entries)
 from .pauli import FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame
 
 # Qubits per Kronecker block: n <= 4 costs one matmul, n <= 12 at most three.
@@ -211,7 +212,8 @@ def _coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
     """tr(P_k rho) for every family operator P_k: the adjoint of _entries.
 
     rho (..., dim, dim) gives the real parts (..., 2**(n+1)), d then a.
-    Non-finite input raises ValueError before the transform.
+    Non-finite input raises ValueError before the transform, and finite
+    input whose coefficients overflow after it.
     """
     if not np.isfinite(rho).all():
         raise ValueError("state entries must be finite")
@@ -219,12 +221,26 @@ def _coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
     layout = _LAYOUTS[n]
     *inner, last = layout.sizes
     t = rho.reshape(layout.matrix).transpose(layout.to_pairs)
-    t = t.reshape(-1, 4 ** last) @ adjoint[last].reshape(4 ** last, -1)
-    for g in reversed(inner):
-        # (B, 4**g, half, R) -> (B, half, R, block j)
-        t = t.reshape(-1, 4 ** g, 2, t.shape[-1] >> 1)
-        t = (np.moveaxis(t, 1, -1) @ adjoint[g].transpose(1, 0, 2)).reshape(len(t), -1)
-    return t.real.reshape(*rho.shape[:-2], 2 << n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = t.reshape(-1, 4 ** last) @ adjoint[last].reshape(4 ** last, -1)
+        for g in reversed(inner):
+            # (B, 4**g, half, R) -> (B, half, R, block j)
+            t = t.reshape(-1, 4 ** g, 2, t.shape[-1] >> 1)
+            t = (np.moveaxis(t, 1, -1) @ adjoint[g].transpose(1, 0, 2)).reshape(len(t), -1)
+    coeffs = t.real.reshape(*rho.shape[:-2], 2 << n)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("state family coefficients overflow")
+    return coeffs
+
+
+def _project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarray]:
+    """(coeffs, diff): the family coefficients of rho (or of a stack) with
+    d_0 pinned to 1, so a trace deficit lands in diff, and rho minus their
+    matrix."""
+    coeffs = _coefficients(rho, n, frame)
+    coeffs[..., 0] = 1.0
+    diff = _entries(coeffs, n, frame)
+    return coeffs, np.subtract(rho, diff, out=diff)
 
 
 def _sector_entries(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,24 +259,24 @@ def _sector_entries(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     return t[..., 0].real, t[..., 1]
 
 
-def _fit_sector_entries(rho: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray] | None":
-    """Z-frame (diag, anti) of the X- or Y-frame X state that rho is, else None.
+def fit_sectors(rho: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray] | None":
+    """Z-frame (diag, anti) of the X state, in any frame, that rho is, else None.
 
-    Each frame's coefficients, with d_0 pinned to 1, rebuild a matrix; its
-    Frobenius distance from rho times sqrt(dim) bounds their trace-norm
-    distance and the change of any negativity between the two, since the
-    partial transpose keeps the Frobenius norm and ||.||_1 <= sqrt(dim)
-    ||.||_F.  The first frame whose bound is within SECTOR_FIT_TOL gives the
-    sector entries; the frames are local unitary conjugations of the Z
-    frame, so they share its negativities and two-qubit concurrence.  The
-    rebuilt matrix is Hermitian with unit trace, so a non-Hermitian rho, or
-    one of another trace, fails the bound.
+    X-shaped input gives its own entries (linalg.x_matrix_entries, which
+    rejects non-Hermitian ones).  Other input is projected onto the X- and
+    then the Y-frame family; sqrt(dim) ||diff||_F bounds the trace-norm
+    distance to the projection, and so the change of any negativity, as the
+    partial transpose keeps the Frobenius norm.  The first frame within
+    SECTOR_FIT_TOL gives the entries: the frames are local unitary conjugates
+    of the Z frame.  The projection is Hermitian with unit trace, so a
+    non-Hermitian rho, or one of another trace, fails the bound.
     """
+    rho = as_state(rho, n)
+    entries = x_matrix_entries(rho)
+    if entries is not None:
+        return entries
     for frame in ("X", "Y"):
-        coeffs = _coefficients(rho, n, frame)
-        coeffs[0] = 1.0
-        diff = _entries(coeffs, n, frame)
-        diff -= rho
+        coeffs, diff = _project(rho, n, frame)
         if math.sqrt(len(rho)) * np.linalg.norm(diff) <= SECTOR_FIT_TOL:
             return _sector_entries(coeffs, n)
     return None
@@ -275,33 +291,27 @@ def decompose(rho: np.ndarray, n: int, frame: str = "Z") -> tuple[XStateParams, 
     """Project onto the frame's X family.
 
     Returns the recovered parameters and the max-norm residual of rho outside
-    the family.  d[0] is pinned to 1, so any trace deficit shows up in the
-    residual rather than in the parameters.
+    the family, family_residual's value.  d[0] is pinned to 1, so any trace
+    deficit shows up in the residual rather than in the parameters.  rho
+    passes linalg.as_state; non-finite or overflowing input raises ValueError.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = as_state(rho, n)
+    coeffs, diff = _project(rho, n, frame)
     dim = 1 << n
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state dimension {rho.shape} does not match n={n}")
-    coeffs = _coefficients(rho, n, frame)
     params = XStateParams(n, (1.0,) + tuple(coeffs[1:dim]), tuple(coeffs[dim:]), frame)
-    residual = float(np.max(np.abs(rho - materialize(params))))
-    return params, residual
+    return params, float(np.abs(diff).max())
 
 
 def family_residual(rho: np.ndarray, n: int, frame: str = "Z") -> "float | np.ndarray":
     """Max-norm weight of rho outside the frame's X family.
 
     Accepts a single (dim, dim) matrix, giving a float, or any stack
-    (..., dim, dim), giving an array of the stack's shape.  Non-finite
-    input, or a residual that overflows, raises ValueError.
+    (..., dim, dim), giving an array of the stack's shape; each value is
+    decompose's residual.  Non-finite input, or input whose coefficients or
+    residual overflow, raises ValueError.
     """
-    rho = np.asarray(rho, dtype=complex)
-    dim = 1 << n
-    if rho.shape[-2:] != (dim, dim):
-        raise ValueError(f"state dimension {rho.shape[-2:]} does not match n={n}")
-    coeffs = _coefficients(rho, n, frame)
-    coeffs[..., 0] = 1.0
-    residual = np.abs(rho - _entries(coeffs, n, frame)).max(axis=(-2, -1))
+    rho = as_state(rho, n, stack=True)
+    residual = np.abs(_project(rho, n, frame)[1]).max(axis=(-2, -1))
     if not np.isfinite(residual).all():
         raise ValueError("family residual is not finite")
     return float(residual) if rho.ndim == 2 else residual

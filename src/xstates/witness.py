@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
 
-from .linalg import (HERMITIAN_TOL, _real_trace, _state_and_subset, hermitian_eigen,
+from .linalg import (_real_trace, _state_and_subset, as_state, hermitian_eigen,
                      hermitian_eigenvalues, hermiticity_deviation, partial_transpose,
-                     sector_eigenvalues, x_matrix_entries)
-from .model import _fit_sector_entries
+                     sector_eigenvalues)
+from .model import fit_sectors
 from .pauli import MAX_DENSE_QUBITS, PAULI_MATRICES
 
 DETECTION_TOL = -1e-10
@@ -88,11 +89,7 @@ def ghz_state(n: int, frame: str = "Z") -> PureState:
     except KeyError:
         raise ValueError(f"unknown frame {frame!r}; expected one of "
                          f"{sorted(_BASIS_PAIR)}")
-    plus = np.array([1.0 + 0j])
-    minus = np.array([1.0 + 0j])
-    for _ in range(n):
-        plus = np.kron(plus, up)
-        minus = np.kron(minus, down)
+    plus, minus = (reduce(np.multiply.outer, (v,) * n).ravel() for v in (up, down))
     return PureState(n, (plus + minus) / sqrt(2))
 
 
@@ -136,20 +133,16 @@ def witness_report(w: Witness, rho: np.ndarray) -> dict:
 def negativity(rho: np.ndarray, subset, n: int) -> float:
     """Sum of |negative eigenvalues| of the partial transpose.
 
-    The partial transpose of an X-shaped input (see linalg.x_matrix_entries)
-    is again an X matrix: transposing the qubits of S keeps the diagonal and
-    moves the anti-diagonal entry of row b to row b ^ m_S, where m_S holds
-    their basis bits.  Such input is solved from its 2x2 sector blocks.  An
-    X- or Y-frame X state is a local unitary conjugate of a Z-frame one with
-    the same negativity, so it is solved from the sector entries of the
-    state fitted to it (model._fit_sector_entries) when the two lie within
-    linalg.SECTOR_FIT_TOL in trace norm, which bounds the negativity error.
-    Any other input takes the dense partial transpose and its eigenvalues.
+    rho passes linalg.as_state.  When model.fit_sectors resolves its Z-frame
+    sector entries (X-shaped input, or an X/Y-frame X state within
+    linalg.SECTOR_FIT_TOL, which bounds the error), the sector blocks give
+    it: transposing the qubits of S keeps the diagonal and moves row b's
+    anti-diagonal entry to row b ^ m_S, m_S their basis bits, and local
+    unitaries keep negativity.  Other input takes the dense partial
+    transpose and its eigenvalues.
     """
     rho, qubits = _state_and_subset(rho, subset, n)
-    entries = x_matrix_entries(rho)
-    if entries is None:
-        entries = _fit_sector_entries(rho, n)
+    entries = fit_sectors(rho, n)
     if entries is None:
         eigenvalues = hermitian_eigenvalues(partial_transpose(rho, qubits, n))
     else:
@@ -159,44 +152,32 @@ def negativity(rho: np.ndarray, subset, n: int) -> float:
     return float(-eigenvalues[eigenvalues < 0].sum())
 
 
-def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
-    w, v = hermitian_eigen(rho)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def concurrence(rho: np.ndarray) -> float:
-    """Two-qubit concurrence.
+    """Two-qubit concurrence of a unit-trace state passing linalg.as_state.
 
-    An X-shaped state (see linalg.x_matrix_entries) takes the Yu-Eberly
-    closed form 2 max(0, |r03| - sqrt(r11 r22), |r12| - sqrt(r00 r33)), with
-    the products clipped at 0 so that an unphysical input still gives a
-    finite value >= 0.  So does an X- or Y-frame X state, from the Z-frame
-    entries of the state fitted to it (model._fit_sector_entries) when the
-    two lie within linalg.SECTOR_FIT_TOL in trace norm: concurrence is
-    invariant under local unitaries.  Any other state takes the Hermitian
-    reformulation of Wootters' formula: the usual descending lambdas are the
-    square roots of the eigenvalues of rho (Y x Y) rho* (Y x Y); that
-    product is similar to the Hermitian PSD matrix
-    sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho), whose spectrum a Hermitian
-    solver delivers directly.
+    When model.fit_sectors resolves rho's Z-frame sector entries (local
+    unitaries keep concurrence), it takes the Yu-Eberly closed form
+    2 max(0, |r03| - sqrt(r11 r22), |r12| - sqrt(r00 r33)), the products
+    clipped at 0 so that unphysical input gives a finite value >= 0.  Any
+    other state takes Wootters' formula in Hermitian form: the descending
+    lambdas, square roots of the eigenvalues of rho (Y x Y) rho* (Y x Y),
+    are those of the similar PSD sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho).
+    Hermiticity is checked once, to linalg.HERMITIAN_TOL: by the sector
+    check of X-shaped input, else by the eigensolver's, as a non-Hermitian
+    rho fails the fit.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("concurrence is defined for a two-qubit state")
-    if not hermiticity_deviation(rho) <= HERMITIAN_TOL:
-        raise ValueError("state must be Hermitian")
+    rho = as_state(rho, 2)
     if not abs(complex(np.trace(rho)) - 1.0) <= UNIT_TRACE_TOL:
         raise ValueError("state must have unit trace")
-    entries = x_matrix_entries(rho)
-    if entries is None:
-        entries = _fit_sector_entries(rho, 2)
+    entries = fit_sectors(rho, 2)
     if entries is not None:
         diag, anti = entries
         return float(2 * max(0.0, abs(anti[0]) - sqrt(max(0.0, diag[1] * diag[2])),
                              abs(anti[1]) - sqrt(max(0.0, diag[0] * diag[3]))))
+    rho = rho.astype(complex, copy=False)  # one (complex) solver for every dtype
+    w, v = hermitian_eigen(rho)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     yy = np.kron(PAULI_MATRICES["Y"], PAULI_MATRICES["Y"])
-    root = _sqrt_psd(rho)
     m = root @ yy @ rho.conj() @ yy @ root
     w = hermitian_eigenvalues(m)
     lam = np.sqrt(np.clip(w, 0.0, None))

@@ -6,11 +6,14 @@ import pytest
 
 from conftest import (SX, SZ, oracle_matrix_to_csv, oracle_matrix_to_json,
                       oracle_partial_trace, random_density)
-from xstates import (PauliString, ToleranceError, expectation, ghz_state,
+from xstates import (PauliString, ToleranceError, apply_channel, concurrence,
+                     decompose, expectation, family_residual, ghz_state,
                      hermitian_eigen, kron, matrix_from_json, matrix_to_csv,
-                     matrix_to_json, partial_trace, partial_transpose)
-from xstates.linalg import (ConvergenceError, hermitian_eigenvalues, hermiticity_deviation,
-                            x_matrix_entries)
+                     matrix_to_json, negativity, partial_trace, partial_transpose,
+                     standard_channel)
+from xstates.linalg import (ConvergenceError, as_state, hermitian_eigenvalues,
+                            hermiticity_deviation, x_matrix_entries)
+from xstates.model import fit_sectors
 
 
 def test_kron_examples():
@@ -248,3 +251,47 @@ def test_matrix_dumps_match_elementwise_oracles(rng, dim):
         # NaN != NaN, so the dumps are compared as the text the CLI prints
         assert json.dumps(got, indent=2) == json.dumps(oracle_matrix_to_json(m), indent=2)
         assert matrix_to_csv(m) == oracle_matrix_to_csv(m)
+
+
+def test_as_state_dtype_rule_and_shapes():
+    for dtype in (np.float64, np.complex128):
+        m = np.eye(4, dtype=dtype)
+        assert as_state(m, 2) is m
+    for dtype in (np.int64, np.float32, np.complex64, bool):
+        assert as_state(np.eye(4, dtype=dtype), 2).dtype == np.complex128
+    stack = np.zeros((2, 3, 4, 4))
+    assert as_state(stack, 2, stack=True) is stack
+    for bad in (np.eye(4)[0], np.eye(8), np.zeros((4, 2)), np.zeros((1, 4, 4))):
+        with pytest.raises(ValueError, match=r"2-qubit state must have shape \(4, 4\)"):
+            as_state(bad, 2)
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., 4, 4\)"):
+        as_state(np.eye(8), 2, stack=True)
+
+
+SINGLE_STATE_ENTRY_POINTS = {
+    "decompose": lambda rho, n: decompose(rho, n, "X"),
+    "partial_trace": lambda rho, n: partial_trace(rho, {1}, n),
+    "partial_transpose": lambda rho, n: partial_transpose(rho, {1}, n),
+    "negativity": lambda rho, n: negativity(rho, {1}, n),
+    "concurrence": lambda rho, n: concurrence(rho),
+    "fit_sectors": fit_sectors,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_STATE_ENTRY_POINTS))
+def test_single_state_entry_points_reject_stacks_and_wrong_dimensions(name):
+    call = SINGLE_STATE_ENTRY_POINTS[name]
+    state = np.eye(4) / 4
+    call(state, 2)
+    for bad in (state[None], np.eye(8) / 8, np.eye(2) / 2):
+        with pytest.raises(ValueError, match="2-qubit state must have shape"):
+            call(bad, 2)
+
+
+def test_stack_entry_points_reject_wrong_dimensions():
+    ch = standard_channel("depolarizing", 0.5)
+    for call in (lambda rho: family_residual(rho, 2), lambda rho: apply_channel(rho, ch, [1], 2)):
+        call(np.eye(4)[None] / 4)
+        for bad in (np.eye(8) / 8, np.zeros((3, 4, 2)), np.zeros(4)):
+            with pytest.raises(ValueError, match="2-qubit state must have shape"):
+                call(bad)

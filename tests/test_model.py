@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from xstates import (FRAMES, XStateParams, bell_diagonal, decompose,
                      ghz_state, hermitian_eigen, materialize, named_example,
                      negativity, params_from_json, params_to_json, partial_trace,
                      partial_transpose, validate, werner)
-from xstates.linalg import sector_eigenvalues
-from xstates.model import VALID_EIG_TOL, _sector_entries
+from xstates.linalg import sector_eigenvalues, x_matrix_entries
+from xstates.model import VALID_EIG_TOL, _sector_entries, fit_sectors
 
 BELL = XStateParams.build(2, d={3: 1.0}, a={0: 1.0, 3: -1.0})
 
@@ -263,13 +264,18 @@ def test_decompose_inverts_materialize(p):
 
 @pytest.mark.parametrize("frame", sorted(FRAMES))
 def test_family_residual_single_matrix_equals_decompose(rng, frame):
-    for n in (1, 2, 3, 5, 7):
+    for n in range(1, 9):
         inside = materialize(random_valid_x_params(rng, n, frame))
         outside = random_density(rng, 1 << n)
-        for rho in (inside, outside, 0.5 * inside + 0.5 * outside):
-            res = family_residual(rho, n, frame)
-            assert type(res) is float
-            assert res == decompose(rho, n, frame)[1]
+        stack = np.stack([inside, outside, 0.5 * inside + 0.5 * outside, outside.real])
+        each = [family_residual(rho, n, frame) for rho in stack]
+        assert all(type(res) is float for res in each)
+        assert each == [decompose(rho, n, frame)[1] for rho in stack]
+        # a stack's matmuls have other row counts, and BLAS rounds by them
+        for shape in ((4,), (2, 2)):
+            batched = family_residual(stack.reshape(*shape, *stack.shape[1:]), n, frame)
+            assert batched.shape == shape
+            assert np.max(np.abs(batched.ravel() - each)) <= 1e-15
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
@@ -331,3 +337,67 @@ def test_validate_matches_dense_spectrum(p, shrink):
     assert report.trace_deviation <= 1e-12 and report.hermiticity_deviation <= 1e-12
     if abs(dense[0] - VALID_EIG_TOL) > 1e-12:
         assert report.is_valid == (dense[0] >= VALID_EIG_TOL)
+
+
+@st.composite
+def fit_cases(draw):
+    """Parameters with entries in [-1, 1] for n = 2..7 in any frame, with
+    d_1 at least 0.1 in size: the operator of d_1 (F(Z) on qubit n alone)
+    lies in no other frame's family, so no other frame fits the state."""
+    n = draw(st.integers(2, 7))
+    frame = draw(st.sampled_from(sorted(FRAMES)))
+    coeffs = arrays(np.float64, 1 << n, elements=st.floats(-1.0, 1.0))
+    d = draw(coeffs)
+    d[0] = 1.0
+    d[1] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 1.0))
+    return XStateParams(n, tuple(d), tuple(draw(coeffs)), frame)
+
+
+@settings(max_examples=100)
+@given(fit_cases())
+def test_fit_sectors_recovers_the_sector_entries(p):
+    rho = materialize(p)
+    got = fit_sectors(rho, p.n)
+    if p.frame == "Z":      # X-shaped: the entries read off the matrix
+        assert all(map(np.array_equal, got, x_matrix_entries(rho)))
+    # materialize sums in another order than the sector tables: a Z-frame
+    # diagonal can differ from them in the last bit
+    want = _sector_entries(np.concatenate([p.d, p.a]), p.n)
+    assert all(np.max(np.abs(g - w)) <= 1e-12 for g, w in zip(got, want))
+    off_family = rho.copy()
+    off_family[0, 1] += 1e-3      # a Hermitian pair off the family of every frame
+    off_family[1, 0] += 1e-3
+    assert fit_sectors(off_family, p.n) is None
+
+
+def test_fit_sectors_rejects_dense_states(rng):
+    # at n = 1 every state is an X state of every frame
+    for n in range(2, 8):
+        assert fit_sectors(random_density(rng, 1 << n), n) is None
+
+
+def test_real_state_projected_without_complex_copy(rng):
+    n = 10
+    real = rng.normal(size=(1 << n, 1 << n))
+    peaks = {}
+    for project in (lambda m: decompose(m, n, "X"), lambda m: family_residual(m, n, "Y")):
+        for rho in (real, real.astype(complex)):
+            tracemalloc.start()
+            try:
+                project(rho)
+                peaks[rho.dtype.char] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["d"] <= peaks["D"] + (1 << 20)
+
+
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+def test_overflowing_family_transform_raises(frame):
+    # finite entries whose family coefficients overflow; RuntimeWarnings are
+    # errors in the test settings, so this also checks that none is emitted
+    big = np.full((4, 4), 1e308)
+    with pytest.raises(ValueError, match="overflow"):
+        decompose(big, 2, frame)
+    for rho in (big, np.stack([np.eye(4) / 4, big])):
+        with pytest.raises(ValueError, match="overflow"):
+            family_residual(rho, 2, frame)

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (oracle_negativity, oracle_wootters_concurrence,
-                      random_product_states, random_unitary, random_valid_x_params)
+from conftest import (kron_chain, oracle_negativity, oracle_wootters_concurrence,
+                      random_density, random_product_states, random_unitary,
+                      random_valid_x_params)
 from xstates import (PureState, Witness, XStateParams, concurrence, dicke_state,
                      evaluate_witness, ghz_params, ghz_state, make_witness,
                      materialize, named_example, negativity, strength_grid, sweep,
                      werner, witness, witness_report)
+from xstates import linalg
 from xstates.linalg import hermitian_eigenvalues, x_matrix_entries
 
 
@@ -308,3 +310,64 @@ def test_concurrence_of_damped_bell_state_matches_yu_eberly(qubits):
     for g, c in zip(grid, traj.concurrence):
         expect = sqrt(1 - g) if len(qubits) == 1 else (1 - g) ** 2
         assert abs(c - expect) <= 1e-12, (g, c, expect)
+
+
+
+def oracle_ghz(n, frame):
+    """(|u..u> + |v..v>)/sqrt(2) by a chain of np.kron."""
+    up, down = {"Z": ([1, 0], [0, 1]), "X": ([1, 1], [1, -1]), "Y": ([1, 1j], [1, -1j])}[frame]
+    scale = 1.0 if frame == "Z" else sqrt(2)
+    up, down = (np.array(v, dtype=complex) / scale for v in (up, down))
+    return (kron_chain([up] * n) + kron_chain([down] * n)).ravel() / sqrt(2)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_ghz_amplitudes_bitwise_equal_kron_chain(n):
+    for frame in ("X", "Y", "Z"):
+        assert ghz_state(n, frame).amplitudes.tobytes() == oracle_ghz(n, frame).tobytes()
+    if n <= 10:   # the witness matrix takes 16 MiB at n = 10, 256 MiB at 12
+        psi = oracle_ghz(n, "Z")
+        m = 0.0 - np.outer(psi, psi.conj())
+        m[np.diag_indices(1 << n)] += 0.5
+        assert make_witness("ghz_type", n).matrix.tobytes() == m.tobytes()
+
+
+def test_concurrence_checks_hermiticity_once():
+    with mock.patch.object(linalg, "hermiticity_deviation",
+                           wraps=linalg.hermiticity_deviation) as dense, \
+         mock.patch.object(witness, "hermiticity_deviation",
+                           wraps=linalg.hermiticity_deviation) as imported, \
+         mock.patch.object(linalg, "sector_hermiticity_deviation",
+                           wraps=linalg.sector_hermiticity_deviation) as sector:
+        concurrence(materialize(werner(0.7)))
+    assert dense.call_count + imported.call_count + sector.call_count == 1
+
+
+def test_non_hermitian_input_rejected_on_every_route(rng):
+    x_shaped = materialize(werner(0.7))
+    fitted = materialize(random_valid_x_params(rng, 2, "Y"))
+    dense = random_density(rng, 4)
+    assert x_matrix_entries(x_shaped) is not None and x_matrix_entries(fitted) is None
+    with spy_dense_spectrum() as spectrum:
+        concurrence(fitted)
+        assert spectrum.call_count == 0          # the fitted sector route
+        concurrence(dense)
+        assert spectrum.call_count == 1          # the dense route
+    for rho in (x_shaped, fitted, dense):
+        rho = rho.copy()
+        rho[0, 3] += 1e-6                        # no longer conj(rho[3, 0])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            concurrence(rho)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            negativity(rho, {1}, 2)
+
+
+def test_overflowing_state_raises():
+    # finite entries whose family coefficients overflow; RuntimeWarnings are
+    # errors in the test settings, so this also checks that none is emitted
+    with pytest.raises(ValueError, match="overflow"):
+        negativity(1e308 * np.ones((8, 8)), [1], 3)
+    rho = np.eye(4) / 4
+    rho[0, 1] = rho[1, 0] = 1e308                # off the X, Hermitian, unit trace
+    with pytest.raises(ValueError, match="overflow"):
+        concurrence(rho)
