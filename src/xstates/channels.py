@@ -7,9 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_state
-from .model import XStateParams, family_residual, materialize
+from .model import (_FACTORS, _SECTOR_FACTORS, XStateParams, _coefficients,
+                    _sector_entries, family_residual, materialize)
 from .pauli import PAULI_MATRICES
-from .witness import concurrence, evaluate_witness, make_witness
+from .witness import concurrence, evaluate_witness, make_witness, yu_eberly
 
 COMPLETENESS_TOL = 1e-12
 
@@ -65,21 +66,35 @@ def standard_channel(kind: str, strength: float) -> Channel:
 CHANNEL_KINDS = ("amplitude_damping", "phase_damping", "depolarizing")
 
 
-def apply_channel(rho: np.ndarray, ch: Channel, qubits, n: int) -> np.ndarray:
-    """Apply the channel to each listed qubit (1-based) in turn.
+def _superoperator(ch: Channel) -> np.ndarray:
+    """sum_k K_k (x) K_k^* as a 4x4 matrix on the flattened (row bit, column
+    bit) pair.  Each entry is a plain sum of rounded products, so entries
+    that are equal in exact arithmetic cancel exactly in _preserves_family."""
+    k = np.stack(ch.kraus)
+    return (k[:, :, None, :, None] * k.conj()[:, None, :, None, :]).sum(axis=0).reshape(4, 4)
 
-    Accepts a single (dim, dim) matrix or any stack (..., dim, dim).  The
-    Kraus sum acts on one qubit's (row bit, column bit) pair as the 4x4
-    superoperator sum_k K_k (x) K_k^*, contracted with that axis pair of the
-    state, so each qubit costs O(16 * 4^n) whatever the number of Kraus
-    operators.
-    """
-    rho = as_state(rho, n, stack=True)
+
+def _checked_qubits(qubits, n: int) -> list[int]:
     qubit_list = list(qubits)
     if not set(qubit_list) <= set(range(1, n + 1)):
         raise ValueError(f"qubit subset must lie in 1..{n}")
-    kraus = np.stack(ch.kraus)
-    superop = np.einsum("kab,kcd->acbd", kraus, kraus.conj()).reshape(4, 4)
+    return qubit_list
+
+
+def apply_channel(rho: np.ndarray, ch: Channel, qubits, n: int) -> np.ndarray:
+    """Apply the channel to each listed qubit (1-based) in turn.
+
+    Accepts a single (dim, dim) matrix or any stack (..., dim, dim) and
+    returns a new array.  The Kraus sum acts on one qubit's (row bit,
+    column bit) pair as the 4x4 superoperator sum_k K_k (x) K_k^*,
+    contracted with that axis pair of the state, so each qubit costs
+    O(16 * 4^n) whatever the number of Kraus operators.
+    """
+    rho = as_state(rho, n, stack=True)
+    qubit_list = _checked_qubits(qubits, n)
+    if not qubit_list:
+        return rho.copy()
+    superop = _superoperator(ch)
     shape = rho.shape
     for q in qubit_list:
         pre, post = 1 << (q - 1), 1 << (n - q)
@@ -88,6 +103,44 @@ def apply_channel(rho: np.ndarray, ch: Channel, qubits, n: int) -> np.ndarray:
         out = (superop @ t.reshape(4, -1)).reshape(t.shape)
         rho = out.transpose(2, 3, 0, 4, 5, 1, 6)
     return rho.reshape(shape)
+
+
+def _frame_bases(frame: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two per-qubit bases of the frame's 2x2 matrices, as rows of flattened
+    matrices: its family factors (I, F(Z), F(X), F(Y)), and the images
+    F(|0><0|), F(|1><1|), F(|0><1|), F(|1><0|) of the matrix units, which
+    the Z-frame sector table gives as (I +- F(Z))/2 and (F(X) +- i F(Y))/2."""
+    factors = _FACTORS[frame][0][1]                  # (half, factor bit, vec)
+    units = np.einsum("hcr,hcv->hrv", _SECTOR_FACTORS[1].conj(), factors) / 2
+    return factors.reshape(4, 4), units.reshape(4, 4)
+
+
+def _preserves_family(superop: np.ndarray, factors: np.ndarray) -> bool:
+    """Whether the channel maps span{I, F(Z)} and span{F(X), F(Y)} into
+    themselves, and so every X state of the frame to another: both
+    off-diagonal 2x2 blocks of its frame-conjugated Pauli transfer matrix
+    T[j, i] = tr(B_j^dag E(B_i)) / 2 are exactly zero."""
+    t = factors.conj() @ superop @ factors.T / 2
+    return not (t[:2, 2:].any() or t[2:, :2].any())
+
+
+def _sector_step(entries, superop: np.ndarray, units: np.ndarray, qubits,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z-frame sector entries (diag, anti) after a family-preserving channel
+    on each listed qubit in turn, O(2**n) per qubit.
+
+    In the matrix-unit basis the channel acts on qubit q's basis bit of
+    diag by its 2x2 population block and on that of anti by its 2x2
+    coherence block.  In the Z frame these are entries of the superoperator
+    itself, so a population or coherence the channel cannot reach stays
+    exactly 0, as in the dense matrix.
+    """
+    r = units.conj() @ superop @ units.T
+    diag, anti = entries
+    for q in qubits:
+        diag = (r[:2, :2].real @ diag.reshape(1 << (q - 1), 2, -1)).reshape(-1)
+        anti = (r[2:, 2:] @ anti.reshape(1 << (q - 1), 2, -1)).reshape(-1)
+    return diag, anti
 
 
 def x_form_residual(rho: np.ndarray, frame: str, n: int) -> "float | np.ndarray":
@@ -138,27 +191,52 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     the chosen witness expectation otherwise, plus the X-form residual in
     the initial state's frame.  Each grid point starts from the initial
     state; strengths do not accumulate.
+
+    At a strength where the channel preserves the frame's family
+    (_preserves_family), the point is computed from the state's Z-frame
+    sector entries in O(n * 2**n): concurrence by yu_eberly, the witness
+    value as the sum of its family part's X entries times the state's, and
+    the residual is exactly 0.0.  Other points apply the channel to the
+    dense state.
     """
-    if witness_kind is None and p0.n != 2:
+    n, frame = p0.n, p0.frame
+    if witness_kind is None and n != 2:
         raise ValueError("concurrence records require a two-qubit state; "
                          "pass a witness kind instead")
-    rho0 = materialize(p0)
-    w = make_witness(witness_kind, p0.n) if witness_kind is not None else None
-    qubit_list = list(qubits)
+    qubit_list = _checked_qubits(qubits, n)
+    w = make_witness(witness_kind, n) if witness_kind is not None else None
+    factors, units = _frame_bases(frame)
+    entries0 = _sector_entries(np.concatenate([p0.d, p0.a]), n)
+    w_entries = rho0 = None     # each built on first use
     strengths = tuple(float(s) for s in grid)
-    conc_records = [] if w is None else None
-    wit_records = [] if w is not None else None
+    records = []
     residuals = []
     for s in strengths:
-        rho = apply_channel(rho0, standard_channel(kind, s), qubit_list, p0.n)
+        ch = standard_channel(kind, s)
+        superop = _superoperator(ch)
+        if _preserves_family(superop, factors):
+            diag, anti = _sector_step(entries0, superop, units, qubit_list, n)
+            if w is None:
+                records.append(yu_eberly(diag, anti))
+            else:
+                if w_entries is None:
+                    w_entries = _sector_entries(_coefficients(w.matrix, n, frame), n)
+                wd, wa = w_entries
+                # tr(W rho) over the X positions: W[b, b] rho[b, b] + W[b, ~b] rho[~b, b]
+                records.append(float(wd @ diag + (wa @ anti[::-1]).real))
+            residuals.append(0.0)
+            continue
+        if rho0 is None:
+            rho0 = materialize(p0)
+        rho = apply_channel(rho0, ch, qubit_list, n)
         if w is None:
-            conc_records.append(concurrence(rho))
+            records.append(concurrence(rho))
         else:
-            wit_records.append(evaluate_witness(w, rho)[0])
-        residuals.append(float(x_form_residual(rho, p0.frame, p0.n)))
+            records.append(evaluate_witness(w, rho)[0])
+        residuals.append(float(x_form_residual(rho, frame, n)))
     return Trajectory(
         strengths,
-        tuple(conc_records) if conc_records is not None else None,
-        tuple(wit_records) if wit_records is not None else None,
+        tuple(records) if w is None else None,
+        tuple(records) if w is not None else None,
         tuple(residuals),
     )

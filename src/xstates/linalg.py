@@ -52,8 +52,11 @@ def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def as_state(rho: np.ndarray, n: int, *, stack: bool = False) -> np.ndarray:
-    """rho checked to be an n-qubit state (2**n, 2**n), or with stack=True a
-    stack (..., 2**n, 2**n), under _as_array's dtype rule."""
+    """rho checked to be an n-qubit state (2**n, 2**n), n in
+    1..MAX_DENSE_QUBITS, or with stack=True a stack (..., 2**n, 2**n), under
+    _as_array's dtype rule."""
+    if not 1 <= n <= MAX_DENSE_QUBITS:
+        raise ValueError(f"qubit count must be in 1..{MAX_DENSE_QUBITS}, got {n}")
     rho = _as_array(rho)
     dim = 1 << n
     if rho.shape[-2:] != (dim, dim) or not (stack or rho.ndim == 2):

@@ -152,16 +152,24 @@ def negativity(rho: np.ndarray, subset, n: int) -> float:
     return float(-eigenvalues[eigenvalues < 0].sum())
 
 
+def yu_eberly(diag: np.ndarray, anti: np.ndarray) -> float:
+    """Concurrence of the two-qubit X state with Z-frame sector entries
+    diag[b] = rho[b, b] and anti[b] = rho[b, ~b] (Yu and Eberly):
+    2 max(0, |r03| - sqrt(r11 r22), |r12| - sqrt(r00 r33)), the products
+    clipped at 0 so that unphysical entries give a finite value >= 0."""
+    return float(2 * max(0.0, abs(anti[0]) - sqrt(max(0.0, diag[1] * diag[2])),
+                         abs(anti[1]) - sqrt(max(0.0, diag[0] * diag[3]))))
+
+
 def concurrence(rho: np.ndarray) -> float:
     """Two-qubit concurrence of a unit-trace state passing linalg.as_state.
 
     When model.fit_sectors resolves rho's Z-frame sector entries (local
-    unitaries keep concurrence), it takes the Yu-Eberly closed form
-    2 max(0, |r03| - sqrt(r11 r22), |r12| - sqrt(r00 r33)), the products
-    clipped at 0 so that unphysical input gives a finite value >= 0.  Any
-    other state takes Wootters' formula in Hermitian form: the descending
-    lambdas, square roots of the eigenvalues of rho (Y x Y) rho* (Y x Y),
-    are those of the similar PSD sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho).
+    unitaries keep concurrence), it takes their Yu-Eberly closed form,
+    yu_eberly.  Any other state takes Wootters' formula in Hermitian form:
+    the descending lambdas, square roots of the eigenvalues of
+    rho (Y x Y) rho* (Y x Y), are those of the similar PSD
+    sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho).
     Hermiticity is checked once, to linalg.HERMITIAN_TOL: by the sector
     check of X-shaped input, else by the eigensolver's, as a non-Hermitian
     rho fails the fit.
@@ -171,9 +179,7 @@ def concurrence(rho: np.ndarray) -> float:
         raise ValueError("state must have unit trace")
     entries = fit_sectors(rho, 2)
     if entries is not None:
-        diag, anti = entries
-        return float(2 * max(0.0, abs(anti[0]) - sqrt(max(0.0, diag[1] * diag[2])),
-                             abs(anti[1]) - sqrt(max(0.0, diag[0] * diag[3]))))
+        return yu_eberly(*entries)
     rho = rho.astype(complex, copy=False)  # one (complex) solver for every dtype
     w, v = hermitian_eigen(rho)
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_apply_kraus, random_density, random_valid_x_params
-from xstates import (Channel, Trajectory, apply_channel, bell_diagonal,
-                     dicke_state, ghz_params, materialize, standard_channel,
+from xstates import (Channel, Trajectory, XStateParams, apply_channel, bell_diagonal,
+                     concurrence, decompose, dicke_state, evaluate_witness,
+                     ghz_params, make_witness, materialize, standard_channel,
                      strength_grid, sweep, x_form_residual)
+from xstates import channels
+from xstates.linalg import x_matrix_entries
+from xstates.model import _sector_entries
 
 KINDS = ("amplitude_damping", "phase_damping", "depolarizing")
 
@@ -111,6 +115,17 @@ def test_apply_channel_rejects_bad_qubits(rng):
         apply_channel(rho, standard_channel("phase_damping", 0.2), [3], 2)
 
 
+@pytest.mark.parametrize("qubits", [[], [1], [2, 1, 2]])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_apply_channel_returns_a_new_array(qubits, dtype):
+    rho = (np.eye(4) / 4).astype(dtype)
+    keep = rho.copy()
+    out = apply_channel(rho, standard_channel("depolarizing", 0.0), qubits, 2)
+    assert not np.shares_memory(out, rho)
+    out[0, 1] = 7.0
+    assert np.array_equal(rho, keep)
+
+
 def _isometry_channel(rng, k):
     """k Kraus operators cut from a random (2k, 2) isometry: a CPTP map."""
     g = rng.normal(size=(2 * k, 2)) + 1j * rng.normal(size=(2 * k, 2))
@@ -201,6 +216,20 @@ def test_sweep_witness_mode():
     assert max(traj.x_residual) <= 1e-14
 
 
+# amplitude damping keeps the Z-frame family and leaves the X frame's: both paths
+@pytest.mark.parametrize("frame", ["Z", "X"])
+def test_sweep_rejects_bad_qubits_before_any_work(monkeypatch, frame):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the qubit check")
+    for name in ("make_witness", "materialize", "standard_channel", "_sector_entries"):
+        monkeypatch.setattr(channels, name, no_work)
+    for qubits in ([4], [0], [1, 5]):
+        with pytest.raises(ValueError, match=r"qubit subset must lie in 1\.\.3"):
+            sweep(ghz_params(3, frame), "amplitude_damping", qubits,
+                  strength_grid(0.0, 1.0, 3),
+                  witness_kind="ghz_type")
+
+
 def test_sweep_concurrence_needs_two_qubits():
     with pytest.raises(ValueError):
         sweep(ghz_params(3), "amplitude_damping", [1], strength_grid(0.0, 1.0, 3))
@@ -218,3 +247,120 @@ def test_trajectory_csv():
     assert float(first[1]) == traj.concurrence[0]
     with pytest.raises(ValueError):
         Trajectory((0.5, 0.5), None, None, (0.0, 0.0))
+
+
+# ---- sweeps on the sector entries ------------------------------------------
+
+PRESERVING = {(kind, frame) for kind in KINDS for frame in "ZXY"} - {
+    ("amplitude_damping", "X"), ("amplitude_damping", "Y")}
+WITNESS_KINDS = {2: (None, "ghz_type"), 3: ("ghz_type", "w_type"),
+                 4: ("ghz_type", "dicke_2_4"), 5: ("ghz_type",), 6: ("ghz_type",)}
+
+
+def _dense_sweep(p0, kind, qubits, grid, witness_kind=None):
+    """The sweep with every point on the dense state: records and residuals."""
+    rho0 = materialize(p0)
+    w = make_witness(witness_kind, p0.n) if witness_kind is not None else None
+    records, residuals = [], []
+    for s in grid:
+        rho = apply_channel(rho0, standard_channel(kind, s), qubits, p0.n)
+        records.append(concurrence(rho) if w is None else evaluate_witness(w, rho)[0])
+        residuals.append(float(x_form_residual(rho, p0.frame, p0.n)))
+    return records, residuals
+
+
+def _preserves(kind, s, frame):
+    factors, _ = channels._frame_bases(frame)
+    return channels._preserves_family(
+        channels._superoperator(standard_channel(kind, s)), factors)
+
+
+# Below about 1e-16, sqrt(1 - s) rounds to 1 and 1 + s to 1, so the computed
+# transfer matrix of amplitude damping is the identity's, which preserves
+# every family; the dense path then differs by less than rounding.
+@settings(max_examples=100)
+@given(st.sampled_from(KINDS), st.floats(1e-15, 1.0))
+def test_family_preserving_pairs(kind, s):
+    assert {f for f in "ZXY" if _preserves(kind, s, f)} == {
+        f for k, f in PRESERVING if k == kind}
+    assert all(_preserves(k, 0.0, f) for k in KINDS for f in "ZXY")
+
+
+@st.composite
+def sector_step_cases(draw):
+    n = draw(st.integers(1, 6))
+    frame = draw(st.sampled_from("ZXY"))
+    kind = draw(st.sampled_from(sorted(k for k, f in PRESERVING if f == frame)))
+    qubits = draw(st.lists(st.integers(1, n), min_size=0, max_size=2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 1 << n
+    p = XStateParams(n, (1.0, *rng.normal(size=size - 1)), tuple(rng.normal(size=size)),
+                     frame)
+    return p, standard_channel(kind, draw(st.floats(0.0, 1.0))), qubits
+
+
+@settings(max_examples=150)
+@given(sector_step_cases())
+def test_sector_step_matches_dense_oracle(case):
+    p, ch, qubits = case
+    n = p.n
+    _, units = channels._frame_bases(p.frame)
+    diag, anti = channels._sector_step(_sector_entries(np.concatenate([p.d, p.a]), n),
+                                       channels._superoperator(ch), units, qubits, n)
+    rho = apply_channel(materialize(p), ch, qubits, n)
+    q, residual = decompose(rho, n, p.frame)
+    want_diag, want_anti = _sector_entries(np.concatenate([q.d, q.a]), n)
+    assert residual <= 1e-12
+    assert np.max(np.abs(diag - want_diag)) <= 1e-12
+    assert np.max(np.abs(anti - want_anti)) <= 1e-12
+    if p.frame == "Z":   # the dense result is X-shaped: compare its own entries
+        dense_diag, dense_anti = x_matrix_entries(rho)
+        assert np.max(np.abs(diag - dense_diag)) <= 1e-12
+        assert np.max(np.abs(anti - dense_anti)) <= 1e-12
+
+
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.integers(2, 6))
+    frame = draw(st.sampled_from("ZXY"))
+    witness_kind = draw(st.sampled_from(WITNESS_KINDS[n]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_valid_x_params(rng, n, frame)
+    if witness_kind is None:
+        # a tenth of I/4 keeps every population >= 1/40, where the Yu-Eberly
+        # square roots are well conditioned in every frame
+        p = XStateParams(2, (1.0, *(0.9 * v for v in p.d[1:])),
+                         tuple(0.9 * v for v in p.a), frame)
+    kind = draw(st.sampled_from(KINDS))
+    qubits = draw(st.lists(st.integers(1, n), min_size=0, max_size=2 * n))
+    grid = sorted(set(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))))
+    return p, kind, qubits, grid, witness_kind
+
+
+@settings(max_examples=100)
+@given(sweep_cases())
+def test_sweep_matches_dense_sweep(case):
+    p, kind, qubits, grid, witness_kind = case
+    traj = sweep(p, kind, qubits, grid, witness_kind)
+    got = traj.concurrence if witness_kind is None else traj.witness
+    want, residuals = _dense_sweep(p, kind, qubits, grid, witness_kind)
+    for s, g, v, r, dense_r in zip(grid, got, want, traj.x_residual, residuals):
+        if _preserves(kind, s, p.frame):
+            assert abs(g - v) <= 1e-12
+            assert r == 0.0
+        else:   # the dense path itself
+            assert (g, r) == (v, dense_r)
+
+
+@pytest.mark.parametrize("frame", ["X", "Y"])
+@pytest.mark.parametrize("n,witness_kind", [(2, None), (3, "ghz_type"), (4, "dicke_2_4"),
+                                            (6, "ghz_type")])
+def test_amplitude_damping_off_the_z_frame_stays_dense(rng, frame, n, witness_kind):
+    p = random_valid_x_params(rng, n, frame)
+    grid = strength_grid(0.0, 1.0, 11)[1:]
+    qubits = [1, n, 1]
+    traj = sweep(p, "amplitude_damping", qubits, grid, witness_kind)
+    records, residuals = _dense_sweep(p, "amplitude_damping", qubits, grid, witness_kind)
+    assert (traj.concurrence if witness_kind is None else traj.witness) == tuple(records)
+    assert traj.x_residual == tuple(residuals)
+    assert min(residuals) > 0.0

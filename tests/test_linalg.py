@@ -288,6 +288,23 @@ def test_single_state_entry_points_reject_stacks_and_wrong_dimensions(name):
             call(bad, 2)
 
 
+QUBIT_COUNT_ENTRY_POINTS = {
+    "decompose": lambda n: decompose(np.eye(1), n),
+    "family_residual": lambda n: family_residual(np.eye(1), n),
+    "fit_sectors": lambda n: fit_sectors(np.ones((1, 1)), n),
+    "negativity": lambda n: negativity(np.eye(1), set(), n),
+    "apply_channel": lambda n: apply_channel(np.eye(1), standard_channel("depolarizing", 0.5),
+                                             [], n),
+}
+
+
+@pytest.mark.parametrize("n", [0, 13])
+@pytest.mark.parametrize("name", sorted(QUBIT_COUNT_ENTRY_POINTS))
+def test_state_entry_points_reject_qubit_count_out_of_range(name, n):
+    with pytest.raises(ValueError, match=rf"qubit count must be in 1\.\.12, got {n}"):
+        QUBIT_COUNT_ENTRY_POINTS[name](n)
+
+
 def test_stack_entry_points_reject_wrong_dimensions():
     ch = standard_channel("depolarizing", 0.5)
     for call in (lambda rho: family_residual(rho, 2), lambda rho: apply_channel(rho, ch, [1], 2)):
