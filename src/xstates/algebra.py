@@ -125,9 +125,9 @@ def lines(opset: OperatorSet) -> LineSet:
     return LineSet(tuple(map(tuple, triples.tolist())))
 
 
-def verify_design(opset: OperatorSet) -> DesignReport:
+def verify_design(opset: OperatorSet, lineset: LineSet | None = None) -> DesignReport:
     """Check the 2-(v, 3, 1) property exhaustively over all point pairs."""
-    ls = lines(opset)
+    ls = lines(opset) if lineset is None else lineset
     v = len(opset.elements)
     triples = np.array(ls.lines, dtype=np.int64).reshape(-1, 3)
     i, j, k = triples.T

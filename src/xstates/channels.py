@@ -7,10 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_state
-from .model import (_FACTORS, _SECTOR_FACTORS, XStateParams, _coefficients,
-                    _sector_entries, family_residual, materialize)
+from .model import (_FACTORS, _SECTOR_FACTORS, XStateParams, _sector_entries,
+                    family_residual, materialize)
 from .pauli import PAULI_MATRICES
-from .witness import concurrence, evaluate_witness, make_witness, yu_eberly
+from .witness import (_frame_amplitudes, _sector_value, concurrence, evaluate_witness,
+                      make_witness, yu_eberly)
 
 COMPLETENESS_TOL = 1e-12
 
@@ -195,9 +196,8 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     At a strength where the channel preserves the frame's family
     (_preserves_family), the point is computed from the state's Z-frame
     sector entries in O(n * 2**n): concurrence by yu_eberly, the witness
-    value as the sum of its family part's X entries times the state's, and
-    the residual is exactly 0.0.  Other points apply the channel to the
-    dense state.
+    value by the parameter route of evaluate_witness, and the residual is
+    exactly 0.0.  Other points apply the channel to the dense state.
     """
     n, frame = p0.n, p0.frame
     if witness_kind is None and n != 2:
@@ -207,7 +207,7 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     w = make_witness(witness_kind, n) if witness_kind is not None else None
     factors, units = _frame_bases(frame)
     entries0 = _sector_entries(np.concatenate([p0.d, p0.a]), n)
-    w_entries = rho0 = None     # each built on first use
+    phi = rho0 = None  # each built on first use
     strengths = tuple(float(s) for s in grid)
     records = []
     residuals = []
@@ -219,20 +219,14 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
             if w is None:
                 records.append(yu_eberly(diag, anti))
             else:
-                if w_entries is None:
-                    w_entries = _sector_entries(_coefficients(w.matrix, n, frame), n)
-                wd, wa = w_entries
-                # tr(W rho) over the X positions: W[b, b] rho[b, b] + W[b, ~b] rho[~b, b]
-                records.append(float(wd @ diag + (wa @ anti[::-1]).real))
+                phi = _frame_amplitudes(w.psi, frame) if phi is None else phi
+                records.append(_sector_value(w, phi, diag, anti))
             residuals.append(0.0)
             continue
         if rho0 is None:
             rho0 = materialize(p0)
         rho = apply_channel(rho0, ch, qubit_list, n)
-        if w is None:
-            records.append(concurrence(rho))
-        else:
-            records.append(evaluate_witness(w, rho)[0])
+        records.append(concurrence(rho) if w is None else evaluate_witness(w, rho)[0])
         residuals.append(float(x_form_residual(rho, frame, n)))
     return Trajectory(
         strengths,

@@ -122,7 +122,7 @@ def _cmd_algebra(args) -> tuple[str, int]:
     opset = algebra.generate_set(args.n, args.frame)
     lineset = algebra.lines(opset)
     central = algebra.center(opset)
-    report = algebra.verify_design(opset)
+    report = algebra.verify_design(opset, lineset)
     payload = {
         "n": args.n,
         "frame": args.frame,
@@ -149,7 +149,7 @@ def _cmd_witness(args) -> tuple[str, int]:
     if args.kind is None:
         raise CliError("witness requires --kind")
     w = make_witness(args.kind, params.n)
-    return _json_text(witness_report(w, materialize(params))), 0
+    return _json_text(witness_report(w, params)), 0
 
 
 def _cmd_evolve(args) -> tuple[str, int]:

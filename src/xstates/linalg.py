@@ -221,22 +221,15 @@ def partial_transpose(rho: np.ndarray, subset: "set[int] | list[int] | tuple[int
 def expectation(rho: np.ndarray, m: np.ndarray) -> float:
     """Re tr(M rho) for Hermitian M; asserts the imaginary part is negligible."""
     m = _as_square(m, "observable")
-    dev = hermiticity_deviation(m)
-    if not dev <= HERMITIAN_TOL:
-        raise ValueError(f"observable is not Hermitian (deviation {dev:.3e})")
-    return _real_trace(rho, m)
-
-
-def _real_trace(rho: np.ndarray, m: np.ndarray) -> float:
-    """Re tr(M rho) for a square M already known to be Hermitian.
-
-    The value must be finite (a NaN state fails here) and its imaginary part
-    negligible.
-    """
+    _require_hermitian(hermiticity_deviation(m))
     rho = _as_square(rho, "state")
     if rho.shape != m.shape:
         raise ValueError("dimension mismatch between state and observable")
-    value = complex(np.einsum("ij,ji->", m, rho))
+    return _real_value(complex(np.einsum("ij,ji->", m, rho)))
+
+
+def _real_value(value: complex) -> float:
+    """Re of a computed expectation, checked finite and with a negligible imaginary part."""
     if not np.isfinite(value):
         raise ValueError(f"expectation {value} is not finite")
     if abs(value.imag) > EXPECTATION_IMAG_TOL:

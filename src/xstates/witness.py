@@ -5,19 +5,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
-from math import comb, sqrt
+from math import comb, isfinite, sqrt
+from numbers import Real
 
 import numpy as np
 
-from .linalg import (_real_trace, _state_and_subset, as_state, hermitian_eigen,
-                     hermitian_eigenvalues, hermiticity_deviation, partial_transpose,
-                     sector_eigenvalues)
-from .model import fit_sectors
-from .pauli import MAX_DENSE_QUBITS, PAULI_MATRICES
+from .linalg import (_real_value, _state_and_subset, as_state, hermitian_eigen,
+                     hermitian_eigenvalues, partial_transpose, sector_eigenvalues)
+from .model import XStateParams, _sector_entries, fit_sectors
+from .pauli import FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES
 
 DETECTION_TOL = -1e-10
 NORMALIZATION_TOL = 1e-12      # largest | ||amplitudes|| - 1 | of a PureState
-WITNESS_HERMITIAN_TOL = 1e-12  # largest max |W - W^dag| of a Witness
 UNIT_TRACE_TOL = 1e-10         # largest |tr rho - 1| that concurrence accepts
 
 
@@ -40,19 +39,15 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """A Hermitian observable, checked once and held as a read-only copy."""
+    """The fidelity witness alpha * I - |psi><psi|, Hermitian by construction."""
 
-    matrix: np.ndarray
+    alpha: float
+    psi: PureState
     label: str = field(default="witness")
 
     def __post_init__(self):
-        # checked before copying, so the check's temporaries and the copy
-        # are never alive together
-        if not hermiticity_deviation(self.matrix) <= WITNESS_HERMITIAN_TOL:
-            raise ValueError("witness matrix must be Hermitian")
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        if not (isinstance(self.alpha, Real) and isfinite(self.alpha)):
+            raise ValueError(f"witness alpha must be a finite real, got {self.alpha!r}")
 
 
 def dicke_state(n: int, k: int) -> PureState:
@@ -93,40 +88,57 @@ def ghz_state(n: int, frame: str = "Z") -> PureState:
     return PureState(n, (plus + minus) / sqrt(2))
 
 
-def _fidelity_witness(alpha: float, psi: PureState, label: str) -> Witness:
-    """alpha*I - |psi><psi|, formed in the projector's buffer (the Witness
-    keeps a copy of its own) without a dense identity matrix."""
-    m = psi.projector()
-    np.subtract(0.0, m, out=m)  # 0 - m, not -m: zero entries stay +0.0
-    m.flat[::len(m) + 1] += alpha
-    return Witness(m, label)
-
-
 def make_witness(kind: str, n: int) -> Witness:
     """Fidelity witnesses alpha*I - |psi><psi| for the bundled target states."""
     if kind == "w_type":
         if n != 3:
             raise ValueError("w_type witness is defined for n=3")
-        return _fidelity_witness(2.0 / 3.0, dicke_state(3, 1), "w_type_3")
+        return Witness(2.0 / 3.0, dicke_state(3, 1), "w_type_3")
     if kind == "dicke_2_4":
         if n != 4:
             raise ValueError("dicke_2_4 witness is defined for n=4")
-        return _fidelity_witness(2.0 / 3.0, dicke_state(4, 2), "dicke_2_4")
-    if kind == "ghz_type":
-        if n < 2:
-            raise ValueError("ghz_type witness needs at least 2 qubits")
-        return _fidelity_witness(0.5, ghz_state(n, "Z"), f"ghz_type_{n}")
+        return Witness(2.0 / 3.0, dicke_state(4, 2), "dicke_2_4")
+    if kind == "ghz_type":  # ghz_state rejects n < 2
+        return Witness(0.5, ghz_state(n, "Z"), f"ghz_type_{n}")
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
-def evaluate_witness(w: Witness, rho: np.ndarray) -> tuple[float, bool]:
-    """Expectation of the witness; detection means a strictly negative value."""
-    value = _real_trace(rho, w.matrix)
+def _frame_amplitudes(psi: PureState, frame: str) -> np.ndarray:
+    """phi = (U_F^dag)^(x)n psi, with U_F = FRAMES[frame].unitary()."""
+    u_dag = FRAMES[frame].unitary().conj().T
+    phi = psi.amplitudes
+    for q in range(psi.n):
+        phi = u_dag @ phi.reshape(1 << q, 2, -1)
+    return phi.reshape(-1)
+
+
+def _sector_value(w: Witness, phi: np.ndarray, diag: np.ndarray, anti: np.ndarray) -> float:
+    """tr(W rho) = alpha tr rho - <phi|rho_Z|phi> for rho = U_F^(x)n rho_Z U_F^dag^(x)n,
+    from the sector entries diag[b] = rho_Z[b, b] and anti[b] = rho_Z[b, ~b]."""
+    overlap = phi.conj() @ (diag * phi + anti * phi[::-1])
+    return _real_value(complex(w.alpha * diag.sum() - overlap))
+
+
+def evaluate_witness(w: Witness, state: "np.ndarray | XStateParams") -> tuple[float, bool]:
+    """Expectation of the witness; detection means a strictly negative value.
+    X-state parameters take their Z-frame sector entries, in O(n * 2**n); a
+    dense rho passing linalg.as_state takes alpha tr rho - psi^dag (rho psi)."""
+    n = w.psi.n
+    if isinstance(state, XStateParams):
+        if state.n != n:
+            raise ValueError(f"{n}-qubit witness given a {state.n}-qubit state")
+        diag, anti = _sector_entries(np.concatenate([state.d, state.a]), n)
+        value = _sector_value(w, _frame_amplitudes(w.psi, state.frame), diag, anti)
+    else:
+        rho, psi = as_state(state, n), w.psi.amplitudes
+        with np.errstate(invalid="ignore", over="ignore"):  # _real_value rejects NaN
+            rho_psi = rho @ psi.real + 1j * (rho @ psi.imag)  # a real rho stays real
+            value = _real_value(complex(w.alpha * np.trace(rho) - psi.conj() @ rho_psi))
     return value, value < DETECTION_TOL
 
 
-def witness_report(w: Witness, rho: np.ndarray) -> dict:
-    value, detects = evaluate_witness(w, rho)
+def witness_report(w: Witness, state: "np.ndarray | XStateParams") -> dict:
+    value, detects = evaluate_witness(w, state)
     return {"witness": w.label, "value": value, "detects": detects}
 
 

@@ -33,6 +33,17 @@ def oracle_pauli_matrix(p: PauliString) -> np.ndarray:
     return (1j ** p.named_phase) * kron_chain(mats)
 
 
+def oracle_witness_matrix(alpha, psi):
+    """The dense fidelity witness alpha * I - |psi><psi|, entry by entry."""
+    amp = psi.amplitudes
+    dim = len(amp)
+    w = np.empty((dim, dim), dtype=complex)
+    for r in range(dim):
+        for c in range(dim):
+            w[r, c] = (alpha if r == c else 0.0) - amp[r] * amp[c].conjugate()
+    return w
+
+
 def oracle_apply_kraus(rho, kraus, qubits, n):
     """Literal lifted Kraus sum: rho -> sum_k L rho L^dag with L = I (x) K_k (x) I,
     one listed qubit at a time; works on single matrices and stacks."""

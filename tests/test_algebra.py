@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,6 +135,12 @@ def test_verify_design_reports_uncovered_pair(monkeypatch):
     assert report.lines_per_point is None
     assert report.counterexample == dropped[:2]
     assert report.blocks == len(full.lines) - 1
+
+
+def test_algebra_command_enumerates_lines_once():
+    with mock.patch.object(algebra, "lines", wraps=algebra.lines) as spy:
+        assert run(["algebra", "--n", "8"], stdout=io.StringIO()) == 0
+    assert spy.call_count == 1
 
 
 def test_algebra_output_digests():

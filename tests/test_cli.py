@@ -2,11 +2,13 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from xstates import matrix_from_json, params_from_json, params_to_json
+from xstates import cli, matrix_from_json, model, params_from_json, params_to_json
 from xstates.cli import run
 from xstates.model import XStateParams, ghz_params
 
@@ -195,3 +197,21 @@ def test_validate_twelve_qubit_ghz_end_to_end():
     report = json.loads(proc.stdout)
     assert report["is_valid"] is True
     assert abs(report["min_eigenvalue"]) <= 1e-12
+
+
+def test_witness_command_builds_no_dense_matrix():
+    argv = ["witness", "--state", "ghz", "--n", "12", "--kind", "ghz_type"]
+    with mock.patch.object(cli, "materialize", wraps=model.materialize) as imported, \
+         mock.patch.object(model, "materialize", wraps=model.materialize) as spy:
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0, err
+    assert imported.call_count + spy.call_count == 0
+    assert peak < 8 << 20       # one 4096 x 4096 complex matrix takes 256 MiB
+    report = json.loads(out)
+    assert report["witness"] == "ghz_type_12" and report["detects"] is True
+    assert abs(report["value"] + 0.5) <= 1e-12

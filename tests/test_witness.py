@@ -1,3 +1,4 @@
+import tracemalloc
 from math import sqrt
 from unittest import mock
 
@@ -6,15 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (kron_chain, oracle_negativity, oracle_wootters_concurrence,
-                      random_density, random_product_states, random_unitary,
-                      random_valid_x_params)
+from conftest import (kron_chain, oracle_negativity, oracle_witness_matrix,
+                      oracle_wootters_concurrence, random_density, random_product_states,
+                      random_unitary, random_valid_x_params)
 from xstates import (PureState, Witness, XStateParams, concurrence, dicke_state,
                      evaluate_witness, ghz_params, ghz_state, make_witness,
                      materialize, named_example, negativity, strength_grid, sweep,
                      werner, witness, witness_report)
 from xstates import linalg
-from xstates.linalg import hermitian_eigenvalues, x_matrix_entries
+from xstates.linalg import ToleranceError, hermitian_eigenvalues, x_matrix_entries
 
 
 def spy_dense_spectrum():
@@ -68,19 +69,10 @@ def test_pure_state_rejects_non_finite_amplitudes():
         PureState(1, np.array([np.nan, 0.0]))
 
 
-def test_witness_rejects_non_finite_matrix():
-    with pytest.raises(ValueError):
-        Witness(np.full((2, 2), np.nan))
-
-
-def test_witness_holds_read_only_copy():
-    source = make_witness("ghz_type", 2).matrix.copy()
-    w = Witness(source)
-    assert not w.matrix.flags.writeable
-    with pytest.raises(ValueError):
-        w.matrix[0, 1] = 1.0
-    source[0, 1] = 1.0  # would break Hermiticity if the witness shared it
-    assert w.matrix[0, 1] == 0.0
+def test_witness_rejects_non_finite_or_non_real_alpha():
+    for alpha in (np.nan, np.inf, -np.inf, 0.5 + 0.1j, np.complex128(0.5), "0.5"):
+        with pytest.raises(ValueError, match="alpha"):
+            Witness(alpha, ghz_state(2))
 
 
 def test_evaluate_witness_rejects_bad_state():
@@ -89,6 +81,8 @@ def test_evaluate_witness_rejects_bad_state():
         evaluate_witness(w, np.full((4, 4), np.nan))
     with pytest.raises(ValueError):
         evaluate_witness(w, np.eye(8) / 8)
+    with pytest.raises(ValueError, match="2-qubit witness given a 3-qubit state"):
+        evaluate_witness(w, ghz_params(3))
 
 
 def test_dense_states_reject_qubit_counts_beyond_limit():
@@ -129,13 +123,69 @@ def test_witness_kind_errors():
 
 
 def test_witnesses_nonnegative_on_product_states(rng):
-    cases = [(make_witness("w_type", 3), 3),
-             (make_witness("dicke_2_4", 4), 4),
-             (make_witness("ghz_type", 3), 3)]
-    for w, n in cases:
+    for kind, n in (("w_type", 3), ("dicke_2_4", 4), ("ghz_type", 3)):
+        w = make_witness(kind, n)
         vectors = random_product_states(rng, n, 10_000)
-        values = np.einsum("bi,ij,bj->b", vectors.conj(), w.matrix, vectors).real
+        m = oracle_witness_matrix(w.alpha, w.psi)
+        values = np.einsum("bi,ij,bj->b", vectors.conj(), m, vectors).real
         assert values.min() >= -1e-10
+        for v, want in zip(vectors[:50], values):   # the dense route agrees
+            assert abs(evaluate_witness(w, np.outer(v, v.conj()))[0] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dense_witness_route_copies_no_state(dtype):
+    w = make_witness("ghz_type", 10)
+    rho = np.eye(1 << 10, dtype=dtype) / (1 << 10)   # 8 or 16 MiB
+    tracemalloc.start()
+    try:
+        value, _ = evaluate_witness(w, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert abs(value - (0.5 - 1 / 1024)) <= 1e-12
+
+
+WITNESS_CASES = [("w_type", 3), ("dicke_2_4", 4)] + [("ghz_type", n) for n in range(2, 9)]
+
+
+@st.composite
+def witness_cases(draw):
+    """A bundled witness, X-state parameters in any frame and a dense state
+    outside every family, for the witness's qubit count."""
+    kind, n = draw(st.sampled_from(WITNESS_CASES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_valid_x_params(rng, n, draw(st.sampled_from("ZXY")))
+    full = (1 << n) - 1
+    return make_witness(kind, n), p, random_density(rng, 1 << n), (
+        draw(st.integers(0, full)), draw(st.integers(0, full)))
+
+
+@settings(max_examples=60)
+@given(witness_cases())
+def test_witness_routes_match_dense_oracle(case):
+    w, p, dense, (i, j) = case
+    m = oracle_witness_matrix(w.alpha, w.psi)
+    rho = materialize(p)
+    want = np.einsum("ij,ji->", m, rho).real
+    assert abs(evaluate_witness(w, p)[0] - want) <= 1e-12            # parameters
+    assert abs(evaluate_witness(w, rho)[0] - want) <= 1e-12          # dense X state
+    want = np.einsum("ij,ji->", m, dense).real
+    assert abs(evaluate_witness(w, dense)[0] - want) <= 1e-12        # dense, no family
+    want = np.einsum("ij,ji->", m, dense.real).real
+    assert abs(evaluate_witness(w, dense.real)[0] - want) <= 1e-12   # float64
+    bad = rho.copy()
+    bad[i, j] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        evaluate_witness(w, bad)
+    with pytest.raises(ValueError, match="must have shape"):
+        evaluate_witness(w, rho[:, :-1])
+    # anti-Hermitian part i eps |psi><psi| gives the value imaginary part eps (alpha - 1)
+    skew = rho + 1e-6j * w.psi.projector()
+    assert abs(np.einsum("ij,ji->", m, skew).imag) > 1e-10
+    with pytest.raises(ToleranceError):
+        evaluate_witness(w, skew)
 
 
 def test_negativity_examples():
@@ -325,22 +375,15 @@ def oracle_ghz(n, frame):
 def test_ghz_amplitudes_bitwise_equal_kron_chain(n):
     for frame in ("X", "Y", "Z"):
         assert ghz_state(n, frame).amplitudes.tobytes() == oracle_ghz(n, frame).tobytes()
-    if n <= 10:   # the witness matrix takes 16 MiB at n = 10, 256 MiB at 12
-        psi = oracle_ghz(n, "Z")
-        m = 0.0 - np.outer(psi, psi.conj())
-        m[np.diag_indices(1 << n)] += 0.5
-        assert make_witness("ghz_type", n).matrix.tobytes() == m.tobytes()
 
 
 def test_concurrence_checks_hermiticity_once():
     with mock.patch.object(linalg, "hermiticity_deviation",
                            wraps=linalg.hermiticity_deviation) as dense, \
-         mock.patch.object(witness, "hermiticity_deviation",
-                           wraps=linalg.hermiticity_deviation) as imported, \
          mock.patch.object(linalg, "sector_hermiticity_deviation",
                            wraps=linalg.sector_hermiticity_deviation) as sector:
         concurrence(materialize(werner(0.7)))
-    assert dense.call_count + imported.call_count + sector.call_count == 1
+    assert dense.call_count + sector.call_count == 1
 
 
 def test_non_hermitian_input_rejected_on_every_route(rng):
