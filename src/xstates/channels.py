@@ -27,10 +27,45 @@ class Channel:
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
         if not ops or any(k.shape != (2, 2) for k in ops):
             raise ValueError("Kraus operators must be 2x2 matrices")
-        total = sum(k.conj().T @ k for k in ops)
-        if not np.max(np.abs(total - np.eye(2))) <= COMPLETENESS_TOL:
-            raise ValueError("Kraus operators do not resolve the identity")
+        _check_completeness(np.stack(ops))
         object.__setattr__(self, "kraus", ops)
+
+
+def _check_completeness(kraus: np.ndarray) -> None:
+    """Raise unless every channel of the Kraus stack (..., K, 2, 2) resolves
+    the identity, sum_k K_k^dag K_k = I, to COMPLETENESS_TOL."""
+    total = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3)
+    if not np.max(np.abs(total - np.eye(2)), initial=0.0) <= COMPLETENESS_TOL:
+        raise ValueError("Kraus operators do not resolve the identity")
+
+
+def _check_strengths(strengths) -> None:
+    for s in strengths:
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"channel strength must lie in [0, 1], got {s}")
+
+
+def _check_increasing(strengths) -> None:
+    if any(b <= a for a, b in zip(strengths, strengths[1:])):
+        raise ValueError("strength grid must be strictly increasing")
+
+
+def _kraus_stack(kind: str, strengths: np.ndarray) -> np.ndarray:
+    """The (G, K, 2, 2) Kraus operators of the named channel at G strengths
+    in [0, 1]; see standard_channel for the formulas."""
+    s = np.asarray(strengths, dtype=float)[:, None, None]
+    if kind in ("amplitude_damping", "spontaneous_emission"):
+        ops = (np.sqrt(1 - s) * np.diag([0.0, 1.0]) + np.diag([1.0, 0.0]),
+               np.sqrt(s) * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    elif kind == "phase_damping":
+        ops = (np.sqrt(1 - s) * np.eye(2),
+               np.sqrt(s) * np.diag([1.0, 0.0]), np.sqrt(s) * np.diag([0.0, 1.0]))
+    elif kind == "depolarizing":
+        ops = (np.sqrt(1 - 3 * s / 4) * PAULI_MATRICES["I"],
+               *(np.sqrt(s / 4) * PAULI_MATRICES[axis] for axis in "XYZ"))
+    else:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    return np.stack(ops, axis=1).astype(complex, copy=False)
 
 
 def standard_channel(kind: str, strength: float) -> Channel:
@@ -45,34 +80,28 @@ def standard_channel(kind: str, strength: float) -> Channel:
     depolarizing (p): the state is replaced by I/2 with probability p,
         via Pauli Kraus operators with weights 1-3p/4 and p/4.
     """
-    if not 0.0 <= strength <= 1.0:
-        raise ValueError(f"channel strength must lie in [0, 1], got {strength}")
+    _check_strengths((strength,))
     s = float(strength)
-    if kind in ("amplitude_damping", "spontaneous_emission"):
-        k0 = np.array([[1, 0], [0, np.sqrt(1 - s)]], dtype=complex)
-        k1 = np.array([[0, np.sqrt(s)], [0, 0]], dtype=complex)
-        return Channel((k0, k1), f"amplitude_damping({s})")
-    if kind == "phase_damping":
-        k0 = np.sqrt(1 - s) * np.eye(2, dtype=complex)
-        k1 = np.sqrt(s) * np.diag([1.0, 0.0]).astype(complex)
-        k2 = np.sqrt(s) * np.diag([0.0, 1.0]).astype(complex)
-        return Channel((k0, k1, k2), f"phase_damping({s})")
-    if kind == "depolarizing":
-        k0 = np.sqrt(1 - 3 * s / 4) * PAULI_MATRICES["I"]
-        kx, ky, kz = (np.sqrt(s / 4) * PAULI_MATRICES[axis] for axis in "XYZ")
-        return Channel((k0, kx, ky, kz), f"depolarizing({s})")
-    raise ValueError(f"unknown channel kind {kind!r}")
+    return _channel(kind, s, _kraus_stack(kind, [s])[0])
+
+
+def _channel(kind: str, s: float, kraus: np.ndarray) -> Channel:
+    """The Channel of one strength's row of _kraus_stack(kind, ...)."""
+    name = "amplitude_damping" if kind == "spontaneous_emission" else kind
+    return Channel(tuple(kraus), f"{name}({s})")
 
 
 CHANNEL_KINDS = ("amplitude_damping", "phase_damping", "depolarizing")
 
 
-def _superoperator(ch: Channel) -> np.ndarray:
+def _superoperator(kraus: "Channel | np.ndarray") -> np.ndarray:
     """sum_k K_k (x) K_k^* as a 4x4 matrix on the flattened (row bit, column
-    bit) pair.  Each entry is a plain sum of rounded products, so entries
-    that are equal in exact arithmetic cancel exactly in _preserves_family."""
-    k = np.stack(ch.kraus)
-    return (k[:, :, None, :, None] * k.conj()[:, None, :, None, :]).sum(axis=0).reshape(4, 4)
+    bit) pair, of a Channel or of each channel of a Kraus stack (..., K, 2, 2).
+    Each entry is a plain sum of rounded products, so entries that are equal
+    in exact arithmetic cancel exactly in _preserves_family."""
+    k = np.stack(kraus.kraus) if isinstance(kraus, Channel) else kraus
+    prod = k[..., :, None, :, None] * k.conj()[..., None, :, None, :]
+    return prod.sum(axis=-5).reshape(*k.shape[:-3], 4, 4)
 
 
 def _checked_qubits(qubits, n: int) -> list[int]:
@@ -116,19 +145,22 @@ def _frame_bases(frame: str) -> tuple[np.ndarray, np.ndarray]:
     return factors.reshape(4, 4), units.reshape(4, 4)
 
 
-def _preserves_family(superop: np.ndarray, factors: np.ndarray) -> bool:
+def _preserves_family(superop: np.ndarray, factors: np.ndarray) -> "bool | np.ndarray":
     """Whether the channel maps span{I, F(Z)} and span{F(X), F(Y)} into
     themselves, and so every X state of the frame to another: both
     off-diagonal 2x2 blocks of its frame-conjugated Pauli transfer matrix
-    T[j, i] = tr(B_j^dag E(B_i)) / 2 are exactly zero."""
+    T[j, i] = tr(B_j^dag E(B_i)) / 2 are exactly zero.  One answer for a
+    4x4 superoperator, one per channel for a stack (..., 4, 4)."""
     t = factors.conj() @ superop @ factors.T / 2
-    return not (t[:2, 2:].any() or t[2:, :2].any())
+    return ~(t[..., :2, 2:].any(axis=(-2, -1)) | t[..., 2:, :2].any(axis=(-2, -1)))
 
 
 def _sector_step(entries, superop: np.ndarray, units: np.ndarray, qubits,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """Z-frame sector entries (diag, anti) after a family-preserving channel
-    on each listed qubit in turn, O(2**n) per qubit.
+    on each listed qubit in turn, O(2**n) per qubit.  A stack of
+    superoperators (..., 4, 4) gives one (diag, anti) per channel, as
+    arrays (..., 2**n).
 
     In the matrix-unit basis the channel acts on qubit q's basis bit of
     diag by its 2x2 population block and on that of anti by its 2x2
@@ -137,10 +169,12 @@ def _sector_step(entries, superop: np.ndarray, units: np.ndarray, qubits,
     exactly 0, as in the dense matrix.
     """
     r = units.conj() @ superop @ units.T
-    diag, anti = entries
+    batch = r.shape[:-2]
+    pop, coh = r[..., None, :2, :2].real, r[..., None, 2:, 2:]
+    diag, anti = (np.broadcast_to(e, batch + e.shape) for e in entries)
     for q in qubits:
-        diag = (r[:2, :2].real @ diag.reshape(1 << (q - 1), 2, -1)).reshape(-1)
-        anti = (r[2:, 2:] @ anti.reshape(1 << (q - 1), 2, -1)).reshape(-1)
+        diag = (pop @ diag.reshape(*batch, 1 << (q - 1), 2, -1)).reshape(*batch, -1)
+        anti = (coh @ anti.reshape(*batch, 1 << (q - 1), 2, -1)).reshape(*batch, -1)
     return diag, anti
 
 
@@ -168,8 +202,7 @@ class Trajectory:
     x_residual: tuple[float, ...]
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.strengths, self.strengths[1:])):
-            raise ValueError("strength grid must be strictly increasing")
+        _check_increasing(self.strengths)
         for name in ("concurrence", "witness", "x_residual"):
             seq = getattr(self, name)
             if seq is not None and len(seq) != len(self.strengths):
@@ -193,44 +226,43 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     the initial state's frame.  Each grid point starts from the initial
     state; strengths do not accumulate.
 
-    At a strength where the channel preserves the frame's family
-    (_preserves_family), the point is computed from the state's Z-frame
-    sector entries in O(n * 2**n): concurrence by yu_eberly, the witness
-    value by the parameter route of evaluate_witness, and the residual is
-    exactly 0.0.  Other points apply the channel to the dense state.
+    The grid is checked (strengths in [0, 1], strictly increasing) before
+    any other work, and the channel's Kraus operators and superoperators
+    are built and checked for completeness once, as (G, K, 2, 2) and
+    (G, 4, 4) stacks over the G strengths.  The strengths where the channel
+    preserves the frame's family (_preserves_family) are computed together
+    from the state's Z-frame sector entries, in O(n * 2**n) each:
+    concurrence by yu_eberly, the witness value by the parameter route of
+    evaluate_witness, and the residual is exactly 0.0.  At each other
+    strength that strength's Channel is applied to the dense state.
     """
     n, frame = p0.n, p0.frame
     if witness_kind is None and n != 2:
         raise ValueError("concurrence records require a two-qubit state; "
                          "pass a witness kind instead")
     qubit_list = _checked_qubits(qubits, n)
+    strengths = tuple(float(s) for s in grid)
+    _check_strengths(strengths)
+    _check_increasing(strengths)
+    kraus = _kraus_stack(kind, strengths)
+    _check_completeness(kraus)
+    superops = _superoperator(kraus)
     w = make_witness(witness_kind, n) if witness_kind is not None else None
     factors, units = _frame_bases(frame)
-    entries0 = _sector_entries(np.concatenate([p0.d, p0.a]), n)
-    phi = rho0 = None  # each built on first use
-    strengths = tuple(float(s) for s in grid)
-    records = []
-    residuals = []
-    for s in strengths:
-        ch = standard_channel(kind, s)
-        superop = _superoperator(ch)
-        if _preserves_family(superop, factors):
-            diag, anti = _sector_step(entries0, superop, units, qubit_list, n)
-            if w is None:
-                records.append(yu_eberly(diag, anti))
-            else:
-                phi = _frame_amplitudes(w.psi, frame) if phi is None else phi
-                records.append(_sector_value(w, phi, diag, anti))
-            residuals.append(0.0)
-            continue
-        if rho0 is None:
-            rho0 = materialize(p0)
-        rho = apply_channel(rho0, ch, qubit_list, n)
-        records.append(concurrence(rho) if w is None else evaluate_witness(w, rho)[0])
-        residuals.append(float(x_form_residual(rho, frame, n)))
-    return Trajectory(
-        strengths,
-        tuple(records) if w is None else None,
-        tuple(records) if w is not None else None,
-        tuple(residuals),
-    )
+    preserving = _preserves_family(superops, factors)
+    values = np.empty(len(strengths))
+    residuals = np.zeros(len(strengths))
+    if preserving.any():
+        entries0 = _sector_entries(np.concatenate([p0.d, p0.a]), n)
+        diag, anti = _sector_step(entries0, superops[preserving], units, qubit_list, n)
+        values[preserving] = (yu_eberly(diag, anti) if w is None else
+                              _sector_value(w, _frame_amplitudes(w.psi, frame), diag, anti))
+    dense = np.flatnonzero(~preserving)
+    rho0 = materialize(p0) if dense.size else None
+    for g in dense:
+        rho = apply_channel(rho0, _channel(kind, strengths[g], kraus[g]), qubit_list, n)
+        values[g] = concurrence(rho) if w is None else evaluate_witness(w, rho)[0]
+        residuals[g] = x_form_residual(rho, frame, n)
+    records = tuple(values.tolist())
+    return Trajectory(strengths, records if w is None else None,
+                      records if w is not None else None, tuple(residuals.tolist()))

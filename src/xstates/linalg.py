@@ -225,15 +225,19 @@ def expectation(rho: np.ndarray, m: np.ndarray) -> float:
     rho = _as_square(rho, "state")
     if rho.shape != m.shape:
         raise ValueError("dimension mismatch between state and observable")
-    return _real_value(complex(np.einsum("ij,ji->", m, rho)))
+    return float(_real_value(np.einsum("ij,ji->", m, rho)))
 
 
-def _real_value(value: complex) -> float:
-    """Re of a computed expectation, checked finite and with a negligible imaginary part."""
-    if not np.isfinite(value):
-        raise ValueError(f"expectation {value} is not finite")
-    if abs(value.imag) > EXPECTATION_IMAG_TOL:
-        raise ToleranceError(f"expectation has imaginary part {value.imag:.3e}")
+def _real_value(value) -> np.ndarray:
+    """Re of a computed expectation, or of each of an array of them, checked
+    finite and with a negligible imaginary part; the first that fails raises."""
+    value = np.asarray(value)
+    bad = ~np.isfinite(value) | (np.abs(value.imag) > EXPECTATION_IMAG_TOL)
+    if bad.any():
+        first = complex(value[bad].flat[0])
+        if not np.isfinite(first):
+            raise ValueError(f"expectation {first} is not finite")
+        raise ToleranceError(f"expectation has imaginary part {first.imag:.3e}")
     return value.real
 
 

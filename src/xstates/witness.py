@@ -112,11 +112,14 @@ def _frame_amplitudes(psi: PureState, frame: str) -> np.ndarray:
     return phi.reshape(-1)
 
 
-def _sector_value(w: Witness, phi: np.ndarray, diag: np.ndarray, anti: np.ndarray) -> float:
+def _sector_value(w: Witness, phi: np.ndarray, diag: np.ndarray,
+                  anti: np.ndarray) -> np.ndarray:
     """tr(W rho) = alpha tr rho - <phi|rho_Z|phi> for rho = U_F^(x)n rho_Z U_F^dag^(x)n,
-    from the sector entries diag[b] = rho_Z[b, b] and anti[b] = rho_Z[b, ~b]."""
-    overlap = phi.conj() @ (diag * phi + anti * phi[::-1])
-    return _real_value(complex(w.alpha * diag.sum() - overlap))
+    from the sector entries diag[b] = rho_Z[b, b] and anti[b] = rho_Z[b, ~b]
+    on the trailing axis: one value, or one per state of a stack (..., 2**n).
+    Each overlap is one vector-vector product, as for a single state."""
+    overlap = (phi.conj() @ (diag * phi + anti * phi[::-1])[..., None])[..., 0]
+    return _real_value(w.alpha * diag.sum(axis=-1) - overlap)
 
 
 def evaluate_witness(w: Witness, state: "np.ndarray | XStateParams") -> tuple[float, bool]:
@@ -128,12 +131,12 @@ def evaluate_witness(w: Witness, state: "np.ndarray | XStateParams") -> tuple[fl
         if state.n != n:
             raise ValueError(f"{n}-qubit witness given a {state.n}-qubit state")
         diag, anti = _sector_entries(np.concatenate([state.d, state.a]), n)
-        value = _sector_value(w, _frame_amplitudes(w.psi, state.frame), diag, anti)
+        value = float(_sector_value(w, _frame_amplitudes(w.psi, state.frame), diag, anti))
     else:
         rho, psi = as_state(state, n), w.psi.amplitudes
         with np.errstate(invalid="ignore", over="ignore"):  # _real_value rejects NaN
             rho_psi = rho @ psi.real + 1j * (rho @ psi.imag)  # a real rho stays real
-            value = _real_value(complex(w.alpha * np.trace(rho) - psi.conj() @ rho_psi))
+            value = float(_real_value(w.alpha * np.trace(rho) - psi.conj() @ rho_psi))
     return value, value < DETECTION_TOL
 
 
@@ -164,13 +167,17 @@ def negativity(rho: np.ndarray, subset, n: int) -> float:
     return float(-eigenvalues[eigenvalues < 0].sum())
 
 
-def yu_eberly(diag: np.ndarray, anti: np.ndarray) -> float:
+def yu_eberly(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
     """Concurrence of the two-qubit X state with Z-frame sector entries
-    diag[b] = rho[b, b] and anti[b] = rho[b, ~b] (Yu and Eberly):
+    diag[b] = rho[b, b] and anti[b] = rho[b, ~b] on the trailing axis (Yu
+    and Eberly), one value or one per state of a stack (..., 4):
     2 max(0, |r03| - sqrt(r11 r22), |r12| - sqrt(r00 r33)), the products
-    clipped at 0 so that unphysical entries give a finite value >= 0."""
-    return float(2 * max(0.0, abs(anti[0]) - sqrt(max(0.0, diag[1] * diag[2])),
-                         abs(anti[1]) - sqrt(max(0.0, diag[0] * diag[3]))))
+    clipped at 0 so that unphysical entries give a finite value >= 0; a NaN
+    term is ignored."""
+    mod = np.hypot(anti.real, anti.imag)   # rounds as abs(complex); np.abs may not
+    c = np.fmax(mod[..., 0] - np.sqrt(np.fmax(0.0, diag[..., 1] * diag[..., 2])),
+                mod[..., 1] - np.sqrt(np.fmax(0.0, diag[..., 0] * diag[..., 3])))
+    return 2 * np.where(c > 0.0, c, 0.0)
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -191,7 +198,7 @@ def concurrence(rho: np.ndarray) -> float:
         raise ValueError("state must have unit trace")
     entries = fit_sectors(rho, 2)
     if entries is not None:
-        return yu_eberly(*entries)
+        return float(yu_eberly(*entries))
     rho = rho.astype(complex, copy=False)  # one (complex) solver for every dtype
     w, v = hermitian_eigen(rho)
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

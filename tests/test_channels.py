@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from xstates import (Channel, Trajectory, XStateParams, apply_channel, bell_diag
 from xstates import channels
 from xstates.linalg import x_matrix_entries
 from xstates.model import _sector_entries
+from xstates.pauli import PAULI_MATRICES
 
 KINDS = ("amplitude_damping", "phase_damping", "depolarizing")
 
@@ -216,18 +218,106 @@ def test_sweep_witness_mode():
     assert max(traj.x_residual) <= 1e-14
 
 
+def _forbid_work(monkeypatch, check):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"work started before the {check} check")
+    for name in ("make_witness", "materialize", "standard_channel", "_kraus_stack",
+                 "_sector_entries"):
+        monkeypatch.setattr(channels, name, no_work)
+
+
 # amplitude damping keeps the Z-frame family and leaves the X frame's: both paths
 @pytest.mark.parametrize("frame", ["Z", "X"])
 def test_sweep_rejects_bad_qubits_before_any_work(monkeypatch, frame):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the qubit check")
-    for name in ("make_witness", "materialize", "standard_channel", "_sector_entries"):
-        monkeypatch.setattr(channels, name, no_work)
+    _forbid_work(monkeypatch, "qubit")
     for qubits in ([4], [0], [1, 5]):
         with pytest.raises(ValueError, match=r"qubit subset must lie in 1\.\.3"):
             sweep(ghz_params(3, frame), "amplitude_damping", qubits,
                   strength_grid(0.0, 1.0, 3),
                   witness_kind="ghz_type")
+
+
+# every strength is range-checked before the grid's order is
+@pytest.mark.parametrize("grid,message", [
+    ((0.0, 1.2), r"channel strength must lie in \[0, 1\], got 1\.2$"),
+    ((-0.1, 0.5), r"channel strength must lie in \[0, 1\], got -0\.1$"),
+    ((0.0, float("nan")), r"channel strength must lie in \[0, 1\], got nan$"),
+    ((0.6, 0.4, 1.5), r"channel strength must lie in \[0, 1\], got 1\.5$"),
+    ((0.5, 0.5), r"strength grid must be strictly increasing"),
+    ((0.0, 0.6, 0.4), r"strength grid must be strictly increasing"),
+])
+@pytest.mark.parametrize("frame", ["Z", "X"])
+def test_sweep_rejects_bad_grid_before_any_work(monkeypatch, frame, grid, message):
+    _forbid_work(monkeypatch, "grid")
+    with pytest.raises(ValueError, match=message):
+        sweep(ghz_params(3, frame), "amplitude_damping", [1, 3], grid,
+              witness_kind="ghz_type")
+
+
+def test_sweep_of_an_empty_grid_is_empty():
+    assert sweep(ghz_params(2), "depolarizing", [1], []) == Trajectory((), (), None, ())
+    assert sweep(ghz_params(3, "X"), "amplitude_damping", [1], (),
+                 witness_kind="ghz_type") == Trajectory((), None, (), ())
+    with pytest.raises(ValueError, match="unknown channel kind"):
+        sweep(ghz_params(2), "bit_flip", [1], [])
+
+
+# a Channel, which checks its own operators, is built only for a dense point:
+# here amplitude damping off the Z frame at every strength > 0
+@pytest.mark.parametrize("frame,kind,dense", [("Z", "amplitude_damping", 0),
+                                              ("X", "amplitude_damping", 1),
+                                              ("Y", "depolarizing", 0)])
+@pytest.mark.parametrize("count", [2, 21])
+def test_sweep_builds_and_checks_one_kraus_stack(monkeypatch, frame, kind, dense, count):
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(channels, "_kraus_stack", counted("kraus", channels._kraus_stack))
+    monkeypatch.setattr(channels, "_check_completeness",
+                        counted("completeness", channels._check_completeness))
+    monkeypatch.setattr(Channel, "__post_init__", counted("channel", Channel.__post_init__))
+    traj = sweep(ghz_params(3, frame), kind, [1, 3], strength_grid(0.0, 1.0, count),
+                 witness_kind="ghz_type")
+    assert len(traj.witness) == count
+    channels_built = dense * (count - 1)
+    assert calls == collections.Counter(kraus=1, channel=channels_built,
+                                        completeness=1 + channels_built)
+
+
+def _closed_form_kraus(kind, s):
+    """The Kraus operators of standard_channel's docstring, one strength."""
+    if kind == "amplitude_damping":
+        return [[[1, 0], [0, np.sqrt(1 - s)]], [[0, np.sqrt(s)], [0, 0]]]
+    if kind == "phase_damping":
+        return [np.sqrt(1 - s) * np.eye(2), np.sqrt(s) * np.diag([1, 0]),
+                np.sqrt(s) * np.diag([0, 1])]
+    p = PAULI_MATRICES
+    return [np.sqrt(1 - 3 * s / 4) * p["I"], *(np.sqrt(s / 4) * p[a] for a in "XYZ")]
+
+
+# bitwise equality keeps every exact-zero preservation decision of the
+# per-point channels, down to strengths where sqrt(1 - s) rounds to 1
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_channels_equal_per_point_channels(rng, kind):
+    strengths = np.concatenate([np.linspace(0.0, 1.0, 21), rng.random(40),
+                                np.logspace(-17, -13, 41)])
+    kraus = channels._kraus_stack(kind, strengths)
+    superops = channels._superoperator(kraus)
+    bases = [channels._frame_bases(frame)[0] for frame in "ZXY"]
+    preserving = [channels._preserves_family(superops, factors) for factors in bases]
+    assert kraus.shape == (len(strengths), len(_closed_form_kraus(kind, 0.5)), 2, 2)
+    for g, s in enumerate(strengths):
+        ch = standard_channel(kind, s)
+        assert np.array_equal(kraus[g], np.stack(ch.kraus))
+        assert np.array_equal(kraus[g], _closed_form_kraus(kind, s))
+        superop = channels._superoperator(ch)
+        assert np.array_equal(superops[g], superop)
+        assert [p[g] for p in preserving] == [
+            channels._preserves_family(superop, factors) for factors in bases]
 
 
 def test_sweep_concurrence_needs_two_qubits():

@@ -181,6 +181,18 @@ def test_evolve_csv_parses():
     assert values[0] > 0.99 and values[-1] == 0.0
 
 
+@pytest.mark.parametrize("grid,message", [
+    ("0:2:3", "error: channel strength must lie in [0, 1], got 2.0"),
+    ("0.5:1.5:2", "error: channel strength must lie in [0, 1], got 1.5"),
+    ("1:0:3", "grid must be strictly increasing"),
+])
+def test_evolve_bad_grid_exits_one(grid, message):
+    code, out, err = invoke(["evolve", "--state", "bell", "--channel", "amplitude_damping",
+                             "--strength-grid", grid, "--qubits", "1,2"])
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "xstates", "algebra", "--n", "2"],
