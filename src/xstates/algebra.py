@@ -23,7 +23,8 @@ from .model import _sector_entries
 from .pauli import (MAX_DENSE_QUBITS, AxisFrame, PauliString, resolve_frame,
                     xy_product, z_product)
 
-MAX_GEOMETRY_QUBITS = 8  # lines, the design check, sector decomposition, simplex
+# center, lines, the design check, sector decomposition, simplex
+MAX_GEOMETRY_QUBITS = 8
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,29 @@ def generate_set(n: int, frame: "str | AxisFrame" = "Z") -> OperatorSet:
     return OperatorSet(n, f, tuple(elements))
 
 
+def _masks(opset: OperatorSet, task: str, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The set's GF(2) vectors as arrays of x_masks and z_masks."""
+    if opset.n > MAX_GEOMETRY_QUBITS:
+        raise ValueError(f"{task} limited to n <= {MAX_GEOMETRY_QUBITS}")
+    if any(p.n != opset.n for p in opset.elements):
+        raise ValueError("elements must act on the set's qubit count")
+    x = np.array([p.x_mask for p in opset.elements], dtype=dtype)
+    z = np.array([p.z_mask for p in opset.elements], dtype=dtype)
+    return x, z
+
+
 def center(opset: OperatorSet) -> tuple[PauliString, ...]:
-    """Elements commuting with every element of the set, in canonical order."""
-    return tuple(p for p in opset.elements
-                 if all(p.commutes(q) for q in opset.elements))
+    """Elements commuting with every element of the set, in canonical order.
+
+    p and q commute iff popcount(x_p & z_q ^ z_p & x_q) is even; the parity
+    is taken for all pairs at once.
+    """
+    x, z = _masks(opset, "center", np.uint8)  # n <= MAX_GEOMETRY_QUBITS = 8 bits
+    odd = (x[:, None] & z) ^ (z[:, None] & x)
+    for shift in (4, 2, 1):  # fold the 8 bits' parity into bit 0
+        odd ^= odd >> shift
+    central = ~(odd & 1).any(axis=1)
+    return tuple(opset.elements[i] for i in np.flatnonzero(central))
 
 
 def lines(opset: OperatorSet) -> LineSet:
@@ -106,13 +126,8 @@ def lines(opset: OperatorSet) -> LineSet:
     Each line comes from its two smallest points i < j, whose product is
     element k > j, so the pairs' lexicographic order is the lines' order.
     """
-    if opset.n > MAX_GEOMETRY_QUBITS:
-        raise ValueError(f"line enumeration limited to n <= {MAX_GEOMETRY_QUBITS}")
-    if any(p.n != opset.n for p in opset.elements):
-        raise ValueError("elements must act on the set's qubit count")
-    # the GF(2)^(2n) vector (x_mask, z_mask) of each element, as one integer
-    vectors = np.fromiter(((p.x_mask << opset.n) | p.z_mask for p in opset.elements),
-                          dtype=np.int64, count=len(opset.elements))
+    x, z = _masks(opset, "line enumeration", np.int64)
+    vectors = (x << opset.n) | z  # each (x_mask, z_mask) as one integer
     index = np.full(1 << (2 * opset.n), -1, dtype=np.int64)
     index[vectors] = np.arange(len(vectors))
     i, j = np.triu_indices(len(vectors), 1)

@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import algebra, channels, simplex
-from .linalg import (ConvergenceError, ToleranceError, matrix_to_csv,
-                     matrix_to_json, partial_trace)
+from .linalg import (ConvergenceError, ToleranceError, json_text,
+                     matrix_to_csv, matrix_to_json, partial_trace)
 from .model import (NAMED_EXAMPLES, XStateParams, bell_diagonal, ghz_params,
                     materialize, named_example, params_from_json,
                     params_to_json, validate, werner)
@@ -29,10 +29,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def _parse_qubits(text: str) -> list[int]:
@@ -95,7 +91,7 @@ def _resolve_state(selector: str, args) -> XStateParams:
 def _matrix_payload(m, fmt: str) -> str:
     if fmt == "csv":
         return matrix_to_csv(m)
-    return _json_text(matrix_to_json(m))
+    return json_text(matrix_to_json(m))
 
 
 # ---- subcommand handlers ----------------------------------------------------
@@ -104,7 +100,7 @@ def _cmd_gen(args) -> tuple[str, int]:
     params = _resolve_state(args.state, args)
     fmt = args.format or "json"
     if fmt == "json":
-        return _json_text(params_to_json(params)), 0
+        return json_text(params_to_json(params)), 0
     if fmt in ("matrix", "csv"):
         return _matrix_payload(materialize(params), "csv" if fmt == "csv" else "json"), 0
     raise CliError(f"gen supports --format json|matrix|csv, got {fmt!r}")
@@ -113,7 +109,7 @@ def _cmd_gen(args) -> tuple[str, int]:
 def _cmd_validate(args) -> tuple[str, int]:
     params = _resolve_state(args.state, args)
     report = validate(params)
-    return _json_text(report.to_json()), 0 if report.is_valid else 2
+    return json_text(report.to_json()), 0 if report.is_valid else 2
 
 
 def _cmd_algebra(args) -> tuple[str, int]:
@@ -132,7 +128,7 @@ def _cmd_algebra(args) -> tuple[str, int]:
         "design": report.to_json(),
         "set": algebra.incidence_json(opset, lineset),
     }
-    return _json_text(payload), 0
+    return json_text(payload), 0
 
 
 def _cmd_incidence(args) -> tuple[str, int]:
@@ -149,7 +145,7 @@ def _cmd_witness(args) -> tuple[str, int]:
     if args.kind is None:
         raise CliError("witness requires --kind")
     w = make_witness(args.kind, params.n)
-    return _json_text(witness_report(w, params)), 0
+    return json_text(witness_report(w, params)), 0
 
 
 def _cmd_evolve(args) -> tuple[str, int]:

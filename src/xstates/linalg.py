@@ -7,6 +7,7 @@ is the most significant basis bit and qubit indices are 1-based everywhere.
 
 from __future__ import annotations
 
+import json
 from functools import reduce
 
 import numpy as np
@@ -27,6 +28,9 @@ SECTOR_FIT_TOL = 1e-12
 
 # Bytes of one row strip of hermiticity_deviation's temporaries.
 _STRIP_BYTES = 1 << 20
+
+# json's C encoder (no indent): the text of one scalar or key.
+_ENCODE = json.JSONEncoder().encode
 
 
 class ConvergenceError(RuntimeError):
@@ -270,3 +274,47 @@ def matrix_to_csv(m: np.ndarray) -> str:
     m = _as_square(m)
     rows = np.stack([m.real, m.imag], axis=-1).reshape(len(m), 2 * len(m)).tolist()
     return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2) + "\n"``, the text of every JSON payload.
+
+    dicts, lists and tuples are laid out as json's indent-2 writer lays them
+    out; every scalar and key is one call of json's C encoder, and a list of
+    only floats, or of only ints, is one join of their reprs, so a matrix
+    dump never walks json's pure-Python encoder.  A key that is not a str
+    raises TypeError (json would convert int, float, bool and None keys).
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, newline: str) -> str:
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        sep = "," + inner
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            body = sep.join(map(float.__repr__, obj))
+            if "n" in body:  # only nan and inf have an n: json's spellings
+                body = body.replace("nan", "NaN").replace("inf", "Infinity")
+        elif kinds == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_json_value(v, inner) for v in obj])
+        return "[" + inner + body + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [_json_key(k) + ": " + _json_value(v, inner) for k, v in obj.items()]
+        ) + newline + "}"
+    return _ENCODE(obj)
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _ENCODE(key)

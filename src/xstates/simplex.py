@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import MAX_GEOMETRY_QUBITS
+from .linalg import json_text
 from .pauli import PauliString
 
 
@@ -85,14 +86,11 @@ def _face_id(face: SimplexFace) -> str:
 def export(s: LabeledSimplex, fmt: str) -> str:
     """Byte-stable DOT or JSON rendering of the face-incidence structure."""
     if fmt == "json":
-        import json
-
-        obj = {
+        return json_text({
             "vertices": [v.label() for v in s.vertices],
             "faces": [{"verts": list(f.verts), "label": f.label.label(),
                        "dim": f.dim} for f in s.faces],
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        })
     if fmt == "dot":
         out = ["graph incidence {"]
         for f in s.faces:

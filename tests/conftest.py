@@ -118,6 +118,12 @@ def oracle_lines(opset):
     return tuple(sorted(seen))
 
 
+def oracle_center(opset):
+    """Elements commuting with every element, by the symplectic-form test."""
+    return tuple(p for p in opset.elements
+                 if all(p.commutes(q) for q in opset.elements))
+
+
 def oracle_verify_design(opset):
     """Pair coverage counted in a dict and searched pair by pair."""
     triples = oracle_lines(opset)

@@ -8,7 +8,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import oracle_lines, oracle_pauli_matrix, oracle_verify_design
+from conftest import (oracle_center, oracle_lines, oracle_pauli_matrix,
+                      oracle_verify_design)
 from xstates import (FRAME_Z, LineSet, OperatorSet, PauliString, algebra,
                      all_proper_frames, build_simplex, center, generate_set,
                      incidence_json, iterate_construction, lines,
@@ -47,6 +48,26 @@ def test_center_contents():
         ["+Z1Z2", "+Z1Z3", "+Z2Z3"]
     got = sorted(p.label() for p in center(generate_set(4)))
     assert got == ["+Z1Z2", "+Z1Z2Z3Z4", "+Z1Z3", "+Z1Z4", "+Z2Z3", "+Z2Z4", "+Z3Z4"]
+
+
+@pytest.mark.parametrize("frame", ["Z", "X", "Y"])
+def test_center_equals_commutation_oracle(frame):
+    for n in range(1, 7):
+        opset = generate_set(n, frame)
+        assert center(opset) == oracle_center(opset)
+    # a set that is not closed: only Z2 commutes with every element
+    mixed = OperatorSet(2, FRAME_Z, tuple(PauliString.from_label(label, 2)
+                                          for label in ("+X1", "+Z1", "+Z2", "+Z1Z2")))
+    assert center(mixed) == oracle_center(mixed) == (mixed.elements[2],)
+
+
+def test_center_shares_the_geometry_cap():
+    with pytest.raises(ValueError, match="center limited to n <= 8"):
+        center(generate_set(9))
+    mixed = OperatorSet(2, FRAME_Z, (PauliString.from_label("+Z1"),
+                                     PauliString.from_label("+Z1Z2Z3")))
+    with pytest.raises(ValueError, match="qubit count"):
+        center(mixed)
 
 
 def test_center_is_line_closed():

@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import random_valid_x_params
 from xstates import cli, matrix_from_json, model, params_from_json, params_to_json
 from xstates.cli import run
 from xstates.model import XStateParams, ghz_params
@@ -46,6 +47,48 @@ def test_documented_invocations_succeed_and_are_deterministic(argv):
     assert code1 == code2 == 0, err1
     assert out1 == out2
     assert out1
+
+
+def test_documented_invocations_use_no_indented_json_encoder():
+    real_iterencode = json.JSONEncoder.iterencode
+    indents = []
+
+    def iterencode(self, o, _one_shot=False):
+        indents.append(self.indent)
+        return real_iterencode(self, o, _one_shot)
+
+    with mock.patch.object(json.JSONEncoder, "iterencode", iterencode), \
+         mock.patch("json.dumps", wraps=json.dumps) as dumps:
+        for argv in DOCUMENTED:
+            assert invoke(argv)[0] == 0, argv
+    assert all(c.kwargs.get("indent") is None for c in dumps.call_args_list)
+    assert indents and all(indent is None for indent in indents)
+
+
+def _assert_indent_2_json(argv):
+    code, out, err = invoke(argv)
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("frame", ["Z", "X", "Y"])
+def test_matrix_dumps_equal_indented_json_dumps(tmp_path, rng, frame):
+    for n in range(1, 7):
+        state = tmp_path / f"random-{n}.json"
+        state.write_text(json.dumps(params_to_json(random_valid_x_params(rng, n, frame))))
+        states = [["--state", str(state)]]
+        if n > 1:  # GHZ states and proper subsets of the qubits start at n = 2
+            states.append(["--state", "ghz", "--n", str(n), "--frame", frame])
+        for flags in states:
+            _assert_indent_2_json(["gen", *flags, "--format", "matrix"])
+            if n > 1:
+                keep = "1,2" if n > 2 else "1"
+                _assert_indent_2_json(["marginal", *flags, "--keep", keep])
+
+
+def test_largest_matrix_dump_equals_indented_json_dumps():
+    _assert_indent_2_json(["gen", "--state", "ghz", "--n", "10", "--frame", "Y",
+                           "--format", "matrix"])
 
 
 def test_algebra_summary_golden():

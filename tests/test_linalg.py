@@ -1,8 +1,10 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (SX, SZ, oracle_matrix_to_csv, oracle_matrix_to_json,
                       oracle_partial_trace, random_density)
@@ -12,7 +14,7 @@ from xstates import (PauliString, ToleranceError, apply_channel, concurrence,
                      matrix_to_json, negativity, partial_trace, partial_transpose,
                      standard_channel)
 from xstates.linalg import (ConvergenceError, as_state, hermitian_eigenvalues,
-                            hermiticity_deviation, x_matrix_entries)
+                            hermiticity_deviation, json_text, x_matrix_entries)
 from xstates.model import fit_sectors
 
 
@@ -232,9 +234,12 @@ def test_matrix_dump_round_trip(rng):
         matrix_from_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]})
 
 
+_SPECIALS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-300, -2.5e17]
+
+
 def _special_matrix(rng, dim):
     """Random complex entries with -0.0, NaN and +-inf mixed into both parts."""
-    specials = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, -2.5e17])
+    specials = np.array(_SPECIALS)
     parts = rng.standard_normal((2, dim, dim))
     mask = rng.random((2, dim, dim)) < 0.4
     parts[mask] = rng.choice(specials, size=mask.sum())
@@ -249,8 +254,47 @@ def test_matrix_dumps_match_elementwise_oracles(rng, dim):
         got = matrix_to_json(m)
         assert all(type(x) is float for part in ("re", "im") for row in got[part] for x in row)
         # NaN != NaN, so the dumps are compared as the text the CLI prints
-        assert json.dumps(got, indent=2) == json.dumps(oracle_matrix_to_json(m), indent=2)
+        assert json_text(got) == json.dumps(oracle_matrix_to_json(m), indent=2) + "\n"
         assert matrix_to_csv(m) == oracle_matrix_to_csv(m)
+
+
+_SPECIAL_FLOATS = st.sampled_from(_SPECIALS)
+_FLOATS = st.one_of(_SPECIAL_FLOATS, st.floats(),
+                    st.builds(np.float64, st.one_of(_SPECIAL_FLOATS, st.floats())))
+_TEXTS = st.one_of(st.text(), st.sampled_from(
+    ['', '"', "\\", "a\"b\\c", "\x00\x1f\n\t\x7f", "\u00e9\u2713\U0001f600", "\u2028"]))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _TEXTS, _FLOATS)
+# homogeneous lists take the writer's joined paths, mixed ones the per-item path
+_LEAVES = st.one_of(_SCALARS, st.lists(_FLOATS), st.lists(st.floats()),
+                    st.lists(st.integers()), st.lists(st.booleans()), st.lists(_SCALARS))
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(_TEXTS, children, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300)
+@given(_PAYLOADS)
+@example([1, 1.0, True])
+@example({"": [[], {}, ()], "x": {"y": [[[]]]}})
+@example(_SPECIALS)
+@example([np.float64(math.nan), np.float64(-0.0), 2.5])
+def test_json_text_equals_indented_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_json_text_rejects_what_json_rejects_and_non_str_keys():
+    for bad in ({("a",): 1}, [np.int64(1)], [{"a": {1, 2}}], object()):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            json_text(bad)
+    # json would write these keys as "1" and "null"; no payload has them
+    for bad in ({1: 2}, {"a": {None: 1}}):
+        with pytest.raises(TypeError, match="keys must be str"):
+            json_text(bad)
 
 
 def test_as_state_dtype_rule_and_shapes():
