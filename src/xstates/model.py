@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (SECTOR_FIT_TOL, as_state, sector_eigenvalues,
-                     sector_hermiticity_deviation, x_matrix_entries)
+                     sector_hermiticity_deviation, x_matrix_entries, x_shaped_entries)
 from .pauli import FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame
 
 # Qubits per Kronecker block: n <= 4 costs one matmul, n <= 12 at most three.
@@ -65,7 +65,7 @@ class XStateParams:
             raise ValueError(f"a must have length {size}, got {len(self.a)}")
         if self.d[0] != 1.0:
             raise ValueError("d[0] must equal 1 (trace normalization)")
-        if not all(math.isfinite(v) for v in self.d + self.a):
+        if not all(math.isfinite(v) for seq in (self.d, self.a) for v in seq):
             raise ValueError("parameters must be finite reals")
         if self.frame not in FRAMES:
             raise ValueError(f"unknown frame {self.frame!r}; expected one of "
@@ -162,6 +162,11 @@ def _sector_factors() -> tuple[np.ndarray, ...]:
 
 
 _SECTOR_FACTORS = _sector_factors()
+# their conjugates as (2, 2**g, 2**g) over (half, basis bits, parameter bits)
+_SECTOR_ADJOINT = tuple(np.ascontiguousarray(t.conj().transpose(0, 2, 1))
+                        for t in _SECTOR_FACTORS)
+for _t in _SECTOR_ADJOINT:
+    _t.setflags(write=False)
 
 
 class _Layout(NamedTuple):
@@ -208,6 +213,20 @@ def _entries(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
     return t.reshape(*coeffs.shape[:-1], 1 << n, 1 << n)
 
 
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("state entries must be finite")
+
+
+def _real_coefficients(t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The real parts of a transform's result t laid out as shape, checked
+    finite: finite input can overflow in the transform."""
+    coeffs = t.real.reshape(shape)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("state family coefficients overflow")
+    return coeffs
+
+
 def _coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
     """tr(P_k rho) for every family operator P_k: the adjoint of _entries.
 
@@ -215,8 +234,7 @@ def _coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
     Non-finite input raises ValueError before the transform, and finite
     input whose coefficients overflow after it.
     """
-    if not np.isfinite(rho).all():
-        raise ValueError("state entries must be finite")
+    _require_finite(rho)
     _, adjoint = _FACTORS[frame]
     layout = _LAYOUTS[n]
     *inner, last = layout.sizes
@@ -227,78 +245,220 @@ def _coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
             # (B, 4**g, half, R) -> (B, half, R, block j)
             t = t.reshape(-1, 4 ** g, 2, t.shape[-1] >> 1)
             t = (np.moveaxis(t, 1, -1) @ adjoint[g].transpose(1, 0, 2)).reshape(len(t), -1)
-    coeffs = t.real.reshape(*rho.shape[:-2], 2 << n)
-    if not np.isfinite(coeffs).all():
-        raise ValueError("state family coefficients overflow")
-    return coeffs
+    return _real_coefficients(t, (*rho.shape[:-2], 2 << n))
+
+
+def _sector_loop(t: np.ndarray, sizes, tables) -> np.ndarray:
+    """The block loop of the sector transforms.
+
+    t (rows, half, index) meets tables[g] (half, 2**g, 2**g) block by block,
+    in the order of sizes, from the lowest index bits up.  Each block's image
+    lands in front of the later blocks' images, so the result is
+    (rows, image of the first block, ..., of the last, half, 1).
+    """
+    for g in sizes:
+        # (rows so far, half, R, block) -> (rows so far, block's image, half, R)
+        t = (t.reshape(-1, 2, t.shape[-1] >> g, 1 << g) @ tables[g]).transpose(0, 3, 1, 2)
+    return t
+
+
+def _x_entries(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """The Z-frame X entries of the coefficients (..., 2**(n+1)), d then a,
+    as (..., dim, 2): rho[b, b] and rho[b, ~b] for each basis row b.
+
+    The sector tables run from block 1, the lowest parameter bits, whose
+    basis bits come out first: the result is in basis order.
+    """
+    t = _sector_loop(coeffs.reshape(-1, 2, 1 << n) / (1 << n), _LAYOUTS[n].sizes,
+                     _SECTOR_FACTORS)
+    return t.reshape(*coeffs.shape[:-1], 1 << n, 2)
+
+
+def _sector_entries(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z-frame diag[..., b] = rho[b, b] and anti[..., b] = rho[b, ~b] of the
+    coefficients (..., 2**(n+1)), d then a: _x_entries, diag made real."""
+    t = _x_entries(coeffs, n)
+    return t[..., 0].real, t[..., 1]
+
+
+def _sector_coefficients(x: np.ndarray, n: int) -> np.ndarray:
+    """tr(P_k rho) for the Z-frame family operators P_k of an X-shaped rho
+    (or stack) from its X entries x (..., 2, dim), diag then anti: the
+    adjoint of _x_entries, in O(n * 2**n), with _coefficients' errors.
+
+    The conjugate sector tables run from block m, the lowest basis bits,
+    whose parameter bits come out first: the result is in parameter order.
+    """
+    _require_finite(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = _sector_loop(x.reshape(-1, 2, 1 << n), _LAYOUTS[n].sizes[::-1], _SECTOR_ADJOINT)
+    return _real_coefficients(t.reshape(-1, 1 << n, 2).transpose(0, 2, 1),
+                              (*x.shape[:-2], 2 << n))
 
 
 def _project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarray]:
     """(coeffs, diff): the family coefficients of rho (or of a stack) with
     d_0 pinned to 1, so a trace deficit lands in diff, and rho minus their
-    matrix."""
-    coeffs = _coefficients(rho, n, frame)
-    coeffs[..., 0] = 1.0
-    diff = _entries(coeffs, n, frame)
-    return coeffs, np.subtract(rho, diff, out=diff)
+    matrix.
 
-
-def _sector_entries(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z-frame diag[..., b] = rho[b, b] and anti[..., b] = rho[b, ~b] of the
-    coefficients (..., 2**(n+1)), d then a.
-
-    The same block loop as _entries with the sector tables; block j's basis
-    bits land in front of the later blocks', so the result is in basis order.
+    In the Z frame an X-shaped rho (or stack, linalg.x_shaped_entries) is
+    projected from its X entries alone, by _sector_coefficients and
+    _x_entries in O(n * 2**n) after the O(4**n) shape check.  diff is then
+    (..., 2, dim), diag then anti: off the X both rho and its projection
+    are exactly 0, so the largest entry is the same.
     """
-    t = coeffs.reshape(-1, 2, 1 << n) / (1 << n)
-    for g in _LAYOUTS[n].sizes:
-        # (rows so far, half, R, block j) -> (rows so far, block j's rows, half, R)
-        t = t.reshape(-1, 2, t.shape[-1] >> g, 1 << g) @ _SECTOR_FACTORS[g]
-        t = np.moveaxis(t, -1, 1)
-    t = t.reshape(*coeffs.shape[:-1], 1 << n, 2)
-    return t[..., 0].real, t[..., 1]
+    x = x_shaped_entries(rho) if frame == "Z" else None
+    if x is None:
+        coeffs = _coefficients(rho, n, frame)
+        coeffs[..., 0] = 1.0
+        diff = _entries(coeffs, n, frame)
+        return coeffs, np.subtract(rho, diff, out=diff)
+    x = np.concatenate([e[..., None, :] for e in x], axis=-2)
+    coeffs = _sector_coefficients(x, n)
+    coeffs[..., 0] = 1.0
+    return coeffs, x - np.swapaxes(_x_entries(coeffs, n), -1, -2)
+
+
+# (-1)**(number of set bits among the top two), per quarter of the basis
+_QUARTER_SIGN = np.array([[1.0], [-1.0], [-1.0], [1.0]])
+_QUARTER_SIGN.setflags(write=False)
+
+
+def _screen_deviation(rho: np.ndarray, n: int, frame: str) -> float:
+    """How far row 0 of rho (n >= 2) is from commuting with g, the frame's
+    image of Z_1 Z_2, which every operator of the frame's family commutes
+    with: max_c |rho[0, c] - s(c) rho[x, c ^ x]|.
+
+    x holds the basis bits that g flips, those of qubits 1 and 2 (the top
+    two) unless g is Z_1 Z_2, and s(c) = -1 where g has Z or Y there and c
+    has exactly one of the two bits set; g's own phase cancels.  So the row
+    splits into quarters by those bits, and c ^ x reverses the quarters.
+    O(2**n).  A NaN entry can give NaN, which no bound rejects.
+    """
+    axis = FRAMES[frame].image("Z")[0]
+    row = rho[0].reshape(4, -1)
+    partner = row if axis == "Z" else rho[3 << (n - 2)].reshape(4, -1)[::-1]
+    # inf times 0 and inf - inf give NaN, and entries near DBL_MAX may
+    # overflow, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        if axis != "X":
+            partner = _QUARTER_SIGN * partner
+        return float(np.abs(row - partner).max())
+
+
+def _screen_bound(n: int, frame: str) -> float:
+    """The largest _screen_deviation of a rho whose fit in the frame succeeds.
+
+    Z: the fit demands exact zeros off the X, and row 0's entries with
+    s(c) = -1 lie off it, so 0.
+
+    X and Y: 2 SECTOR_FIT_TOL / sqrt(dim) plus a rounding bound, derived
+    here with u = 2**-53 and N = 4**n.  Let sigma be the computed
+    projection.  It keeps g's symmetry bitwise: each of its entries is one
+    rounded sum of a d and an a term, exact multiples (by 0, +-1, +-i) of
+    the computed coefficients, the terms at (x, c ^ x) are s(c) times those
+    at (0, c), and rounding to nearest is odd.  So the projection's own
+    rounding adds nothing, and the deviation is that of rho - sigma, at most
+    2 max |rho - sigma| <= 2 ||rho - sigma||_F.  A passing fit has
+    fl(sqrt(dim) ||fl(rho - sigma)||_F) <= SECTOR_FIT_TOL.  The difference
+    rounds once per entry; the norm sums N squares in each of two dot
+    products (relative error gamma_N = N u / (1 - N u)), then adds them,
+    takes a square root and multiplies by the rounded sqrt(dim).  Squares
+    that underflow lose at most sqrt(N) 2**-537 in all, far below the rest.
+    So ||rho - sigma||_F <= SECTOR_FIT_TOL / (sqrt(dim) (1 - gamma_(N+5))).
+    The deviation's own subtraction and modulus add a factor 1 + gamma_3.
+    The result exceeds 2 SECTOR_FIT_TOL / sqrt(dim) by a factor of about
+    1 + (N + 8) u.  The bound takes 1 + (N + 16) 2**-52, which also covers
+    the rounding in computing the bound itself.  No bound at n = 1: the
+    algebra's center is empty, and every state fits in the Z frame.
+    """
+    if frame == "Z":
+        return 0.0
+    fit = 2 * SECTOR_FIT_TOL / math.sqrt(1 << n)
+    return fit + fit * (4 ** n + 16) * np.finfo(float).eps
+
+
+def _fit(rho: np.ndarray, n: int, frame: str) -> "tuple[np.ndarray, np.ndarray] | None":
+    """Z-frame (diag, anti) of rho if it fits the frame's family, else None
+    (see fit_sectors)."""
+    if frame == "Z":
+        return x_matrix_entries(rho)
+    coeffs, diff = _project(rho, n, frame)
+    if math.sqrt(len(rho)) * np.linalg.norm(diff) <= SECTOR_FIT_TOL:
+        return _sector_entries(coeffs, n)
+    return None
 
 
 def fit_sectors(rho: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray] | None":
     """Z-frame (diag, anti) of the X state, in any frame, that rho is, else None.
 
-    X-shaped input gives its own entries (linalg.x_matrix_entries, which
-    rejects non-Hermitian ones).  Other input is projected onto the X- and
-    then the Y-frame family; sqrt(dim) ||diff||_F bounds the trace-norm
-    distance to the projection, and so the change of any negativity, as the
-    partial transpose keeps the Frobenius norm.  The first frame within
-    SECTOR_FIT_TOL gives the entries: the frames are local unitary conjugates
-    of the Z frame.  The projection is Hermitian with unit trace, so a
-    non-Hermitian rho, or one of another trace, fails the bound.
+    The frames are tried in the order Z, X, Y, and the first that fits
+    gives the entries: the frames are local unitary conjugates of the Z
+    frame.
+    - Z: X-shaped input gives its own entries (linalg.x_matrix_entries,
+      which rejects non-Hermitian ones).
+    - X and Y: rho is projected onto the frame's family; sqrt(dim)
+      ||diff||_F bounds the trace-norm distance to the projection, and so
+      the change of any negativity, as the partial transpose keeps the
+      Frobenius norm.  It must be within SECTOR_FIT_TOL.  The projection is
+      Hermitian with unit trace, so a non-Hermitian rho, or one of another
+      trace, fails the bound.
+    For n >= 2 one row screens each fit first, in O(2**n): a
+    _screen_deviation above _screen_bound means the fit fails, so it is
+    skipped.  A Y-frame state typically skips the Z check and the X
+    projection, and input outside every family all three.  A skipped projection would
+    still have raised ValueError on NaN or infinite input, or on finite
+    input whose coefficients may overflow (an entry above DBL_MAX / (2 dim),
+    as a coefficient sums dim of them); such input takes the skipped fits.
     """
     rho = as_state(rho, n)
-    entries = x_matrix_entries(rho)
-    if entries is not None:
-        return entries
-    for frame in ("X", "Y"):
-        coeffs, diff = _project(rho, n, frame)
-        if math.sqrt(len(rho)) * np.linalg.norm(diff) <= SECTOR_FIT_TOL:
-            return _sector_entries(coeffs, n)
+    skipped = []
+    for frame in FRAMES:
+        if n > 1 and _screen_deviation(rho, n, frame) > _screen_bound(n, frame):
+            skipped.append(frame)
+        elif (entries := _fit(rho, n, frame)) is not None:
+            return entries
+    if skipped and not np.abs(rho).max() <= np.finfo(float).max / (2 << n):
+        for frame in skipped:
+            if (entries := _fit(rho, n, frame)) is not None:
+                return entries
     return None
 
 
 def materialize(p: XStateParams) -> np.ndarray:
-    """The dense density matrix of the parameterized X state."""
-    return _entries(np.concatenate([p.d, p.a]), p.n, p.frame)
+    """The dense density matrix of the parameterized X state.
+
+    A Z-frame state is its X entries (_x_entries, O(n * 2**n)) placed on
+    the diagonal and the anti-diagonal of a zero matrix; other frames take
+    the Kronecker-factored transform, _entries.
+    """
+    coeffs = np.concatenate([p.d, p.a])
+    if p.frame != "Z":
+        return _entries(coeffs, p.n, p.frame)
+    x = _x_entries(coeffs, p.n)
+    dim = 1 << p.n
+    rho = np.zeros((dim, dim), dtype=complex)
+    flat = rho.reshape(-1)
+    flat[::dim + 1] = x[:, 0].real
+    flat[dim - 1:-1:dim - 1] = x[:, 1]     # rho[b, dim - 1 - b]
+    return rho
 
 
 def decompose(rho: np.ndarray, n: int, frame: str = "Z") -> tuple[XStateParams, float]:
     """Project onto the frame's X family.
 
-    Returns the recovered parameters and the max-norm residual of rho outside
-    the family, family_residual's value.  d[0] is pinned to 1, so any trace
-    deficit shows up in the residual rather than in the parameters.  rho
-    passes linalg.as_state; non-finite or overflowing input raises ValueError.
+    Returns the recovered parameters, as Python floats, and the max-norm
+    residual of rho outside the family, family_residual's value; both come
+    from _project, which reads an X-shaped Z-frame rho from its X entries
+    alone.  d[0] is pinned to 1, so any trace deficit shows up in the
+    residual rather than in the parameters.  rho passes linalg.as_state;
+    non-finite or overflowing input raises ValueError.
     """
     rho = as_state(rho, n)
     coeffs, diff = _project(rho, n, frame)
     dim = 1 << n
-    params = XStateParams(n, (1.0,) + tuple(coeffs[1:dim]), tuple(coeffs[dim:]), frame)
+    params = XStateParams(n, (1.0, *coeffs[1:dim].tolist()), tuple(coeffs[dim:].tolist()),
+                          frame)
     return params, float(np.abs(diff).max())
 
 
@@ -307,8 +467,8 @@ def family_residual(rho: np.ndarray, n: int, frame: str = "Z") -> "float | np.nd
 
     Accepts a single (dim, dim) matrix, giving a float, or any stack
     (..., dim, dim), giving an array of the stack's shape; each value is
-    decompose's residual.  Non-finite input, or input whose coefficients or
-    residual overflow, raises ValueError.
+    decompose's residual, from the same _project.  Non-finite input, or
+    input whose coefficients or residual overflow, raises ValueError.
     """
     rho = as_state(rho, n, stack=True)
     residual = np.abs(_project(rho, n, frame)[1]).max(axis=(-2, -1))

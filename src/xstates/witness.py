@@ -146,7 +146,8 @@ def witness_report(w: Witness, state: "np.ndarray | XStateParams") -> dict:
 
 
 def negativity(rho: np.ndarray, subset, n: int) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose.
+    """Sum of |negative eigenvalues| of the partial transpose, +0.0 when
+    there is none.
 
     rho passes linalg.as_state.  When model.fit_sectors resolves its Z-frame
     sector entries (X-shaped input, or an X/Y-frame X state within
@@ -164,7 +165,7 @@ def negativity(rho: np.ndarray, subset, n: int) -> float:
         diag, anti = entries
         flip = sum(1 << (n - q) for q in qubits)
         eigenvalues = sector_eigenvalues(diag, anti[np.arange(1 << n) ^ flip])
-    return float(-eigenvalues[eigenvalues < 0].sum())
+    return float(0.0 - eigenvalues[eigenvalues < 0].sum())    # not -0.0
 
 
 def yu_eberly(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:

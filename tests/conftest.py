@@ -1,12 +1,14 @@
 """Shared independent oracles and random generators for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from xstates import DesignReport, PauliString, decompose
+from xstates import FRAMES, DesignReport, PauliString, decompose, model
+from xstates.linalg import SECTOR_FIT_TOL, x_matrix_entries
 
 # An example's cost grows with its qubit count, so no per-example deadline;
 # each @settings gives only its max_examples.
@@ -31,6 +33,28 @@ def oracle_pauli_matrix(p: PauliString) -> np.ndarray:
     """Literal Kronecker build from named factors; independent of the library path."""
     mats = [NAMED[p.axis_on(j)] for j in range(1, p.n + 1)]
     return (1j ** p.named_phase) * kron_chain(mats)
+
+
+def oracle_center_image(n, frame):
+    """The frame's image of Z_1 Z_2, which commutes with every operator of
+    the frame's family, as a dense matrix from the named factors."""
+    axis = NAMED[FRAMES[frame].image("Z")[0]]
+    return kron_chain([axis, axis] + [I2] * (n - 2))
+
+
+def center_twist(rng, n, frame):
+    """g U g^dag - U for g the frame's center image and U a random matrix
+    unit in row 0, scaled to Frobenius norm 1 (U itself when that is 0).
+    It lies off the commutant of g; its row-0 screen deviation is up to
+    sqrt(2) times its norm, the most that the screen bound allows."""
+    dim = 1 << n
+    g = oracle_center_image(n, frame)
+    unit = np.zeros((dim, dim), dtype=complex)
+    unit[0, rng.integers(dim)] = 1.0
+    twist = g @ unit @ g.conj().T - unit
+    if not twist.any():
+        twist = unit
+    return twist / np.linalg.norm(twist)
 
 
 def oracle_witness_matrix(alpha, psi):
@@ -96,6 +120,20 @@ def oracle_negativity(rho, subset, n):
             pt[r ^ swap, c ^ swap] = rho[r, c]
     w = np.linalg.eigvalsh(pt)
     return float(-w[w < 0].sum())
+
+
+def oracle_fit_sectors(rho, n):
+    """The sector resolver without its row screens: the X entries of
+    X-shaped input, else the sector entries of the first of the X and Y
+    frames whose projection lies within SECTOR_FIT_TOL, else None."""
+    entries = x_matrix_entries(rho)
+    if entries is not None:
+        return entries
+    for frame in ("X", "Y"):
+        coeffs, diff = model._project(rho, n, frame)
+        if math.sqrt(len(rho)) * np.linalg.norm(diff) <= SECTOR_FIT_TOL:
+            return model._sector_entries(coeffs, n)
+    return None
 
 
 def oracle_wootters_concurrence(rho):

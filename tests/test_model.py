@@ -1,18 +1,22 @@
 import json
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import oracle_pauli_matrix, random_density, random_valid_x_params
+from conftest import (center_twist, oracle_center_image, oracle_pauli_matrix,
+                      random_density, random_valid_x_params)
+from xstates import model
 from xstates import (FRAMES, XStateParams, bell_diagonal, decompose,
                      dicke_state, family_residual, generate_set, ghz_params,
                      ghz_state, hermitian_eigen, materialize, named_example,
                      negativity, params_from_json, params_to_json, partial_trace,
                      partial_transpose, validate, werner)
-from xstates.linalg import sector_eigenvalues, x_matrix_entries
+from xstates.linalg import SECTOR_FIT_TOL, sector_eigenvalues, x_matrix_entries
 from xstates.model import VALID_EIG_TOL, _sector_entries, fit_sectors
 
 BELL = XStateParams.build(2, d={3: 1.0}, a={0: 1.0, 3: -1.0})
@@ -358,11 +362,11 @@ def fit_cases(draw):
 def test_fit_sectors_recovers_the_sector_entries(p):
     rho = materialize(p)
     got = fit_sectors(rho, p.n)
+    want = _sector_entries(np.concatenate([p.d, p.a]), p.n)
     if p.frame == "Z":      # X-shaped: the entries read off the matrix
         assert all(map(np.array_equal, got, x_matrix_entries(rho)))
-    # materialize sums in another order than the sector tables: a Z-frame
-    # diagonal can differ from them in the last bit
-    want = _sector_entries(np.concatenate([p.d, p.a]), p.n)
+        assert all(map(np.array_equal, got, want))
+    # the fitted entries come from the projection's coefficients
     assert all(np.max(np.abs(g - w)) <= 1e-12 for g, w in zip(got, want))
     off_family = rho.copy()
     off_family[0, 1] += 1e-3      # a Hermitian pair off the family of every frame
@@ -401,3 +405,190 @@ def test_overflowing_family_transform_raises(frame):
     for rho in (big, np.stack([np.eye(4) / 4, big])):
         with pytest.raises(ValueError, match="overflow"):
             family_residual(rho, 2, frame)
+
+
+def test_params_accept_numpy_sequences():
+    # RuntimeWarnings are errors in the test settings: d + a would add the
+    # arrays elementwise and overflow
+    p = XStateParams(1, np.array([1.0, 1e308]), np.array([0.0, 1e308]))
+    assert p.d[1] == p.a[1] == 1e308
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            XStateParams(1, np.array([1.0, 0.0]), np.array([0.0, bad]))
+
+
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+def test_decompose_returns_python_floats(rng, frame):
+    for n in (1, 3, 5):
+        rho = materialize(random_valid_x_params(rng, n, frame))
+        q, _ = decompose(rho, n, frame)
+        assert all(type(v) is float for v in q.d + q.a)
+        coeffs = model._project(rho, n, frame)[0]
+        assert np.array_equal(q.d + q.a, coeffs)
+
+
+def _oracle_sum(p):
+    ops = [oracle_pauli_matrix(q) for q in generate_set(p.n, p.frame).elements]
+    expect = np.eye(1 << p.n) * p.d[0]
+    for c, op in zip(p.d[1:] + p.a, ops):
+        expect = expect + c * op
+    return expect / (1 << p.n)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
+def test_z_frame_materialize_matches_dense_oracle(n, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-1.0, 1.0, 1 << n)
+    d[0] = 1.0
+    p = XStateParams(n, tuple(d), tuple(rng.uniform(-1.0, 1.0, 1 << n)))
+    rho = materialize(p)
+    assert np.max(np.abs(rho - _oracle_sum(p))) <= 1e-15
+    x = np.zeros_like(rho, dtype=bool)
+    np.fill_diagonal(x, True)
+    np.fill_diagonal(x[:, ::-1], True)
+    assert not rho[~x].any()
+    diag, anti = _sector_entries(np.concatenate([p.d, p.a]), n)
+    assert np.array_equal(rho.diagonal(), diag) and np.array_equal(rho[:, ::-1].diagonal(), anti)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_z_frame_ghz_materialize_bitwise(n):
+    rho = materialize(ghz_params(n))
+    expect = np.zeros((1 << n, 1 << n), dtype=complex)
+    expect[0, 0] = expect[0, -1] = expect[-1, 0] = expect[-1, -1] = 0.5
+    assert rho.tobytes() == expect.tobytes()
+    if n <= 7:
+        assert rho.tobytes() == _oracle_sum(ghz_params(n)).tobytes()
+
+
+def test_z_frame_x_shaped_round_trip_takes_no_dense_transform(rng):
+    for n in (1, 4, 9):
+        p = random_valid_x_params(rng, n, "Z")
+        with mock.patch.object(model, "_entries", wraps=model._entries) as entries, \
+             mock.patch.object(model, "_coefficients", wraps=model._coefficients) as coeffs:
+            rho = materialize(p)
+            decompose(rho, n, "Z")
+            family_residual(rho, n, "Z")
+            family_residual(np.stack([rho, rho]), n, "Z")
+        assert entries.call_count == coeffs.call_count == 0
+        with mock.patch.object(model, "_entries", wraps=model._entries) as entries:
+            materialize(XStateParams(n, p.d, p.a, "X"))
+            rho[0, 1] = 1e-3          # X-shaped only at n = 1; else the dense transform
+            decompose(rho, n, "Z")
+        assert entries.call_count == 1 + (n > 1)
+
+
+def _dense_projection(rho, n):
+    """The Z-frame projection by the dense transform, as before the X-entry
+    route: coefficients with d_0 pinned, and the max-norm residual."""
+    coeffs = model._coefficients(rho, n, "Z")
+    coeffs[..., 0] = 1.0
+    return coeffs, np.abs(rho - model._entries(coeffs, n, "Z")).max(axis=(-2, -1))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_z_frame_projection_of_x_shaped_input_matches_dense(n, seed, real):
+    """Any X-shaped input, Hermitian or not, of any trace, single or stacked,
+    with entries of a density matrix's size."""
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    stack = np.zeros((3, dim, dim), dtype=float if real else complex)
+    for rho in stack:
+        for m in (rho, rho[:, ::-1]):
+            v = rng.uniform(-1.0, 1.0, dim) / dim
+            np.fill_diagonal(m, v if real else v + 1j * rng.uniform(-1.0, 1.0, dim) / dim)
+    # each coefficient sums dim terms of size at most sqrt(2) / dim, in
+    # blocks of at most 16 per level on either path: at most 45 roundings
+    tol = 2 * 45 * np.finfo(float).eps * math.sqrt(2)
+    want_coeffs, want_res = _dense_projection(stack, n)
+    for rho, c, r in zip(stack, want_coeffs, want_res):
+        q, res = decompose(rho, n, "Z")
+        assert np.max(np.abs(np.array(q.d + q.a) - c)) <= tol
+        assert abs(res - r) <= tol
+        assert res == family_residual(rho, n, "Z")
+    assert np.max(np.abs(family_residual(stack, n, "Z") - want_res)) <= tol
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_x_shaped_projection_rejects_non_finite(bad):
+    rho = materialize(ghz_params(3))
+    for i, j in ((0, 0), (0, 7), (2, 5)):
+        m = rho.copy()
+        m[i, j] = bad
+        with pytest.raises(ValueError, match="finite"):
+            decompose(m, 3, "Z")
+        with pytest.raises(ValueError, match="finite"):
+            family_residual(np.stack([rho, m]), 3, "Z")
+    m = rho.copy()
+    m[0, 0] = m[7, 7] = 1e308                 # X-shaped; d_1 overflows
+    with pytest.raises(ValueError, match="overflow"):
+        decompose(m, 3, "Z")
+
+
+@pytest.mark.parametrize("frame", ["X", "Y"])
+def test_projection_keeps_center_symmetry_bitwise(rng, frame):
+    """The computed projection commutes with the image g of Z_1 Z_2 with no
+    rounding at all: the premise of the screen bound."""
+    for n in range(2, 9):
+        rho = random_density(rng, 1 << n) + 0.1 * rng.normal(size=(1 << n, 1 << n))
+        coeffs = model._project(rho, n, frame)[0]
+        sigma = model._entries(coeffs, n, frame)
+        g = oracle_center_image(n, frame)
+        # g is a phased permutation matrix: each entry of g sigma g^dag is one
+        # exact product
+        assert np.array_equal((g @ sigma @ g.conj().T)[0], sigma[0])
+
+
+@st.composite
+def screen_cases(draw):
+    """A state of one frame's family, n = 2..8, perturbed near SECTOR_FIT_TOL:
+    either generically or by a center twist (conftest.center_twist), the
+    direction in which the row screen is tightest."""
+    n = draw(st.integers(2, 8))
+    dim = 1 << n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = rng.uniform(-1.0, 1.0, dim) * 2.0 ** -draw(st.integers(0, 4))
+    d[0] = 1.0
+    a = rng.uniform(-1.0, 1.0, dim) * 2.0 ** -draw(st.integers(0, 4))
+    rho = materialize(XStateParams(n, tuple(d), tuple(a), draw(st.sampled_from(sorted(FRAMES)))))
+    if draw(st.booleans()):
+        e = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        e /= np.linalg.norm(e)
+    else:
+        e = center_twist(rng, n, draw(st.sampled_from(sorted(FRAMES))))
+    return rho + e * (2.0 ** draw(st.floats(-3.0, 3.0)) * SECTOR_FIT_TOL / math.sqrt(dim)), n
+
+
+@settings(max_examples=300)
+@given(screen_cases())
+def test_screen_rejection_implies_failed_fit(case):
+    rho, n = case
+    for frame in FRAMES:
+        if model._screen_deviation(rho, n, frame) > model._screen_bound(n, frame):
+            assert model._fit(rho, n, frame) is None
+
+
+def test_screen_passes_family_states_of_its_frame(rng):
+    for n in range(2, 11):
+        for frame in sorted(FRAMES):
+            rho = materialize(random_valid_x_params(rng, n, frame))
+            assert model._screen_deviation(rho, n, frame) == 0.0
+            others = [f for f in FRAMES if f != frame]
+            assert all(model._screen_deviation(rho, n, f) > model._screen_bound(n, f)
+                       for f in others)
+
+
+def test_screened_fits_keep_the_transform_errors():
+    # off every family in row 0, so every screen rejects; the skipped
+    # projection would have raised, and still does
+    rho = np.eye(8) / 8
+    rho[0, 2] = rho[2, 0] = 0.1
+    assert all(model._screen_deviation(rho, 3, f) > model._screen_bound(3, f) for f in FRAMES)
+    for bad, match in ((1e308, "overflow"), (np.inf, "finite"), (np.nan, "finite")):
+        m = rho.copy()
+        m[5, 6] = m[6, 5] = bad
+        with pytest.raises(ValueError, match=match):
+            fit_sectors(m, 3)
+    assert fit_sectors(rho, 3) is None

@@ -1,5 +1,5 @@
 import tracemalloc
-from math import sqrt
+from math import copysign, sqrt
 from unittest import mock
 
 import numpy as np
@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (kron_chain, oracle_negativity, oracle_witness_matrix,
-                      oracle_wootters_concurrence, random_density, random_product_states,
-                      random_unitary, random_valid_x_params)
+from conftest import (center_twist, kron_chain, oracle_fit_sectors, oracle_negativity,
+                      oracle_witness_matrix, oracle_wootters_concurrence, random_density,
+                      random_product_states, random_unitary, random_valid_x_params)
 from xstates import (PureState, Witness, XStateParams, concurrence, dicke_state,
                      evaluate_witness, ghz_params, ghz_state, make_witness,
                      materialize, named_example, negativity, strength_grid, sweep,
                      werner, witness, witness_report)
-from xstates import linalg
+from xstates import linalg, model
 from xstates.linalg import ToleranceError, hermitian_eigenvalues, x_matrix_entries
 
 
@@ -414,3 +414,61 @@ def test_overflowing_state_raises():
     rho[0, 1] = rho[1, 0] = 1e308                # off the X, Hermitian, unit trace
     with pytest.raises(ValueError, match="overflow"):
         concurrence(rho)
+
+
+@st.composite
+def near_family_states(draw):
+    """X states of any frame, n = 2..7, exact or perturbed near the fit's
+    SECTOR_FIT_TOL: by a Hermitian bump off every family, or by a center
+    twist (conftest.center_twist), which is not Hermitian; or dense states."""
+    n = draw(st.integers(2, 7))
+    dim = 1 << n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["exact", "bump", "twist", "dense"]))
+    if kind == "dense":
+        return random_density(rng, dim), n
+    rho = materialize(random_valid_x_params(rng, n, draw(st.sampled_from(["Z", "X", "Y"]))))
+    size = 2.0 ** draw(st.floats(-3.0, 3.0)) * linalg.SECTOR_FIT_TOL / sqrt(dim)
+    if kind == "bump":
+        j = draw(st.integers(1, dim - 1))
+        rho[0, j] += size
+        rho[j, 0] += size
+    elif kind == "twist":
+        rho = rho + size * center_twist(rng, n, draw(st.sampled_from(["Z", "X", "Y"])))
+    return rho, n
+
+
+@settings(max_examples=150)
+@given(near_family_states())
+def test_measures_bitwise_equal_to_unscreened_fit(case):
+    rho, n = case
+    with mock.patch.object(witness, "fit_sectors", oracle_fit_sectors):
+        want = [negativity(rho, q, n) for q in ([1], [n], range(1, n))]
+        want_c = concurrence(rho) if n == 2 else None
+    got = [negativity(rho, q, n) for q in ([1], [n], range(1, n))]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    if n == 2:
+        assert concurrence(rho).hex() == want_c.hex()
+
+
+def test_y_frame_negativity_projects_once(rng):
+    for n in (2, 5, 8):
+        rho = materialize(random_valid_x_params(rng, n, "Y"))
+        with mock.patch.object(model, "_project", wraps=model._project) as project, \
+             spy_dense_spectrum() as dense:
+            negativity(rho, [1], n)
+        assert project.call_count == 1 and dense.call_count == 0
+        assert [c.args[2] for c in project.call_args_list] == ["Y"]
+
+
+def test_negativity_without_negative_eigenvalue_is_positive_zero(rng):
+    for n in (2, 3):
+        dim = 1 << n
+        product = random_product_states(rng, n, 1)[0]
+        states = [np.eye(dim) / dim,                                      # X-shaped
+                  materialize(XStateParams.build(n, "Y", d={1: 0.5})),    # fitted
+                  np.outer(product, product.conj())]                      # dense
+        assert x_matrix_entries(states[1]) is None
+        for rho in states:
+            for subset in (set(), set(range(1, n + 1)), {1}):
+                assert copysign(1.0, negativity(rho, subset, n)) == 1.0
