@@ -82,24 +82,18 @@ def standard_channel(kind: str, strength: float) -> Channel:
     """
     _check_strengths((strength,))
     s = float(strength)
-    return _channel(kind, s, _kraus_stack(kind, [s])[0])
-
-
-def _channel(kind: str, s: float, kraus: np.ndarray) -> Channel:
-    """The Channel of one strength's row of _kraus_stack(kind, ...)."""
     name = "amplitude_damping" if kind == "spontaneous_emission" else kind
-    return Channel(tuple(kraus), f"{name}({s})")
+    return Channel(tuple(_kraus_stack(kind, [s])[0]), f"{name}({s})")
 
 
 CHANNEL_KINDS = ("amplitude_damping", "phase_damping", "depolarizing")
 
 
-def _superoperator(kraus: "Channel | np.ndarray") -> np.ndarray:
+def _superoperator(k: np.ndarray) -> np.ndarray:
     """sum_k K_k (x) K_k^* as a 4x4 matrix on the flattened (row bit, column
-    bit) pair, of a Channel or of each channel of a Kraus stack (..., K, 2, 2).
-    Each entry is a plain sum of rounded products, so entries that are equal
-    in exact arithmetic cancel exactly in _preserves_family."""
-    k = np.stack(kraus.kraus) if isinstance(kraus, Channel) else kraus
+    bit) pair, of each channel of a Kraus stack (..., K, 2, 2).  Each entry
+    is a plain sum of rounded products, so entries that are equal in exact
+    arithmetic cancel exactly in _preserves_family."""
     prod = k[..., :, None, :, None] * k.conj()[..., None, :, None, :]
     return prod.sum(axis=-5).reshape(*k.shape[:-3], 4, 4)
 
@@ -121,12 +115,16 @@ def apply_channel(rho: np.ndarray, ch: Channel, qubits, n: int) -> np.ndarray:
     O(16 * 4^n) whatever the number of Kraus operators.
     """
     rho = as_state(rho, n, stack=True)
-    qubit_list = _checked_qubits(qubits, n)
-    if not qubit_list:
+    return _contract(rho, _superoperator(np.stack(ch.kraus)), _checked_qubits(qubits, n), n)
+
+
+def _contract(rho: np.ndarray, superop: np.ndarray, qubits: list[int], n: int) -> np.ndarray:
+    """apply_channel's loop: the 4x4 superoperator on each listed qubit's
+    (row bit, column bit) pair of rho (..., dim, dim), as a new array."""
+    if not qubits:
         return rho.copy()
-    superop = _superoperator(ch)
     shape = rho.shape
-    for q in qubit_list:
+    for q in qubits:
         pre, post = 1 << (q - 1), 1 << (n - q)
         # (row bit, column bit, batch, row pre, row post, column pre, column post)
         t = rho.reshape(-1, pre, 2, post, pre, 2, post).transpose(2, 5, 0, 1, 3, 4, 6)
@@ -234,7 +232,8 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     from the state's Z-frame sector entries, in O(n * 2**n) each:
     concurrence by yu_eberly, the witness value by the parameter route of
     evaluate_witness, and the residual is exactly 0.0.  At each other
-    strength that strength's Channel is applied to the dense state.
+    strength that strength's superoperator, a row of the stack, is
+    contracted with the dense state as in apply_channel.
     """
     n, frame = p0.n, p0.frame
     if witness_kind is None and n != 2:
@@ -260,7 +259,7 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     dense = np.flatnonzero(~preserving)
     rho0 = materialize(p0) if dense.size else None
     for g in dense:
-        rho = apply_channel(rho0, _channel(kind, strengths[g], kraus[g]), qubit_list, n)
+        rho = _contract(rho0, superops[g], qubit_list, n)
         values[g] = concurrence(rho) if w is None else evaluate_witness(w, rho)[0]
         residuals[g] = x_form_residual(rho, frame, n)
     records = tuple(values.tolist())

@@ -77,12 +77,12 @@ def _resolve_state(selector: str, args) -> XStateParams:
         try:
             with open(selector, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:    # ValueError: bad JSON
             raise CliError(f"cannot read state file {selector!r}: {exc}")
         try:
             return params_from_json(obj)
         except ValueError as exc:
-            raise CliError(str(exc))
+            raise CliError(f"state file {selector!r}: {exc}")
     raise CliError(
         f"unknown state {selector!r}: expected a file path, one of {NAMED_EXAMPLES}, "
         "'ghz', 'bell', 'werner:<p>' or 'bell_diagonal:<a0>,<a3>,<d3>'")

@@ -58,7 +58,13 @@ def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 def as_state(rho: np.ndarray, n: int, *, stack: bool = False) -> np.ndarray:
     """rho checked to be an n-qubit state (2**n, 2**n), n in
     1..MAX_DENSE_QUBITS, or with stack=True a stack (..., 2**n, 2**n), under
-    _as_array's dtype rule."""
+    _as_array's dtype rule; the one gate of every dense state.
+
+    Every real and imaginary part must be finite and at most DBL_MAX /
+    (2 dim) in magnitude, so that no transform, projection or rho psi
+    product overflows: a real part of their results sums at most dim
+    terms, each +- one such part.  One min and one max, no temporary.
+    """
     if not 1 <= n <= MAX_DENSE_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_DENSE_QUBITS}, got {n}")
     rho = _as_array(rho)
@@ -66,6 +72,16 @@ def as_state(rho: np.ndarray, n: int, *, stack: bool = False) -> np.ndarray:
     if rho.shape[-2:] != (dim, dim) or not (stack or rho.ndim == 2):
         raise ValueError(f"{n}-qubit state must have shape "
                          f"({'..., ' * stack}{dim}, {dim}), got {rho.shape}")
+    bound = np.finfo(float).max / (2 * dim)
+    # a complex rho with contiguous rows is one float view, else two strided ones
+    contiguous = rho.dtype.char == "d" or rho.strides[-1] == rho.itemsize
+    for part in (rho.view(float),) if contiguous else (rho.real, rho.imag):
+        lo, hi = part.min(initial=0.0), part.max(initial=0.0)    # NaN propagates
+        if not (-bound <= lo and hi <= bound):
+            if np.isfinite(lo) and np.isfinite(hi):
+                raise ValueError(f"state entries above {bound:.3e} in magnitude "
+                                 "could overflow")
+            raise ValueError("state entries are not finite")
     return rho
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -46,9 +47,18 @@ VALID_HERM_TOL = 1e-10
 VALID_EIG_TOL = -1e-10
 
 
+def _require_frame(frame) -> None:
+    if not isinstance(frame, str) or frame not in FRAMES:
+        raise ValueError(f"unknown frame {frame!r}; expected one of {sorted(FRAMES)}")
+
+
 @dataclass(frozen=True)
 class XStateParams:
-    """The 2**(n+1) - 1 free real parameters of an n-qubit X state."""
+    """The 2**(n+1) - 1 free real parameters of an n-qubit X state, and the
+    one gate of every parameter set: anything but an int n in
+    1..MAX_DENSE_QUBITS, 2**n finite reals in each of d and a with d[0] = 1
+    and a frame of FRAMES raises ValueError.  d and a are held as tuples of
+    Python floats."""
 
     n: int
     d: tuple[float, ...]
@@ -56,20 +66,26 @@ class XStateParams:
     frame: str = "Z"
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DENSE_QUBITS:
-            raise ValueError(f"qubit count must be in 1..{MAX_DENSE_QUBITS}, got {self.n}")
-        size = 1 << self.n
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, Integral) or not 1 <= n <= MAX_DENSE_QUBITS:
+            raise ValueError(f"qubit count must be an integer in 1..{MAX_DENSE_QUBITS}, "
+                             f"got {n!r}")
+        size = 1 << n
         if len(self.d) != size:
             raise ValueError(f"d must have length {size}, got {len(self.d)}")
         if len(self.a) != size:
             raise ValueError(f"a must have length {size}, got {len(self.a)}")
-        if self.d[0] != 1.0:
-            raise ValueError("d[0] must equal 1 (trace normalization)")
-        if not all(math.isfinite(v) for seq in (self.d, self.a) for v in seq):
+        # numpy infers a numeric kind only for numbers: strings, None and ints
+        # beyond 64 bits give another
+        values = np.array((self.d, self.a))
+        if values.dtype.kind not in "biuf" or not np.isfinite(values).all():
             raise ValueError("parameters must be finite reals")
-        if self.frame not in FRAMES:
-            raise ValueError(f"unknown frame {self.frame!r}; expected one of "
-                             f"{sorted(FRAMES)}")
+        if values[0, 0] != 1.0:
+            raise ValueError("d[0] must equal 1 (trace normalization)")
+        _require_frame(self.frame)
+        d, a = values.astype(float, copy=False).tolist()
+        object.__setattr__(self, "d", tuple(d))
+        object.__setattr__(self, "a", tuple(a))
 
     @classmethod
     def build(cls, n: int, frame: str = "Z", d: dict[int, float] | None = None,
@@ -79,10 +95,10 @@ class XStateParams:
         av = [0.0] * (1 << n)
         dv[0] = 1.0
         for i, v in (d or {}).items():
-            dv[i] = float(v)
+            dv[i] = v
         for i, v in (a or {}).items():
-            av[i] = float(v)
-        return cls(n, tuple(dv), tuple(av), frame)
+            av[i] = v
+        return cls(n, dv, av, frame)
 
 
 @dataclass(frozen=True)
@@ -213,14 +229,10 @@ def _entries(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
     return t.reshape(*coeffs.shape[:-1], 1 << n, 1 << n)
 
 
-def _require_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError("state entries must be finite")
-
-
 def _real_coefficients(t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The real parts of a transform's result t laid out as shape, checked
-    finite: finite input can overflow in the transform."""
+    finite: a safety check, as input through linalg.as_state cannot
+    overflow in the transform."""
     coeffs = t.real.reshape(shape)
     if not np.isfinite(coeffs).all():
         raise ValueError("state family coefficients overflow")
@@ -230,21 +242,18 @@ def _real_coefficients(t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
     """tr(P_k rho) for every family operator P_k: the adjoint of _entries.
 
-    rho (..., dim, dim) gives the real parts (..., 2**(n+1)), d then a.
-    Non-finite input raises ValueError before the transform, and finite
-    input whose coefficients overflow after it.
+    rho (..., dim, dim), through linalg.as_state, gives the real parts
+    (..., 2**(n+1)), d then a.
     """
-    _require_finite(rho)
     _, adjoint = _FACTORS[frame]
     layout = _LAYOUTS[n]
     *inner, last = layout.sizes
     t = rho.reshape(layout.matrix).transpose(layout.to_pairs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = t.reshape(-1, 4 ** last) @ adjoint[last].reshape(4 ** last, -1)
-        for g in reversed(inner):
-            # (B, 4**g, half, R) -> (B, half, R, block j)
-            t = t.reshape(-1, 4 ** g, 2, t.shape[-1] >> 1)
-            t = (np.moveaxis(t, 1, -1) @ adjoint[g].transpose(1, 0, 2)).reshape(len(t), -1)
+    t = t.reshape(-1, 4 ** last) @ adjoint[last].reshape(4 ** last, -1)
+    for g in reversed(inner):
+        # (B, 4**g, half, R) -> (B, half, R, block j)
+        t = t.reshape(-1, 4 ** g, 2, t.shape[-1] >> 1)
+        t = (np.moveaxis(t, 1, -1) @ adjoint[g].transpose(1, 0, 2)).reshape(len(t), -1)
     return _real_coefficients(t, (*rho.shape[:-2], 2 << n))
 
 
@@ -284,14 +293,12 @@ def _sector_entries(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
 def _sector_coefficients(x: np.ndarray, n: int) -> np.ndarray:
     """tr(P_k rho) for the Z-frame family operators P_k of an X-shaped rho
     (or stack) from its X entries x (..., 2, dim), diag then anti: the
-    adjoint of _x_entries, in O(n * 2**n), with _coefficients' errors.
+    adjoint of _x_entries, in O(n * 2**n), with _coefficients' check.
 
     The conjugate sector tables run from block m, the lowest basis bits,
     whose parameter bits come out first: the result is in parameter order.
     """
-    _require_finite(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = _sector_loop(x.reshape(-1, 2, 1 << n), _LAYOUTS[n].sizes[::-1], _SECTOR_ADJOINT)
+    t = _sector_loop(x.reshape(-1, 2, 1 << n), _LAYOUTS[n].sizes[::-1], _SECTOR_ADJOINT)
     return _real_coefficients(t.reshape(-1, 1 << n, 2).transpose(0, 2, 1),
                               (*x.shape[:-2], 2 << n))
 
@@ -305,8 +312,10 @@ def _project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarra
     projected from its X entries alone, by _sector_coefficients and
     _x_entries in O(n * 2**n) after the O(4**n) shape check.  diff is then
     (..., 2, dim), diag then anti: off the X both rho and its projection
-    are exactly 0, so the largest entry is the same.
+    are exactly 0, so the largest entry is the same.  An unknown frame
+    raises ValueError before any transform.
     """
+    _require_frame(frame)
     x = x_shaped_entries(rho) if frame == "Z" else None
     if x is None:
         coeffs = _coefficients(rho, n, frame)
@@ -333,17 +342,14 @@ def _screen_deviation(rho: np.ndarray, n: int, frame: str) -> float:
     two) unless g is Z_1 Z_2, and s(c) = -1 where g has Z or Y there and c
     has exactly one of the two bits set; g's own phase cancels.  So the row
     splits into quarters by those bits, and c ^ x reverses the quarters.
-    O(2**n).  A NaN entry can give NaN, which no bound rejects.
+    O(2**n).
     """
     axis = FRAMES[frame].image("Z")[0]
     row = rho[0].reshape(4, -1)
     partner = row if axis == "Z" else rho[3 << (n - 2)].reshape(4, -1)[::-1]
-    # inf times 0 and inf - inf give NaN, and entries near DBL_MAX may
-    # overflow, quietly
-    with np.errstate(over="ignore", invalid="ignore"):
-        if axis != "X":
-            partner = _QUARTER_SIGN * partner
-        return float(np.abs(row - partner).max())
+    if axis != "X":
+        partner = _QUARTER_SIGN * partner
+    return float(np.abs(row - partner).max())
 
 
 def _screen_bound(n: int, frame: str) -> float:
@@ -406,22 +412,15 @@ def fit_sectors(rho: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray] | Non
     For n >= 2 one row screens each fit first, in O(2**n): a
     _screen_deviation above _screen_bound means the fit fails, so it is
     skipped.  A Y-frame state typically skips the Z check and the X
-    projection, and input outside every family all three.  A skipped projection would
-    still have raised ValueError on NaN or infinite input, or on finite
-    input whose coefficients may overflow (an entry above DBL_MAX / (2 dim),
-    as a coefficient sums dim of them); such input takes the skipped fits.
+    projection, and input outside every family all three.  rho passes
+    linalg.as_state, which rejects the entries a projection could not take.
     """
     rho = as_state(rho, n)
-    skipped = []
     for frame in FRAMES:
         if n > 1 and _screen_deviation(rho, n, frame) > _screen_bound(n, frame):
-            skipped.append(frame)
-        elif (entries := _fit(rho, n, frame)) is not None:
+            continue
+        if (entries := _fit(rho, n, frame)) is not None:
             return entries
-    if skipped and not np.abs(rho).max() <= np.finfo(float).max / (2 << n):
-        for frame in skipped:
-            if (entries := _fit(rho, n, frame)) is not None:
-                return entries
     return None
 
 
@@ -451,15 +450,13 @@ def decompose(rho: np.ndarray, n: int, frame: str = "Z") -> tuple[XStateParams, 
     residual of rho outside the family, family_residual's value; both come
     from _project, which reads an X-shaped Z-frame rho from its X entries
     alone.  d[0] is pinned to 1, so any trace deficit shows up in the
-    residual rather than in the parameters.  rho passes linalg.as_state;
-    non-finite or overflowing input raises ValueError.
+    residual rather than in the parameters.  rho passes linalg.as_state,
+    and an unknown frame raises ValueError.
     """
     rho = as_state(rho, n)
     coeffs, diff = _project(rho, n, frame)
     dim = 1 << n
-    params = XStateParams(n, (1.0, *coeffs[1:dim].tolist()), tuple(coeffs[dim:].tolist()),
-                          frame)
-    return params, float(np.abs(diff).max())
+    return XStateParams(n, coeffs[:dim], coeffs[dim:], frame), float(np.abs(diff).max())
 
 
 def family_residual(rho: np.ndarray, n: int, frame: str = "Z") -> "float | np.ndarray":
@@ -467,8 +464,9 @@ def family_residual(rho: np.ndarray, n: int, frame: str = "Z") -> "float | np.nd
 
     Accepts a single (dim, dim) matrix, giving a float, or any stack
     (..., dim, dim), giving an array of the stack's shape; each value is
-    decompose's residual, from the same _project.  Non-finite input, or
-    input whose coefficients or residual overflow, raises ValueError.
+    decompose's residual, from the same _project.  rho passes
+    linalg.as_state, and an unknown frame raises ValueError; a residual
+    that is not finite raises it too, as a safety check.
     """
     rho = as_state(rho, n, stack=True)
     residual = np.abs(_project(rho, n, frame)[1]).max(axis=(-2, -1))
@@ -517,17 +515,11 @@ def ghz_params(n: int, frame: str = "Z") -> XStateParams:
     """
     if not 2 <= n <= MAX_DENSE_QUBITS:
         raise ValueError(f"qubit count must be in 2..{MAX_DENSE_QUBITS}, got {n}")
-    d = {}
-    a = {}
-    for i in range(1 << n):
-        w = i.bit_count()
-        if w % 2 == 0 and i:
-            d[i] = 1.0
-        if w % 4 == 0:
-            a[i] = 1.0
-        elif w % 4 == 2:
-            a[i] = -1.0
-    return XStateParams.build(n, frame, d=d, a=a)
+    popcount = np.zeros(1, dtype=int)
+    for _ in range(n):      # the next index bit doubles the table
+        popcount = np.concatenate([popcount, popcount + 1])
+    even = 1 - popcount % 2
+    return XStateParams(n, even, even * (1 - (popcount & 2)), frame)
 
 
 _NAMED_EXAMPLES = {
@@ -566,29 +558,21 @@ def params_to_json(p: XStateParams) -> dict:
 
 
 def params_from_json(obj: dict) -> XStateParams:
-    """Read the state file format, rejecting malformed content with messages."""
+    """Read the state file format, checking only the JSON types here: an
+    object with the keys n, frame, d and a, n a JSON integer, d and a arrays
+    of JSON numbers.  XStateParams checks the values."""
     if not isinstance(obj, dict):
-        raise ValueError("state file must be a JSON object")
+        raise ValueError("expected a JSON object")
     for key in ("n", "frame", "d", "a"):
         if key not in obj:
-            raise ValueError(f"state file is missing key {key!r}")
+            raise ValueError(f"missing key {key!r}")
     n = obj["n"]
     # bool subclasses int, but JSON true/false are not numbers
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_DENSE_QUBITS:
-        raise ValueError(f"state file n must be an integer in 1..{MAX_DENSE_QUBITS}")
-    frame = obj["frame"]
-    if frame not in FRAMES:
-        raise ValueError(f"state file frame must be one of {sorted(FRAMES)}")
-    size = 1 << n
-    d = obj["d"]
-    a = obj["a"]
-    for name, seq in (("d", d), ("a", a)):
-        if not isinstance(seq, list) or len(seq) != size:
-            raise ValueError(f"state file {name!r} must be a list of length {size}")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   and math.isfinite(v) for v in seq):
-            raise ValueError(f"state file {name!r} entries must be finite numbers")
-    if d[0] != 1:
-        raise ValueError("state file d[0] must equal 1 (trace normalization)")
-    return XStateParams(n, tuple(float(v) for v in d),
-                        tuple(float(v) for v in a), frame)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be a JSON integer, got {n!r}")
+    for name in ("d", "a"):
+        seq = obj[name]
+        if not (isinstance(seq, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq)):
+            raise ValueError(f"{name!r} must be an array of JSON numbers")
+    return XStateParams(n, obj["d"], obj["a"], obj["frame"])

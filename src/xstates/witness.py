@@ -134,9 +134,8 @@ def evaluate_witness(w: Witness, state: "np.ndarray | XStateParams") -> tuple[fl
         value = float(_sector_value(w, _frame_amplitudes(w.psi, state.frame), diag, anti))
     else:
         rho, psi = as_state(state, n), w.psi.amplitudes
-        with np.errstate(invalid="ignore", over="ignore"):  # _real_value rejects NaN
-            rho_psi = rho @ psi.real + 1j * (rho @ psi.imag)  # a real rho stays real
-            value = float(_real_value(w.alpha * np.trace(rho) - psi.conj() @ rho_psi))
+        rho_psi = rho @ psi.real + 1j * (rho @ psi.imag)  # a real rho stays real
+        value = float(_real_value(w.alpha * np.trace(rho) - psi.conj() @ rho_psi))
     return value, value < DETECTION_TOL
 
 

@@ -278,6 +278,21 @@ def random_valid_x_params(rng, n, frame="Z"):
     return type(params)(n, params.d, params.a, frame)
 
 
+def oracle_ghz_params(n, frame="Z"):
+    """GHZ parameters by an index loop: d_i = 1 on even popcount; a_i = +1
+    on popcount 0 mod 4, -1 on 2 mod 4, 0 on odd popcount."""
+    d, a = {}, {}
+    for i in range(1 << n):
+        w = bin(i).count("1")
+        if w % 2 == 0 and i:
+            d[i] = 1.0
+        if w % 4 == 0:
+            a[i] = 1.0
+        elif w % 4 == 2:
+            a[i] = -1.0
+    return model.XStateParams.build(n, frame, d=d, a=a)
+
+
 def bit_reversal_permutation(n):
     return np.array([int(format(b, f"0{n}b")[::-1], 2) for b in range(1 << n)])
 

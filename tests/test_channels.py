@@ -262,8 +262,8 @@ def test_sweep_of_an_empty_grid_is_empty():
         sweep(ghz_params(2), "bit_flip", [1], [])
 
 
-# a Channel, which checks its own operators, is built only for a dense point:
-# here amplitude damping off the Z frame at every strength > 0
+# the sweep builds no Channel: a dense point, here amplitude damping off the Z
+# frame at every strength > 0, contracts its row of the checked stack
 @pytest.mark.parametrize("frame,kind,dense", [("Z", "amplitude_damping", 0),
                                               ("X", "amplitude_damping", 1),
                                               ("Y", "depolarizing", 0)])
@@ -280,12 +280,11 @@ def test_sweep_builds_and_checks_one_kraus_stack(monkeypatch, frame, kind, dense
     monkeypatch.setattr(channels, "_check_completeness",
                         counted("completeness", channels._check_completeness))
     monkeypatch.setattr(Channel, "__post_init__", counted("channel", Channel.__post_init__))
+    monkeypatch.setattr(channels, "_contract", counted("contract", channels._contract))
     traj = sweep(ghz_params(3, frame), kind, [1, 3], strength_grid(0.0, 1.0, count),
                  witness_kind="ghz_type")
     assert len(traj.witness) == count
-    channels_built = dense * (count - 1)
-    assert calls == collections.Counter(kraus=1, channel=channels_built,
-                                        completeness=1 + channels_built)
+    assert calls == collections.Counter(kraus=1, completeness=1, contract=dense * (count - 1))
 
 
 def _closed_form_kraus(kind, s):
@@ -314,7 +313,7 @@ def test_stacked_channels_equal_per_point_channels(rng, kind):
         ch = standard_channel(kind, s)
         assert np.array_equal(kraus[g], np.stack(ch.kraus))
         assert np.array_equal(kraus[g], _closed_form_kraus(kind, s))
-        superop = channels._superoperator(ch)
+        superop = channels._superoperator(np.stack(ch.kraus))
         assert np.array_equal(superops[g], superop)
         assert [p[g] for p in preserving] == [
             channels._preserves_family(superop, factors) for factors in bases]
@@ -362,7 +361,7 @@ def _dense_sweep(p0, kind, qubits, grid, witness_kind=None):
 def _preserves(kind, s, frame):
     factors, _ = channels._frame_bases(frame)
     return channels._preserves_family(
-        channels._superoperator(standard_channel(kind, s)), factors)
+        channels._superoperator(np.stack(standard_channel(kind, s).kraus)), factors)
 
 
 # Below about 1e-16, sqrt(1 - s) rounds to 1 and 1 + s to 1, so the computed
@@ -395,8 +394,9 @@ def test_sector_step_matches_dense_oracle(case):
     p, ch, qubits = case
     n = p.n
     _, units = channels._frame_bases(p.frame)
+    superop = channels._superoperator(np.stack(ch.kraus))
     diag, anti = channels._sector_step(_sector_entries(np.concatenate([p.d, p.a]), n),
-                                       channels._superoperator(ch), units, qubits, n)
+                                       superop, units, qubits, n)
     rho = apply_channel(materialize(p), ch, qubits, n)
     q, residual = decompose(rho, n, p.frame)
     want_diag, want_anti = _sector_entries(np.concatenate([q.d, q.a]), n)

@@ -168,6 +168,21 @@ def test_validate_rejects_json_booleans(tmp_path, mutate):
     assert "state file" in err
 
 
+@pytest.mark.parametrize("mutate, text", [
+    (lambda o: o["a"].__setitem__(1, 10 ** 400), "parameters must be finite reals"),
+    (lambda o: o.update(n=13), "qubit count must be an integer in 1..12, got 13"),
+], ids=["401-digit entry", "n=13"])
+def test_validate_rejects_out_of_range_state_file_in_one_line(tmp_path, mutate, text):
+    obj = params_to_json(ghz_params(2))
+    mutate(obj)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(obj))
+    proc = subprocess.run([sys.executable, "-m", "xstates", "validate", "--state", str(state)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: state file {str(state)!r}: {text}\n"
+
+
 def test_malformed_invocations_exit_one():
     for argv in (
         ["algebra", "--n", "2", "--bogus"],

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (SX, SZ, oracle_matrix_to_csv, oracle_matrix_to_json,
                       oracle_partial_trace, random_density)
 from xstates import (PauliString, ToleranceError, apply_channel, concurrence,
-                     decompose, expectation, family_residual, ghz_state,
-                     hermitian_eigen, kron, matrix_from_json, matrix_to_csv,
-                     matrix_to_json, negativity, partial_trace, partial_transpose,
-                     standard_channel)
+                     decompose, evaluate_witness, expectation, family_residual,
+                     ghz_state, hermitian_eigen, kron, make_witness, matrix_from_json,
+                     matrix_to_csv, matrix_to_json, negativity, partial_trace,
+                     partial_transpose, standard_channel)
 from xstates.linalg import (ConvergenceError, as_state, hermitian_eigenvalues,
                             hermiticity_deviation, json_text, x_matrix_entries)
 from xstates.model import fit_sectors
@@ -330,6 +330,47 @@ def test_single_state_entry_points_reject_stacks_and_wrong_dimensions(name):
     for bad in (state[None], np.eye(8) / 8, np.eye(2) / 2):
         with pytest.raises(ValueError, match="2-qubit state must have shape"):
             call(bad, 2)
+
+
+GATED_ENTRY_POINTS = {
+    **SINGLE_STATE_ENTRY_POINTS,
+    "family_residual": lambda rho, n: family_residual(rho, n, "X"),
+    "apply_channel": lambda rho, n: apply_channel(rho, standard_channel("depolarizing", 0.5),
+                                                  [1], n),
+    "evaluate_witness": lambda rho, n: evaluate_witness(make_witness("ghz_type", n), rho),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATED_ENTRY_POINTS))
+def test_entry_points_reject_non_finite_and_overflowing_entries(name):
+    call = GATED_ENTRY_POINTS[name]
+    state = np.eye(4) / 4
+    call(state, 2)
+    # 1e308 is above DBL_MAX / (2 dim) = 2.2e307 at n = 2; both X-shaped
+    # and dense positions, and imaginary parts too
+    for bad, text in ((np.nan, "not finite"), (np.inf, "not finite"),
+                      (-np.inf, "not finite"), (1e308, "overflow"), (-1e308, "overflow"),
+                      (1e308j, "overflow"), (complex(0, np.nan), "not finite")):
+        for i, j in ((0, 0), (0, 3), (1, 3)):
+            m = state.astype(type(bad))
+            m[i, j] = bad
+            with pytest.raises(ValueError, match=f"state entries .*{text}"):
+                call(m, 2)
+    # the largest entry the gate passes, and a transposed (strided) view
+    edge = np.full((4, 4), np.finfo(float).max / 8)
+    assert as_state(edge, 2) is edge
+    assert as_state(edge + 0j, 2).shape == (4, 4)
+    m = np.zeros((4, 4), complex)
+    m[2, 1] = complex(0, np.inf)
+    with pytest.raises(ValueError, match="not finite"):
+        as_state(m.T, 2)
+
+
+def test_stack_entry_points_take_empty_stacks():
+    empty = np.empty((0, 4, 4))
+    assert family_residual(empty, 2).shape == (0,)
+    out = apply_channel(empty, standard_channel("depolarizing", 0.5), [1], 2)
+    assert out.shape == (0, 4, 4)
 
 
 QUBIT_COUNT_ENTRY_POINTS = {

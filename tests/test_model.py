@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (center_twist, oracle_center_image, oracle_pauli_matrix,
-                      random_density, random_valid_x_params)
+from conftest import (center_twist, oracle_center_image, oracle_ghz_params,
+                      oracle_pauli_matrix, random_density, random_valid_x_params)
 from xstates import model
 from xstates import (FRAMES, XStateParams, bell_diagonal, decompose,
                      dicke_state, family_residual, generate_set, ghz_params,
@@ -209,8 +209,35 @@ def test_constructor_rejections():
         XStateParams(2, (1.0, 0, 0), (0, 0, 0, 0))
     with pytest.raises(ValueError):
         XStateParams(2, (1.0, 0, 0, 0), (0, 0, 0, float("nan")))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown frame 'Q'; expected one of \['X', 'Y', 'Z'\]"):
         XStateParams(2, (1.0, 0, 0, 0), (0, 0, 0, 0), frame="Q")
+    # an unknown frame name gets the same text from the projections, before
+    # any transform
+    with mock.patch.object(model, "_coefficients") as transform:
+        for project in (decompose, family_residual):
+            with pytest.raises(ValueError, match=r"unknown frame 'Q'; expected one of"):
+                project(np.eye(4) / 4, 2, "Q")
+    assert transform.call_count == 0
+    for n in (True, 2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="qubit count must be an integer"):
+            XStateParams(n, (1.0, 0, 0, 0), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="qubit count must be an integer"):
+        XStateParams(True, (1.0, 0), (0, 0))
+    for bad in ("0.5", None, 1j, 10 ** 400):
+        with pytest.raises(ValueError, match="parameters must be finite reals"):
+            XStateParams(2, (1.0, 0, 0, 0), (0, bad, 0, 0))
+    # the held parameters are Python floats, whatever sequences came in
+    p = XStateParams(np.int64(2), [1, 0, 0, 0], np.array([0, 1, 0, 0]))
+    assert p == XStateParams(2, (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
+    assert all(type(v) is float for v in p.d + p.a)
+
+
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+def test_ghz_params_bitwise_equal_to_index_loop(frame):
+    for n in range(2, 13):
+        got, want = ghz_params(n, frame), oracle_ghz_params(n, frame)
+        assert got == want
+        assert [v.hex() for v in got.d + got.a] == [v.hex() for v in want.d + want.a]
 
 
 def test_state_file_round_trip():
@@ -226,6 +253,11 @@ def test_state_file_round_trip():
     (lambda o: o.update(frame="W"), "frame"),
     (lambda o: o.pop("a"), "missing"),
     (lambda o: o.update(n="three"), "n"),
+    (lambda o: o.update(n=True), "n must be a JSON integer, got True"),
+    (lambda o: o.update(n=3.0), "n must be a JSON integer, got 3.0"),
+    (lambda o: o.update(n=13), r"qubit count must be an integer in 1\.\.12, got 13"),
+    (lambda o: o.update(a=["0"] + o["a"][1:]), "'a' must be an array of JSON numbers"),
+    (lambda o: o.update(d=o["d"][:-1] + [10 ** 400]), "parameters must be finite reals"),
 ])
 def test_state_file_rejections(mutate, fragment):
     obj = params_to_json(ghz_params(3))
