@@ -21,7 +21,7 @@ import numpy as np
 
 from .model import _sector_entries
 from .pauli import (MAX_DENSE_QUBITS, AxisFrame, PauliString, resolve_frame,
-                    xy_product, z_product)
+                    require_qubit_count, xy_product, z_product)
 
 # center, lines, the design check, sector decomposition, simplex
 MAX_GEOMETRY_QUBITS = 8
@@ -87,8 +87,7 @@ class SectorDecomposition:
 
 def generate_set(n: int, frame: "str | AxisFrame" = "Z") -> OperatorSet:
     """All 2**(n+1) - 1 non-identity operators of the family, frame-relabeled."""
-    if not 1 <= n <= MAX_DENSE_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_DENSE_QUBITS}, got {n}")
+    require_qubit_count(n)
     f = resolve_frame(frame)
     elements = [f.apply(z_product(i, n)) for i in range(1, 1 << n)]
     elements += [f.apply(xy_product(i, n)) for i in range(1 << n)]

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .linalg import as_state
-from .model import (_FACTORS, _SECTOR_FACTORS, XStateParams, _sector_entries,
+from .model import (_FACTORS, _SECTORS, XStateParams, _sector_entries,
                     family_residual, materialize)
 from .pauli import PAULI_MATRICES
 from .witness import (_frame_amplitudes, _sector_value, concurrence, evaluate_witness,
@@ -139,7 +140,7 @@ def _frame_bases(frame: str) -> tuple[np.ndarray, np.ndarray]:
     F(|0><0|), F(|1><1|), F(|0><1|), F(|1><0|) of the matrix units, which
     the Z-frame sector table gives as (I +- F(Z))/2 and (F(X) +- i F(Y))/2."""
     factors = _FACTORS[frame][0][1]                  # (half, factor bit, vec)
-    units = np.einsum("hcr,hcv->hrv", _SECTOR_FACTORS[1].conj(), factors) / 2
+    units = np.einsum("hcr,hcv->hrv", _SECTORS[0][1].conj(), factors) / 2
     return factors.reshape(4, 4), units.reshape(4, 4)
 
 
@@ -182,9 +183,9 @@ def x_form_residual(rho: np.ndarray, frame: str, n: int) -> "float | np.ndarray"
 
 
 def strength_grid(start: float, stop: float, count: int) -> tuple[float, ...]:
-    """Inclusive uniform grid with ``count`` points."""
-    if count < 2:
-        raise ValueError("grid needs at least two points")
+    """Inclusive uniform grid with ``count`` points, an integer of at least 2."""
+    if isinstance(count, bool) or not isinstance(count, Integral) or count < 2:
+        raise ValueError(f"grid needs an integer count of at least two points, got {count!r}")
     if not stop > start:
         raise ValueError("grid must be strictly increasing")
     return tuple(float(x) for x in np.linspace(start, stop, count))

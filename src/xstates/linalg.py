@@ -12,7 +12,7 @@ from functools import reduce
 
 import numpy as np
 
-from .pauli import MAX_DENSE_QUBITS
+from .pauli import MAX_DENSE_QUBITS, require_qubit_count
 
 MAX_DIM = 1 << MAX_DENSE_QUBITS
 
@@ -65,8 +65,7 @@ def as_state(rho: np.ndarray, n: int, *, stack: bool = False) -> np.ndarray:
     product overflows: a real part of their results sums at most dim
     terms, each +- one such part.  One min and one max, no temporary.
     """
-    if not 1 <= n <= MAX_DENSE_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_DENSE_QUBITS}, got {n}")
+    require_qubit_count(n)
     rho = _as_array(rho)
     dim = 1 << n
     if rho.shape[-2:] != (dim, dim) or not (stack or rho.ndim == 2):

@@ -16,28 +16,33 @@ matrix,
     vec(rho) = 2**-n * ( B_d^{(x)n} d + B_a^{(x)n} a )
 
 for two 4x2 per-qubit factors: B_d has the columns vec(I), vec(F(Z)) and B_a
-the columns vec(F(X)), vec(F(Y)), with the frame's signs.  One transform and
-its adjoint, applied in blocks of qubits, serve every n, every frame and any
-stack of matrices.
+the columns vec(F(X)), vec(F(Y)), with the frame's signs.
 
 Every frame is a local unitary conjugation of the Z frame, so the spectrum
 of any frame's matrix is that of the Z-frame X matrix, a direct sum of 2x2
-sectors on {b, ~b}.  Their entries are the Z-frame factors' values at the X
-positions, applied by the same blocks.
+sectors on {b, ~b}.  Its X entries rho[b, b] and rho[b, ~b] are the same sum
+with 2x1 per-qubit factors, the Z-frame factors at the X positions:
+[[1, 1], [1, -1]] for d and [[1, -i], [1, i]] for a.
+
+So four transforms are one operation: the dense transform _entries and its
+adjoint _coefficients, the sector transform _x_entries and its adjoint
+_sector_coefficients.  One builder, _tables, makes the Kronecker powers of
+either pair of per-qubit factors for blocks of up to _BLOCK qubits, and one
+loop, _block_loop, applies them block by block.  They serve every n, every
+frame and any stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (SECTOR_FIT_TOL, as_state, sector_eigenvalues,
                      sector_hermiticity_deviation, x_matrix_entries, x_shaped_entries)
-from .pauli import FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame
+from .pauli import FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame, require_qubit_count
 
 # Qubits per Kronecker block: n <= 4 costs one matmul, n <= 12 at most three.
 _BLOCK = 4
@@ -66,11 +71,8 @@ class XStateParams:
     frame: str = "Z"
 
     def __post_init__(self):
-        n = self.n
-        if isinstance(n, bool) or not isinstance(n, Integral) or not 1 <= n <= MAX_DENSE_QUBITS:
-            raise ValueError(f"qubit count must be an integer in 1..{MAX_DENSE_QUBITS}, "
-                             f"got {n!r}")
-        size = 1 << n
+        require_qubit_count(self.n)
+        size = 1 << self.n
         if len(self.d) != size:
             raise ValueError(f"d must have length {size}, got {len(self.d)}")
         if len(self.a) != size:
@@ -91,6 +93,7 @@ class XStateParams:
     def build(cls, n: int, frame: str = "Z", d: dict[int, float] | None = None,
               a: dict[int, float] | None = None) -> "XStateParams":
         """Construct from sparse index -> coefficient maps (d[0] implied 1)."""
+        require_qubit_count(n)
         dv = [0.0] * (1 << n)
         av = [0.0] * (1 << n)
         dv[0] = 1.0
@@ -125,64 +128,48 @@ class StateReport:
         }
 
 
-def _block_factors(frame: AxisFrame) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Kronecker powers of the per-qubit factors for g = 0.._BLOCK qubits.
+def _tables(per_qubit) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Kronecker powers of per-qubit factors for g = 0.._BLOCK qubits.
 
-    forward[g] has shape (2, 2**g, 4**g): [0, c] is the flattened g-qubit
-    family operator of z-index c and [1, c] that of xy-index c, in (row bits,
-    column bits) order.  Bit k-1 of c picks the factor of the block's k-th
-    qubit, counted from the left.  adjoint[g] is its conjugate laid out as
-    (4**g, 2, 2**g).
+    per_qubit holds one (row, column, bit) stack for each half, d and a.
+    forward[g] has shape (2, 2**g, rows * columns): [h, c] is half h's
+    g-qubit product of index c, flattened in (row bits, column bits) order.
+    Bit k-1 of c picks the factor of the block's k-th qubit, counted from
+    the left.  adjoint[g] is its conjugate as (2, rows * columns, 2**g), a
+    view of (rows * columns, 2, 2**g) memory, so that adjoint[g] moved back
+    flattens to one matrix without a copy.
     """
-    def image(axis):
-        new_axis, sign = frame.image(axis)
-        return sign * PAULI_MATRICES[new_axis]
-
     def grow(block, qubit):
         # the next qubit is the rightmost factor and the highest bit of c
         product = block[:, None, :, None, None, :] * qubit[None, :, None, :, :, None]
         return product.reshape(2 * len(block), -1, 2 * block.shape[-1])
 
-    # (row, column, bit): bit 0/1 picks I/F(Z) for d and F(X)/F(Y) for a
-    per_qubit = (np.stack([PAULI_MATRICES["I"], image("Z")], axis=-1),
-                 np.stack([image("X"), image("Y")], axis=-1))
     levels = [(np.ones((1, 1, 1)),) * 2]
     for _ in range(_BLOCK):
         levels.append(tuple(map(grow, levels[-1], per_qubit)))
     forward = tuple(np.stack([b.reshape(-1, b.shape[-1]).T for b in level])
                     for level in levels)
-    adjoint = tuple(np.ascontiguousarray(f.conj().transpose(2, 0, 1)) for f in forward)
+    adjoint = tuple(np.ascontiguousarray(f.conj().transpose(2, 0, 1)).transpose(1, 0, 2)
+                    for f in forward)
     for table in forward + adjoint:
         table.setflags(write=False)
     return forward, adjoint
 
 
-_FACTORS = {name: _block_factors(frame) for name, frame in FRAMES.items()}
+def _frame_factors(frame: AxisFrame) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column, bit) stacks of one qubit: bit 0/1 picks I/F(Z) for d
+    and F(X)/F(Y) for a, with the frame's signs."""
+    z, x, y = (sign * PAULI_MATRICES[axis] for axis, sign in map(frame.image, "ZXY"))
+    return np.stack([PAULI_MATRICES["I"], z], axis=-1), np.stack([x, y], axis=-1)
 
 
-def _sector_factors() -> tuple[np.ndarray, ...]:
-    """The Z-frame forward tables at the X positions, for g = 0.._BLOCK.
-
-    Entry g has shape (2, 2**g, 2**g): [0, c, r] is the g-qubit operator of
-    z-index c at (r, r), [1, c, r] that of xy-index c at (r, ~r).  Per qubit
-    these are [[1, 1], [1, -1]] and [[1, -i], [1, i]] over (basis bit,
-    parameter bit).
-    """
-    tables = []
-    for g, f in enumerate(_FACTORS["Z"][0]):
-        r = np.arange(1 << g)
-        t = np.stack([f[0][:, (r << g) + r], f[1][:, (r << g) + (r ^ ((1 << g) - 1))]])
-        t.setflags(write=False)
-        tables.append(t)
-    return tuple(tables)
-
-
-_SECTOR_FACTORS = _sector_factors()
-# their conjugates as (2, 2**g, 2**g) over (half, basis bits, parameter bits)
-_SECTOR_ADJOINT = tuple(np.ascontiguousarray(t.conj().transpose(0, 2, 1))
-                        for t in _SECTOR_FACTORS)
-for _t in _SECTOR_ADJOINT:
-    _t.setflags(write=False)
+_FACTORS = {name: _tables(_frame_factors(frame)) for name, frame in FRAMES.items()}
+# The Z-frame factors at the X positions, as 2x1 matrices over (basis bit,
+# parameter bit): I/Z at (r, r), [[1, 1], [1, -1]], and X/Y at (r, ~r),
+# [[1, -i], [1, i]].  forward[g][h, c, r] is then the g-qubit operator of
+# half h and index c at row r's X position.
+_SECTORS = _tables(tuple(f[[0, 1], columns, None] for f, columns in
+                         zip(_frame_factors(FRAMES["Z"]), ([0, 1], [1, 0]))))
 
 
 class _Layout(NamedTuple):
@@ -207,32 +194,46 @@ def _layout(n: int) -> _Layout:
 _LAYOUTS = {n: _layout(n) for n in range(1, MAX_DENSE_QUBITS + 1)}
 
 
+def _block_loop(t: np.ndarray, sizes, tables) -> np.ndarray:
+    """The block loop of every transform.
+
+    t (rows, half, index) meets tables[g] (half, k, out), with k =
+    tables[g].shape[-2], block by block in the order of sizes, each block
+    taking the lowest k of the index still left.  Each block's image lands
+    in front of the later blocks' images, so the result is (rows, image of
+    the first block, ..., of the last, half, index left).
+    """
+    for g in sizes:
+        k = tables[g].shape[-2]
+        # (rows so far, half, R, k) -> (rows so far, block's image, half, R)
+        t = (t.reshape(-1, 2, t.shape[-1] // k, k) @ tables[g]).transpose(0, 3, 1, 2)
+    return t
+
+
 def _entries(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
     """2**-n * sum_k coeffs[..., k] * P_k over the family operators P_k.
 
     coeffs (..., 2**(n+1)) holds d then a; the result is (..., dim, dim).
-    The per-half factors act on blocks 1..m-1, lowest qubits first; block m
-    takes both halves in one matmul, which also sums them.
+    The per-half factors act on blocks 1..m-1, lowest parameter bits first,
+    whose images are the top row and column bits; block m takes both halves
+    in one matmul, which also sums them.
     """
     forward, _ = _FACTORS[frame]
     layout = _LAYOUTS[n]
     *inner, last = layout.sizes
-    # (batch, half, block m, ..., block 1) in the C order of the indices
-    t = coeffs.reshape(-1, 2, 1 << n) / (1 << n)
-    for g in inner:
-        # (B, half, R, block j) -> (B, 4**g, half, R): the block's image moves
-        # in front of the half axis, after the images of earlier blocks
-        t = t.reshape(-1, 2, t.shape[-1] >> g, 1 << g) @ forward[g]
-        t = np.moveaxis(t, -1, 1)
+    t = _block_loop(coeffs.reshape(-1, 2, 1 << n) / (1 << n), inner, forward)
     t = t.reshape(-1, 2 << last) @ forward[last].reshape(2 << last, -1)
     t = t.reshape(layout.pairs).transpose(layout.to_matrix)
     return t.reshape(*coeffs.shape[:-1], 1 << n, 1 << n)
 
 
 def _real_coefficients(t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The real parts of a transform's result t laid out as shape, checked
-    finite: a safety check, as input through linalg.as_state cannot
+    """The real parts of an adjoint's loop result t (rows, parameter bits
+    of the blocks it took, half, parameter bits left) laid out as shape,
+    checked finite: a safety check, as input through linalg.as_state cannot
     overflow in the transform."""
+    left = t.shape[-1]
+    t = t.reshape(-1, shape[-1] // (2 * left), 2, left).transpose(0, 2, 3, 1)
     coeffs = t.real.reshape(shape)
     if not np.isfinite(coeffs).all():
         raise ValueError("state family coefficients overflow")
@@ -243,32 +244,19 @@ def _coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
     """tr(P_k rho) for every family operator P_k: the adjoint of _entries.
 
     rho (..., dim, dim), through linalg.as_state, gives the real parts
-    (..., 2**(n+1)), d then a.
+    (..., 2**(n+1)), d then a.  Block m, the lowest row and column bits,
+    splits the halves in one matmul; its parameter bits stay last in the
+    index while the loop takes blocks m-1..1.
     """
     _, adjoint = _FACTORS[frame]
     layout = _LAYOUTS[n]
-    *inner, last = layout.sizes
+    first, *rest = layout.sizes[::-1]
     t = rho.reshape(layout.matrix).transpose(layout.to_pairs)
-    t = t.reshape(-1, 4 ** last) @ adjoint[last].reshape(4 ** last, -1)
-    for g in reversed(inner):
-        # (B, 4**g, half, R) -> (B, half, R, block j)
-        t = t.reshape(-1, 4 ** g, 2, t.shape[-1] >> 1)
-        t = (np.moveaxis(t, 1, -1) @ adjoint[g].transpose(1, 0, 2)).reshape(len(t), -1)
+    t = t.reshape(-1, 4 ** first) @ adjoint[first].transpose(1, 0, 2).reshape(4 ** first, -1)
+    # (B, pairs of blocks 1..m-1, half, block m's bits) -> (B, half, bits, pairs)
+    t = t.reshape(-1, 4 ** (n - first), 2, 1 << first).transpose(0, 2, 3, 1)
+    t = _block_loop(t.reshape(-1, 2, 1 << (2 * n - first)), rest, adjoint)
     return _real_coefficients(t, (*rho.shape[:-2], 2 << n))
-
-
-def _sector_loop(t: np.ndarray, sizes, tables) -> np.ndarray:
-    """The block loop of the sector transforms.
-
-    t (rows, half, index) meets tables[g] (half, 2**g, 2**g) block by block,
-    in the order of sizes, from the lowest index bits up.  Each block's image
-    lands in front of the later blocks' images, so the result is
-    (rows, image of the first block, ..., of the last, half, 1).
-    """
-    for g in sizes:
-        # (rows so far, half, R, block) -> (rows so far, block's image, half, R)
-        t = (t.reshape(-1, 2, t.shape[-1] >> g, 1 << g) @ tables[g]).transpose(0, 3, 1, 2)
-    return t
 
 
 def _x_entries(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -278,8 +266,8 @@ def _x_entries(coeffs: np.ndarray, n: int) -> np.ndarray:
     The sector tables run from block 1, the lowest parameter bits, whose
     basis bits come out first: the result is in basis order.
     """
-    t = _sector_loop(coeffs.reshape(-1, 2, 1 << n) / (1 << n), _LAYOUTS[n].sizes,
-                     _SECTOR_FACTORS)
+    t = _block_loop(coeffs.reshape(-1, 2, 1 << n) / (1 << n), _LAYOUTS[n].sizes,
+                    _SECTORS[0])
     return t.reshape(*coeffs.shape[:-1], 1 << n, 2)
 
 
@@ -298,9 +286,8 @@ def _sector_coefficients(x: np.ndarray, n: int) -> np.ndarray:
     The conjugate sector tables run from block m, the lowest basis bits,
     whose parameter bits come out first: the result is in parameter order.
     """
-    t = _sector_loop(x.reshape(-1, 2, 1 << n), _LAYOUTS[n].sizes[::-1], _SECTOR_ADJOINT)
-    return _real_coefficients(t.reshape(-1, 1 << n, 2).transpose(0, 2, 1),
-                              (*x.shape[:-2], 2 << n))
+    t = _block_loop(x.reshape(-1, 2, 1 << n), _LAYOUTS[n].sizes[::-1], _SECTORS[1])
+    return _real_coefficients(t, (*x.shape[:-2], 2 << n))
 
 
 def _project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarray]:
@@ -513,8 +500,7 @@ def ghz_params(n: int, frame: str = "Z") -> XStateParams:
     d_i = 1 exactly on even-popcount indices; a_i alternates +1/-1 on
     popcount 0/2 mod 4 and vanishes on odd popcount.
     """
-    if not 2 <= n <= MAX_DENSE_QUBITS:
-        raise ValueError(f"qubit count must be in 2..{MAX_DENSE_QUBITS}, got {n}")
+    require_qubit_count(n, 2)
     popcount = np.zeros(1, dtype=int)
     for _ in range(n):      # the next index bit doubles the table
         popcount = np.concatenate([popcount, popcount + 1])

@@ -36,6 +36,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -43,6 +44,14 @@ AXES = ("X", "Y", "Z")
 
 MAX_QUBITS = 16       # masks must fit comfortably in one machine word
 MAX_DENSE_QUBITS = 12  # every dense operator and state: at most 4096 x 4096
+
+
+def require_qubit_count(n, low: int = 1, high: int = MAX_DENSE_QUBITS) -> None:
+    """Raise ValueError unless n is an integer, not a bool, in low..high: the
+    one qubit-count gate, which every entry point runs before any 1 << n."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or not low <= n <= high:
+        raise ValueError(f"qubit count must be an integer in {low}..{high}, got {n!r}")
+
 
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PREFIX_PHASE = {v: k for k, v in _PHASE_PREFIX.items()}
@@ -70,8 +79,7 @@ class PauliString:
     phase: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
+        require_qubit_count(self.n, high=MAX_QUBITS)
         full = (1 << self.n) - 1
         if not 0 <= self.x_mask <= full or not 0 <= self.z_mask <= full:
             raise ValueError("mask out of range for qubit count")

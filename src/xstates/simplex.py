@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .algebra import MAX_GEOMETRY_QUBITS
 from .linalg import json_text
-from .pauli import PauliString
+from .pauli import PauliString, require_qubit_count
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class LabeledSimplex:
 
 def build_simplex(n: int, step_axis: str = "Y") -> LabeledSimplex:
     """The labeled n-simplex with n + 1 vertices and 2**(n+1) - 1 faces."""
-    if not 1 <= n <= MAX_GEOMETRY_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_GEOMETRY_QUBITS}, got {n}")
+    require_qubit_count(n, high=MAX_GEOMETRY_QUBITS)
     if step_axis not in ("Y", "X"):
         raise ValueError("step axis must be 'Y' or 'X'")
     vertices = [PauliString.single("X", 1, 1), PauliString.single("Y", 1, 1)]

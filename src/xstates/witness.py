@@ -13,7 +13,7 @@ import numpy as np
 from .linalg import (_real_value, _state_and_subset, as_state, hermitian_eigen,
                      hermitian_eigenvalues, partial_transpose, sector_eigenvalues)
 from .model import XStateParams, _sector_entries, fit_sectors
-from .pauli import FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES
+from .pauli import FRAMES, PAULI_MATRICES, require_qubit_count
 
 DETECTION_TOL = -1e-10
 NORMALIZATION_TOL = 1e-12      # largest | ||amplitudes|| - 1 | of a PureState
@@ -52,8 +52,7 @@ class Witness:
 
 def dicke_state(n: int, k: int) -> PureState:
     """Equal superposition of all basis states with exactly k excitations."""
-    if not 1 <= n <= MAX_DENSE_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_DENSE_QUBITS}, got {n}")
+    require_qubit_count(n)
     if not 0 <= k <= n:
         raise ValueError(f"excitation count must be in 0..{n}")
     amp = np.zeros(1 << n, dtype=complex)
@@ -75,10 +74,7 @@ _BASIS_PAIR = {
 
 def ghz_state(n: int, frame: str = "Z") -> PureState:
     """(|u..u> + |v..v>)/sqrt(2) for the +1/-1 eigenbasis of the frame axis."""
-    if n < 2:
-        raise ValueError("a GHZ state needs at least 2 qubits")
-    if n > MAX_DENSE_QUBITS:
-        raise ValueError(f"qubit count must be in 2..{MAX_DENSE_QUBITS}, got {n}")
+    require_qubit_count(n, 2)
     try:
         up, down = _BASIS_PAIR[frame]
     except KeyError:

@@ -188,6 +188,11 @@ def test_strength_grid():
         strength_grid(1.0, 0.0, 5)
     with pytest.raises(ValueError):
         strength_grid(0.0, 1.0, 1)
+    # a count that is not an integer, even an integral float, takes the same
+    # rule rather than np.linspace's TypeError
+    for count in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="integer count of at least two points"):
+            strength_grid(0.0, 1.0, count)
 
 
 def test_sweep_bell_amplitude_damping_endpoints():

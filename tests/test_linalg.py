@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,14 +9,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (SX, SZ, oracle_matrix_to_csv, oracle_matrix_to_json,
                       oracle_partial_trace, random_density)
-from xstates import (PauliString, ToleranceError, apply_channel, concurrence,
-                     decompose, evaluate_witness, expectation, family_residual,
-                     ghz_state, hermitian_eigen, kron, make_witness, matrix_from_json,
-                     matrix_to_csv, matrix_to_json, negativity, partial_trace,
-                     partial_transpose, standard_channel)
+from xstates import (PauliString, ToleranceError, XStateParams, apply_channel,
+                     build_simplex, concurrence, decompose, dicke_state, evaluate_witness,
+                     expectation, family_residual, generate_set, ghz_params, ghz_state,
+                     hermitian_eigen, kron, make_witness, matrix_from_json, matrix_to_csv,
+                     matrix_to_json, negativity, partial_trace, partial_transpose,
+                     standard_channel)
+from xstates.algebra import MAX_GEOMETRY_QUBITS
 from xstates.linalg import (ConvergenceError, as_state, hermitian_eigenvalues,
                             hermiticity_deviation, json_text, x_matrix_entries)
 from xstates.model import fit_sectors
+from xstates.pauli import MAX_QUBITS
 
 
 def test_kron_examples():
@@ -386,8 +390,35 @@ QUBIT_COUNT_ENTRY_POINTS = {
 @pytest.mark.parametrize("n", [0, 13])
 @pytest.mark.parametrize("name", sorted(QUBIT_COUNT_ENTRY_POINTS))
 def test_state_entry_points_reject_qubit_count_out_of_range(name, n):
-    with pytest.raises(ValueError, match=rf"qubit count must be in 1\.\.12, got {n}"):
+    with pytest.raises(ValueError, match=rf"qubit count must be an integer in 1\.\.12, got {n}"):
         QUBIT_COUNT_ENTRY_POINTS[name](n)
+
+
+# each entry point's (call, low, high): every one runs pauli.require_qubit_count
+# before it computes 1 << n
+QUBIT_COUNT_GATES = {
+    "PauliString": (lambda n: PauliString(n, 0, 0), 1, MAX_QUBITS),
+    "generate_set": (generate_set, 1, 12),
+    "build_simplex": (build_simplex, 1, MAX_GEOMETRY_QUBITS),
+    "XStateParams": (lambda n: XStateParams(n, (1.0, 0.0), (0.0, 0.0)), 1, 12),
+    "XStateParams.build": (XStateParams.build, 1, 12),
+    "ghz_params": (ghz_params, 2, 12),
+    "as_state": (lambda n: as_state(np.eye(2), n), 1, 12),
+    "dicke_state": (lambda n: dicke_state(n, 1), 1, 12),
+    "ghz_state": (ghz_state, 2, 12),
+}
+
+
+@pytest.mark.parametrize("n", [True, 2.5, 0, -1, 13, 100])
+@pytest.mark.parametrize("name", sorted(QUBIT_COUNT_GATES))
+def test_qubit_count_gate(name, n):
+    call, low, high = QUBIT_COUNT_GATES[name]
+    if type(n) is int and low <= n <= high:     # 13 Pauli qubits are allowed
+        call(n)
+        return
+    with pytest.raises(ValueError, match=rf"^qubit count must be an integer in {low}\.\.{high}, "
+                                         rf"got {re.escape(repr(n))}$"):
+        call(n)
 
 
 def test_stack_entry_points_reject_wrong_dimensions():

@@ -55,7 +55,8 @@ def test_z_frame_letter_x_pattern(rng):
 
 def test_decompose_round_trip(rng):
     for frame in ("Z", "X", "Y"):
-        for n in (1, 2, 3, 4):
+        # one block of qubits; three blocks first at n = 9 (4 + 4 + 1), and n = 12
+        for n in (1, 2, 3, 4, 9, 12):
             p = random_valid_x_params(rng, n, frame)
             q, residual = decompose(materialize(p), n, frame)
             assert residual <= 1e-12
@@ -300,7 +301,7 @@ def test_decompose_inverts_materialize(p):
 
 @pytest.mark.parametrize("frame", sorted(FRAMES))
 def test_family_residual_single_matrix_equals_decompose(rng, frame):
-    for n in range(1, 9):
+    for n in range(1, 10):      # n = 9 is the first layout of three blocks
         inside = materialize(random_valid_x_params(rng, n, frame))
         outside = random_density(rng, 1 << n)
         stack = np.stack([inside, outside, 0.5 * inside + 0.5 * outside, outside.real])
@@ -312,6 +313,13 @@ def test_family_residual_single_matrix_equals_decompose(rng, frame):
             batched = family_residual(stack.reshape(*shape, *stack.shape[1:]), n, frame)
             assert batched.shape == shape
             assert np.max(np.abs(batched.ravel() - each)) <= 1e-15
+
+
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+def test_family_residual_of_an_empty_stack(frame):
+    # one, two and three blocks
+    for n in (4, 5, 9):
+        assert family_residual(np.zeros((0, 1 << n, 1 << n)), n, frame).shape == (0,)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
