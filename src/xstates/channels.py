@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
 from .linalg import as_state
-from .model import (_FACTORS, _SECTORS, XStateParams, _sector_entries,
-                    family_residual, materialize)
+from .model import (_FACTORS, _LAYOUTS, _SECTORS, XStateParams, _entries, _sector_entries,
+                    _table, family_residual)
+# bound here too, though unused: perfbench's tracer wraps every binding of it
+from .model import materialize  # noqa: F401
 from .pauli import PAULI_MATRICES
 from .witness import (_frame_amplitudes, _sector_value, concurrence, evaluate_witness,
                       make_witness, yu_eberly)
@@ -177,6 +180,60 @@ def _sector_step(entries, superop: np.ndarray, units: np.ndarray, qubits,
     return diag, anti
 
 
+def _mapped_points(p0: XStateParams, superops: np.ndarray, factors: np.ndarray,
+                   qubits: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """(E(rho0), sigma's parameters, max |E(rho0) - sigma|) for each
+    channel E of the stack superops (G, 4, 4) on each listed qubit, one
+    point at a time; sigma is E(rho0)'s part in the frame's family, and its
+    parameters are d then a, as decompose's.
+
+    vec(rho0) = 2**-n (B_d^(x)n d + B_a^(x)n a), with B = factors.T the
+    per-qubit factors, and E maps the factors of a qubit listed k times to
+    S^k B.  So E(rho0) is model._entries with the tables of those factors,
+    built once for all G channels and only for the layout's blocks, once
+    per distinct run of counts.  The parameters of sigma, tr(P_j E(rho0)),
+    come from the 2x2 blocks of T^k = B^dag S^k B / 2, the transfer matrix
+    of _preserves_family to the power k, applied per qubit to d and a in
+    O(n * 2**n): d' = (x)T_dd d + (x)T_da a, a' = (x)T_ad d + (x)T_aa a,
+    with d'_0 pinned to 1 as decompose pins it.
+    """
+    n, count = p0.n, len(superops)
+    coeffs = np.concatenate([p0.d, p0.a])
+    counts = np.bincount(qubits, minlength=n + 1)[1:].tolist()
+    # S^k B as (batch, vec, (half, bit)), k = 0..the largest count
+    mapped = [factors.T[None]]
+    for _ in range(max(counts)):
+        mapped.append(superops @ mapped[-1])
+
+    # each qubit's (batch, half, bit, row, column) factors, for _table
+    qubit_factors = [np.ascontiguousarray(m.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 4, 1, 2))
+                     for m in mapped]
+    # one table stack per distinct run of counts over a block of the layout;
+    # the family's own runs are all 0 (the frame's module tables are laid
+    # out for their pinned bits, and _entries would copy them at each call)
+    sizes = _LAYOUTS[n].sizes
+    keys = [tuple(counts[start:start + g]) for start, g in zip(np.cumsum((0, *sizes)), sizes)]
+    family = [(0,) * g for g in sizes]
+    tables = {}
+    for key in {*keys, *family}:
+        table = _table([qubit_factors[k] for k in key])
+        tables[key] = np.broadcast_to(table, (count, *table.shape[-3:]))
+
+    # T^k as (batch, h', h, 1, b', b) blocks; qubit q + 1 is parameter bit q
+    transfer = [(factors.conj() @ m / 2).real.reshape(-1, 2, 2, 1, 2, 2).swapaxes(2, 4)
+                for m in mapped]
+    sigma = np.broadcast_to(coeffs.reshape(1, 1, 2, -1), (count, 2, 2, 1 << n))
+    for q, k in enumerate(counts):
+        sigma = transfer[k] @ sigma.reshape(count, 2, 2, -1, 2, 1 << q)
+    sigma = sigma.reshape(count, 2, 2, -1).sum(axis=2).reshape(count, -1)
+    sigma[:, 0] = 1.0
+
+    for i in range(count):
+        rho = _entries(coeffs, n, [tables[key][i] for key in keys])
+        diff = _entries(sigma[i], n, [tables[key][i] for key in family])
+        yield rho, sigma[i], float(np.abs(np.subtract(rho, diff, out=diff)).max())
+
+
 def x_form_residual(rho: np.ndarray, frame: str, n: int) -> "float | np.ndarray":
     """Max-norm weight of rho outside the frame's X family."""
     return family_residual(rho, n, frame)
@@ -232,9 +289,14 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     preserves the frame's family (_preserves_family) are computed together
     from the state's Z-frame sector entries, in O(n * 2**n) each:
     concurrence by yu_eberly, the witness value by the parameter route of
-    evaluate_witness, and the residual is exactly 0.0.  At each other
-    strength that strength's superoperator, a row of the stack, is
-    contracted with the dense state as in apply_channel.
+    evaluate_witness, and the residual is exactly 0.0.  The other
+    strengths (amplitude damping off the Z frame) take the channel-mapped
+    factors of _mapped_points: each point's dense E(rho0) is the family
+    transform with each listed qubit's factors mapped by its superoperator,
+    a row of the stack, and the record is read from that one matrix (the
+    dense witness, or Wootters' concurrence).  The residual is its distance
+    from its family part, whose parameters the transfer matrices give
+    directly.  No dense initial state is built, and no state is projected.
     """
     n, frame = p0.n, p0.frame
     if witness_kind is None and n != 2:
@@ -258,11 +320,11 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
         values[preserving] = (yu_eberly(diag, anti) if w is None else
                               _sector_value(w, _frame_amplitudes(w.psi, frame), diag, anti))
     dense = np.flatnonzero(~preserving)
-    rho0 = materialize(p0) if dense.size else None
-    for g in dense:
-        rho = _contract(rho0, superops[g], qubit_list, n)
-        values[g] = concurrence(rho) if w is None else evaluate_witness(w, rho)[0]
-        residuals[g] = x_form_residual(rho, frame, n)
+    if dense.size:
+        points = _mapped_points(p0, superops[dense], factors, qubit_list)
+        for g, (rho, _, residual) in zip(dense, points):
+            values[g] = concurrence(rho) if w is None else evaluate_witness(w, rho)[0]
+            residuals[g] = residual
     records = tuple(values.tolist())
     return Trajectory(strengths, records if w is None else None,
                       records if w is not None else None, tuple(residuals.tolist()))

@@ -26,10 +26,17 @@ with 2x1 per-qubit factors, the Z-frame factors at the X positions:
 
 So four transforms are one operation: the dense transform _entries and its
 adjoint _coefficients, the sector transform _x_entries and its adjoint
-_sector_coefficients.  One builder, _tables, makes the Kronecker powers of
-either pair of per-qubit factors for blocks of up to _BLOCK qubits, and one
-loop, _block_loop, applies them block by block.  They serve every n, every
-frame and any stack.
+_sector_coefficients.  One builder, _table, makes the Kronecker product of
+a sequence of per-qubit factors over a block of up to _BLOCK qubits, and
+one loop, _block_loop, applies a table per block.  The frame's and the
+sector factors' tables are built once, for every block size; they serve
+every n, every frame and any stack.
+
+A channel E applied to listed qubits maps each listed qubit's factor
+columns by its 4x4 superoperator S (S^k for a qubit listed k times), so
+vec(E(rho)) is the same sum with factors S^k B there and B elsewhere:
+_entries takes the per-block tables of those factors (channels.sweep
+builds them once per sweep), and E(rho) needs no dense rho.
 """
 
 from __future__ import annotations
@@ -128,27 +135,38 @@ class StateReport:
         }
 
 
-def _tables(per_qubit) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Kronecker powers of per-qubit factors for g = 0.._BLOCK qubits.
+def _table(per_qubit) -> np.ndarray:
+    """The Kronecker products of per-qubit factors over one block.
 
-    per_qubit holds one (row, column, bit) stack for each half, d and a.
-    forward[g] has shape (2, 2**g, rows * columns): [h, c] is half h's
-    g-qubit product of index c, flattened in (row bits, column bits) order.
-    Bit k-1 of c picks the factor of the block's k-th qubit, counted from
-    the left.  adjoint[g] is its conjugate as (2, rows * columns, 2**g), a
-    view of (rows * columns, 2, 2**g) memory, so that adjoint[g] moved back
-    flattens to one matrix without a copy.
+    per_qubit holds, for each qubit of the block from the left, its
+    (..., half, bit, row, column) factors, d then a; leading axes
+    broadcast, so a stack of channels gives a stack of tables.  The table
+    has shape (..., 2, 2**g, rows * columns) for g qubits: [h, c] is half
+    h's product of index c, flattened in (row bits, column bits) order.
+    Bit k-1 of c picks the factor of the k-th qubit.  The product grows
+    from the right, so its longest axes stay innermost.
     """
-    def grow(block, qubit):
-        # the next qubit is the rightmost factor and the highest bit of c
-        product = block[:, None, :, None, None, :] * qubit[None, :, None, :, :, None]
-        return product.reshape(2 * len(block), -1, 2 * block.shape[-1])
+    table = np.ones((2, 1, 1, 1))          # (half, index, rows, columns)
+    for qubit in reversed(per_qubit):
+        # the next qubit is the leftmost factor and the lowest bit of c
+        table = (table[..., :, None, None, :, None, :]
+                 * qubit[..., :, None, :, :, None, :, None])
+        half, index, bit, row, rows, column, columns = table.shape[-7:]
+        table = table.reshape(*table.shape[:-7], half, index * bit, row * rows,
+                              column * columns)
+    return table.reshape(*table.shape[:-2], -1)
 
-    levels = [(np.ones((1, 1, 1)),) * 2]
-    for _ in range(_BLOCK):
-        levels.append(tuple(map(grow, levels[-1], per_qubit)))
-    forward = tuple(np.stack([b.reshape(-1, b.shape[-1]).T for b in level])
-                    for level in levels)
+
+def _frame_tables(per_qubit) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The read-only tables of one factor pair on every qubit of g =
+    0.._BLOCK qubits: forward[g], _table's (2, 2**g, rows * columns) as a
+    view of (2, rows * columns, 2**g) memory, and adjoint[g], its conjugate
+    as (2, rows * columns, 2**g), a view of (rows * columns, 2, 2**g)
+    memory, so that adjoint[g] moved back flattens to one matrix without a
+    copy.  A matmul's rounding can depend on its operands' memory layout,
+    and the transforms' output bits are pinned with these layouts."""
+    forward = tuple(np.ascontiguousarray(_table([per_qubit] * g).swapaxes(1, 2)).swapaxes(1, 2)
+                    for g in range(_BLOCK + 1))
     adjoint = tuple(np.ascontiguousarray(f.conj().transpose(2, 0, 1)).transpose(1, 0, 2)
                     for f in forward)
     for table in forward + adjoint:
@@ -156,20 +174,20 @@ def _tables(per_qubit) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     return forward, adjoint
 
 
-def _frame_factors(frame: AxisFrame) -> tuple[np.ndarray, np.ndarray]:
-    """(row, column, bit) stacks of one qubit: bit 0/1 picks I/F(Z) for d
-    and F(X)/F(Y) for a, with the frame's signs."""
+def _frame_factors(frame: AxisFrame) -> np.ndarray:
+    """The (half, bit, row, column) factors of one qubit: bit 0/1 picks
+    I/F(Z) for d and F(X)/F(Y) for a, with the frame's signs."""
     z, x, y = (sign * PAULI_MATRICES[axis] for axis, sign in map(frame.image, "ZXY"))
-    return np.stack([PAULI_MATRICES["I"], z], axis=-1), np.stack([x, y], axis=-1)
+    return np.array([[PAULI_MATRICES["I"], z], [x, y]])
 
 
-_FACTORS = {name: _tables(_frame_factors(frame)) for name, frame in FRAMES.items()}
-# The Z-frame factors at the X positions, as 2x1 matrices over (basis bit,
-# parameter bit): I/Z at (r, r), [[1, 1], [1, -1]], and X/Y at (r, ~r),
-# [[1, -i], [1, i]].  forward[g][h, c, r] is then the g-qubit operator of
+_FACTORS = {name: _frame_tables(_frame_factors(frame)) for name, frame in FRAMES.items()}
+# The Z-frame factors at the X positions, as one-column factors, (bit, row)
+# per half: I/Z at (r, r), [[1, 1], [1, -1]], and X/Y at (r, ~r),
+# [[1, 1], [-i, i]].  forward[g][h, c, r] is then the g-qubit operator of
 # half h and index c at row r's X position.
-_SECTORS = _tables(tuple(f[[0, 1], columns, None] for f, columns in
-                         zip(_frame_factors(FRAMES["Z"]), ([0, 1], [1, 0]))))
+_SECTORS = _frame_tables(np.stack([f[:, [0, 1], columns, None] for f, columns in
+                                    zip(_frame_factors(FRAMES["Z"]), ([0, 1], [1, 0]))]))
 
 
 class _Layout(NamedTuple):
@@ -194,35 +212,42 @@ def _layout(n: int) -> _Layout:
 _LAYOUTS = {n: _layout(n) for n in range(1, MAX_DENSE_QUBITS + 1)}
 
 
-def _block_loop(t: np.ndarray, sizes, tables) -> np.ndarray:
+def _block_loop(t: np.ndarray, tables) -> np.ndarray:
     """The block loop of every transform.
 
-    t (rows, half, index) meets tables[g] (half, k, out), with k =
-    tables[g].shape[-2], block by block in the order of sizes, each block
-    taking the lowest k of the index still left.  Each block's image lands
-    in front of the later blocks' images, so the result is (rows, image of
-    the first block, ..., of the last, half, index left).
+    t (rows, half, index) meets each table (half, k, out) of the sequence
+    in turn, one block each, each block taking the lowest k of the index
+    still left.  Each block's image lands in front of the later blocks'
+    images, so the result is (rows, image of the first block, ..., of the
+    last, half, index left).
     """
-    for g in sizes:
-        k = tables[g].shape[-2]
+    for table in tables:
+        k = table.shape[-2]
         # (rows so far, half, R, k) -> (rows so far, block's image, half, R)
-        t = (t.reshape(-1, 2, t.shape[-1] // k, k) @ tables[g]).transpose(0, 3, 1, 2)
+        t = (t.reshape(-1, 2, t.shape[-1] // k, k) @ table).transpose(0, 3, 1, 2)
     return t
 
 
-def _entries(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
-    """2**-n * sum_k coeffs[..., k] * P_k over the family operators P_k.
+def _frame_blocks(n: int, frame: str) -> list[np.ndarray]:
+    """The frame's forward tables for the blocks of n qubits, in layout order."""
+    forward = _FACTORS[frame][0]
+    return [forward[g] for g in _LAYOUTS[n].sizes]
+
+
+def _entries(coeffs: np.ndarray, n: int, blocks) -> np.ndarray:
+    """2**-n * sum_k coeffs[..., k] * P_k over the operators P_k whose
+    per-qubit factors the tables give: blocks holds one forward table per
+    block of the layout, _frame_blocks for the frame's family operators.
 
     coeffs (..., 2**(n+1)) holds d then a; the result is (..., dim, dim).
     The per-half factors act on blocks 1..m-1, lowest parameter bits first,
     whose images are the top row and column bits; block m takes both halves
     in one matmul, which also sums them.
     """
-    forward, _ = _FACTORS[frame]
     layout = _LAYOUTS[n]
-    *inner, last = layout.sizes
-    t = _block_loop(coeffs.reshape(-1, 2, 1 << n) / (1 << n), inner, forward)
-    t = t.reshape(-1, 2 << last) @ forward[last].reshape(2 << last, -1)
+    *inner, last = blocks
+    t = _block_loop(coeffs.reshape(-1, 2, 1 << n) / (1 << n), inner)
+    t = t.reshape(-1, last.shape[-3] * last.shape[-2]) @ last.reshape(-1, last.shape[-1])
     t = t.reshape(layout.pairs).transpose(layout.to_matrix)
     return t.reshape(*coeffs.shape[:-1], 1 << n, 1 << n)
 
@@ -255,7 +280,7 @@ def _coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
     t = t.reshape(-1, 4 ** first) @ adjoint[first].transpose(1, 0, 2).reshape(4 ** first, -1)
     # (B, pairs of blocks 1..m-1, half, block m's bits) -> (B, half, bits, pairs)
     t = t.reshape(-1, 4 ** (n - first), 2, 1 << first).transpose(0, 2, 3, 1)
-    t = _block_loop(t.reshape(-1, 2, 1 << (2 * n - first)), rest, adjoint)
+    t = _block_loop(t.reshape(-1, 2, 1 << (2 * n - first)), [adjoint[g] for g in rest])
     return _real_coefficients(t, (*rho.shape[:-2], 2 << n))
 
 
@@ -266,8 +291,8 @@ def _x_entries(coeffs: np.ndarray, n: int) -> np.ndarray:
     The sector tables run from block 1, the lowest parameter bits, whose
     basis bits come out first: the result is in basis order.
     """
-    t = _block_loop(coeffs.reshape(-1, 2, 1 << n) / (1 << n), _LAYOUTS[n].sizes,
-                    _SECTORS[0])
+    t = _block_loop(coeffs.reshape(-1, 2, 1 << n) / (1 << n),
+                    [_SECTORS[0][g] for g in _LAYOUTS[n].sizes])
     return t.reshape(*coeffs.shape[:-1], 1 << n, 2)
 
 
@@ -286,7 +311,8 @@ def _sector_coefficients(x: np.ndarray, n: int) -> np.ndarray:
     The conjugate sector tables run from block m, the lowest basis bits,
     whose parameter bits come out first: the result is in parameter order.
     """
-    t = _block_loop(x.reshape(-1, 2, 1 << n), _LAYOUTS[n].sizes[::-1], _SECTORS[1])
+    t = _block_loop(x.reshape(-1, 2, 1 << n),
+                    [_SECTORS[1][g] for g in _LAYOUTS[n].sizes[::-1]])
     return _real_coefficients(t, (*x.shape[:-2], 2 << n))
 
 
@@ -307,7 +333,7 @@ def _project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarra
     if x is None:
         coeffs = _coefficients(rho, n, frame)
         coeffs[..., 0] = 1.0
-        diff = _entries(coeffs, n, frame)
+        diff = _entries(coeffs, n, _frame_blocks(n, frame))
         return coeffs, np.subtract(rho, diff, out=diff)
     x = np.concatenate([e[..., None, :] for e in x], axis=-2)
     coeffs = _sector_coefficients(x, n)
@@ -420,7 +446,7 @@ def materialize(p: XStateParams) -> np.ndarray:
     """
     coeffs = np.concatenate([p.d, p.a])
     if p.frame != "Z":
-        return _entries(coeffs, p.n, p.frame)
+        return _entries(coeffs, p.n, _frame_blocks(p.n, p.frame))
     x = _x_entries(coeffs, p.n)
     dim = 1 << p.n
     rho = np.zeros((dim, dim), dtype=complex)

@@ -203,6 +203,7 @@ class PauliString:
 
 def z_product(index: int, n: int) -> PauliString:
     """Product over qubits of I (bit clear) or Z (bit set) per bits of ``index``."""
+    require_qubit_count(n, high=MAX_QUBITS)
     if not 0 <= index < (1 << n):
         raise ValueError(f"index must be in 0..{(1 << n) - 1}")
     return PauliString(n, 0, index, 0)
@@ -214,6 +215,7 @@ def xy_product(index: int, n: int) -> PauliString:
     The i factors of the Y's are folded into the phase so the dense matrix
     equals the literal tensor product of X/Y matrices.
     """
+    require_qubit_count(n, high=MAX_QUBITS)
     if not 0 <= index < (1 << n):
         raise ValueError(f"index must be in 0..{(1 << n) - 1}")
     full = (1 << n) - 1

@@ -10,7 +10,7 @@ from xstates import (Channel, Trajectory, XStateParams, apply_channel, bell_diag
                      concurrence, decompose, dicke_state, evaluate_witness,
                      ghz_params, make_witness, materialize, standard_channel,
                      strength_grid, sweep, x_form_residual)
-from xstates import channels
+from xstates import channels, model
 from xstates.linalg import x_matrix_entries
 from xstates.model import _sector_entries
 from xstates.pauli import PAULI_MATRICES
@@ -226,7 +226,7 @@ def test_sweep_witness_mode():
 def _forbid_work(monkeypatch, check):
     def no_work(*args, **kwargs):
         raise AssertionError(f"work started before the {check} check")
-    for name in ("make_witness", "materialize", "standard_channel", "_kraus_stack",
+    for name in ("make_witness", "_table", "_entries", "standard_channel", "_kraus_stack",
                  "_sector_entries"):
         monkeypatch.setattr(channels, name, no_work)
 
@@ -268,7 +268,10 @@ def test_sweep_of_an_empty_grid_is_empty():
 
 
 # the sweep builds no Channel: a dense point, here amplitude damping off the Z
-# frame at every strength > 0, contracts its row of the checked stack
+# frame at every strength > 0, maps the factors by its row of the checked
+# stack, whose tables are built once for all dense points: one per distinct
+# block of listed counts (1, 0, 1) and one for the family's (0, 0, 0).  No
+# dense initial state is built, nothing is contracted and nothing projected.
 @pytest.mark.parametrize("frame,kind,dense", [("Z", "amplitude_damping", 0),
                                               ("X", "amplitude_damping", 1),
                                               ("Y", "depolarizing", 0)])
@@ -285,11 +288,16 @@ def test_sweep_builds_and_checks_one_kraus_stack(monkeypatch, frame, kind, dense
     monkeypatch.setattr(channels, "_check_completeness",
                         counted("completeness", channels._check_completeness))
     monkeypatch.setattr(Channel, "__post_init__", counted("channel", Channel.__post_init__))
-    monkeypatch.setattr(channels, "_contract", counted("contract", channels._contract))
+    monkeypatch.setattr(channels, "_table", counted("table", channels._table))
+    monkeypatch.setattr(channels, "_entries", counted("entries", channels._entries))
+    for module, name in ((channels, "_contract"), (channels, "family_residual"),
+                         (model, "family_residual"), (model, "materialize")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     traj = sweep(ghz_params(3, frame), kind, [1, 3], strength_grid(0.0, 1.0, count),
                  witness_kind="ghz_type")
     assert len(traj.witness) == count
-    assert calls == collections.Counter(kraus=1, completeness=1, contract=dense * (count - 1))
+    assert calls == collections.Counter(kraus=1, completeness=1, table=2 * dense,
+                                        entries=2 * dense * (count - 1))
 
 
 def _closed_form_kraus(kind, s):
@@ -440,22 +448,58 @@ def test_sweep_matches_dense_sweep(case):
     got = traj.concurrence if witness_kind is None else traj.witness
     want, residuals = _dense_sweep(p, kind, qubits, grid, witness_kind)
     for s, g, v, r, dense_r in zip(grid, got, want, traj.x_residual, residuals):
+        assert abs(g - v) <= 1e-12
         if _preserves(kind, s, p.frame):
-            assert abs(g - v) <= 1e-12
             assert r == 0.0
-        else:   # the dense path itself
-            assert (g, r) == (v, dense_r)
+        else:   # the channel-mapped factors, against the dense oracle
+            assert abs(r - dense_r) <= 1e-12
 
 
+# n = 8 has two blocks of the layout, n = 9 three (4, 4, 1); the lists
+# repeat qubits within a block and across blocks, or list none
 @pytest.mark.parametrize("frame", ["X", "Y"])
 @pytest.mark.parametrize("n,witness_kind", [(2, None), (3, "ghz_type"), (4, "dicke_2_4"),
-                                            (6, "ghz_type")])
+                                            (6, "ghz_type"), (8, "ghz_type"), (9, "ghz_type")])
 def test_amplitude_damping_off_the_z_frame_stays_dense(rng, frame, n, witness_kind):
     p = random_valid_x_params(rng, n, frame)
     grid = strength_grid(0.0, 1.0, 11)[1:]
-    qubits = [1, n, 1]
-    traj = sweep(p, "amplitude_damping", qubits, grid, witness_kind)
-    records, residuals = _dense_sweep(p, "amplitude_damping", qubits, grid, witness_kind)
-    assert (traj.concurrence if witness_kind is None else traj.witness) == tuple(records)
-    assert traj.x_residual == tuple(residuals)
-    assert min(residuals) > 0.0
+    for qubits in ([1, n, 1], [], [n, 2, n, n], [*range(1, n + 1)] * 2):
+        traj = sweep(p, "amplitude_damping", qubits, grid, witness_kind)
+        records, residuals = _dense_sweep(p, "amplitude_damping", qubits, grid, witness_kind)
+        got = traj.concurrence if witness_kind is None else traj.witness
+        assert np.max(np.abs(np.subtract(got, records))) <= 1e-12
+        assert np.max(np.abs(np.subtract(traj.x_residual, residuals))) <= 1e-12
+        if qubits:
+            assert min(residuals) > 0.0
+
+
+@st.composite
+def mapped_cases(draw):
+    n = draw(st.integers(1, 6))
+    frame = draw(st.sampled_from("ZXY"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_valid_x_params(rng, n, frame)
+    kind = draw(st.sampled_from(KINDS))
+    strengths = sorted(set(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))))
+    qubits = draw(st.lists(st.integers(1, n), min_size=0, max_size=2 * n))
+    return p, kind, strengths, qubits
+
+
+# every frame and kind, family-preserving or not: E(rho0) from the mapped
+# factors, and its family part from the transfer blocks, against the dense oracle
+@settings(max_examples=100)
+@given(mapped_cases())
+def test_mapped_points_match_dense_oracle(case):
+    p, kind, strengths, qubits = case
+    n = p.n
+    factors, _ = channels._frame_bases(p.frame)
+    superops = channels._superoperator(channels._kraus_stack(kind, strengths))
+    points = list(channels._mapped_points(p, superops, factors, qubits))
+    assert len(points) == len(strengths)
+    rho0 = materialize(p)
+    for s, (rho, sigma, residual) in zip(strengths, points):
+        want = apply_channel(rho0, standard_channel(kind, s), qubits, n)
+        q, want_residual = decompose(want, n, p.frame)
+        assert np.max(np.abs(rho - want)) <= 1e-12
+        assert np.max(np.abs(sigma - np.concatenate([q.d, q.a]))) <= 1e-12
+        assert abs(residual - want_residual) <= 1e-12

@@ -524,7 +524,8 @@ def _dense_projection(rho, n):
     route: coefficients with d_0 pinned, and the max-norm residual."""
     coeffs = model._coefficients(rho, n, "Z")
     coeffs[..., 0] = 1.0
-    return coeffs, np.abs(rho - model._entries(coeffs, n, "Z")).max(axis=(-2, -1))
+    sigma = model._entries(coeffs, n, model._frame_blocks(n, "Z"))
+    return coeffs, np.abs(rho - sigma).max(axis=(-2, -1))
 
 
 @settings(max_examples=60)
@@ -574,7 +575,7 @@ def test_projection_keeps_center_symmetry_bitwise(rng, frame):
     for n in range(2, 9):
         rho = random_density(rng, 1 << n) + 0.1 * rng.normal(size=(1 << n, 1 << n))
         coeffs = model._project(rho, n, frame)[0]
-        sigma = model._entries(coeffs, n, frame)
+        sigma = model._entries(coeffs, n, model._frame_blocks(n, frame))
         g = oracle_center_image(n, frame)
         # g is a phased permutation matrix: each entry of g sigma g^dag is one
         # exact product

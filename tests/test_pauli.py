@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,15 @@ def test_index_range_errors():
         z_product(4, 2)
     with pytest.raises(ValueError):
         xy_product(-1, 2)
+
+
+# n is gated before the index check computes 1 << n
+@pytest.mark.parametrize("product", [z_product, xy_product])
+@pytest.mark.parametrize("n", [2.5, -1, 0, 17, True, "3", None])
+def test_products_gate_the_qubit_count_first(product, n):
+    with pytest.raises(ValueError, match=rf"^qubit count must be an integer in 1\.\.16, "
+                                         rf"got {re.escape(repr(n))}$"):
+        product(0, n)
 
 
 def test_multiply_single_qubit_cycle():
