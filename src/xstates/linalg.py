@@ -131,37 +131,6 @@ def sector_hermiticity_deviation(diag: np.ndarray, anti: np.ndarray) -> float:
                                                anti - anti[::-1].conj()]))))
 
 
-def x_shaped_entries(m: np.ndarray) -> "tuple[np.ndarray, np.ndarray] | None":
-    """(diag, anti) of an X-shaped matrix, or of a stack (..., dim, dim) of
-    them, else None; no Hermiticity check.
-
-    X-shaped means every entry off the diagonal and the anti-diagonal is
-    exactly zero, as ``materialize`` and ``apply_channel`` leave a Z-frame
-    state; diag[..., b] = m[..., b, b] and anti[..., b] = m[..., b, ~b], as
-    read-only views.
-    """
-    diag = m.diagonal(axis1=-2, axis2=-1)
-    anti = m[..., ::-1].diagonal(axis1=-2, axis2=-1)
-    # the two diagonals are disjoint only in even dimension
-    if m.shape[-1] % 2 or np.count_nonzero(m) != np.count_nonzero(diag) + np.count_nonzero(anti):
-        return None
-    return diag, anti
-
-
-def x_matrix_entries(m: np.ndarray) -> "tuple[np.ndarray, np.ndarray] | None":
-    """(diag, anti) of an X-shaped matrix (x_shaped_entries), else None.
-
-    The entries are laid out as for sector_eigenvalues, with the diagonal
-    made real after the same Hermiticity check as hermitian_eigen.
-    """
-    entries = x_shaped_entries(_as_square(m))
-    if entries is None:
-        return None
-    diag, anti = entries
-    _require_hermitian(sector_hermiticity_deviation(diag, anti))
-    return diag.real, anti
-
-
 def _require_hermitian(dev: float) -> None:
     if not dev <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")

@@ -47,8 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (SECTOR_FIT_TOL, as_state, sector_eigenvalues,
-                     sector_hermiticity_deviation, x_matrix_entries, x_shaped_entries)
+from .linalg import SECTOR_FIT_TOL, as_state, sector_eigenvalues, sector_hermiticity_deviation
 from .pauli import FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame, require_qubit_count
 
 # Qubits per Kronecker block: n <= 4 costs one matmul, n <= 12 at most three.
@@ -304,9 +303,10 @@ def _sector_entries(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _sector_coefficients(x: np.ndarray, n: int) -> np.ndarray:
-    """tr(P_k rho) for the Z-frame family operators P_k of an X-shaped rho
-    (or stack) from its X entries x (..., 2, dim), diag then anti: the
-    adjoint of _x_entries, in O(n * 2**n), with _coefficients' check.
+    """tr(P_k rho) for the Z-frame family operators P_k of any rho (or
+    stack) from its X entries x (..., 2, dim), diag then anti, as every P_k
+    is zero off the X: the adjoint of _x_entries, in O(n * 2**n), with
+    _coefficients' check.
 
     The conjugate sector tables run from block m, the lowest basis bits,
     whose parameter bits come out first: the result is in parameter order.
@@ -316,29 +316,49 @@ def _sector_coefficients(x: np.ndarray, n: int) -> np.ndarray:
     return _real_coefficients(t, (*x.shape[:-2], 2 << n))
 
 
-def _project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarray]:
-    """(coeffs, diff): the family coefficients of rho (or of a stack) with
-    d_0 pinned to 1, so a trace deficit lands in diff, and rho minus their
-    matrix.
+def _x_views(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m[..., b, b] and m[..., b, ~b], (..., dim) each, as strided views of
+    a C-contiguous matrix or stack m (..., dim, dim), so writing them
+    writes m."""
+    dim = m.shape[-1]
+    flat = m.reshape(*m.shape[:-2], dim * dim)
+    return flat[..., ::dim + 1], flat[..., dim - 1:-1:dim - 1]
 
-    In the Z frame an X-shaped rho (or stack, linalg.x_shaped_entries) is
-    projected from its X entries alone, by _sector_coefficients and
-    _x_entries in O(n * 2**n) after the O(4**n) shape check.  diff is then
-    (..., 2, dim), diag then anti: off the X both rho and its projection
-    are exactly 0, so the largest entry is the same.  An unknown frame
-    raises ValueError before any transform.
+
+def _project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(coeffs, diff, entries): the family coefficients of rho (or of a
+    stack) with d_0 pinned to 1, so a trace deficit lands in diff; rho minus
+    their matrix sigma, (..., dim, dim) in every frame; and the Z-frame
+    (diag, anti) of the projection, laid out as _sector_entries's.
+
+    The Z frame's family operators are zero off the X, so its coefficients
+    are _sector_coefficients of rho's X entries, sigma's X entries are
+    _x_entries, and diff is a copy of rho with those subtracted on the X:
+    two O(n * 2**n) transforms and one O(4**n) copy.  Its entries are read
+    off rho's X entries, made Hermitian, before d_0 is pinned: the
+    projection without a transform's rounding, so a population keeps its
+    relative precision (Yu-Eberly takes square roots of populations), and a
+    Hermitian X-shaped rho gives its own bits.  The X and Y frames take the
+    Kronecker-factored transform and its adjoint, and their entries come
+    from the coefficients.  An unknown frame raises ValueError before any
+    transform.
     """
     _require_frame(frame)
-    x = x_shaped_entries(rho) if frame == "Z" else None
-    if x is None:
+    if frame != "Z":
         coeffs = _coefficients(rho, n, frame)
         coeffs[..., 0] = 1.0
         diff = _entries(coeffs, n, _frame_blocks(n, frame))
-        return coeffs, np.subtract(rho, diff, out=diff)
-    x = np.concatenate([e[..., None, :] for e in x], axis=-2)
+        return coeffs, np.subtract(rho, diff, out=diff), _sector_entries(coeffs, n)
+    diff = np.array(rho, dtype=complex, order="C")
+    diag, anti = _x_views(diff)
+    entries = diag.real.copy(), (anti + anti[..., ::-1].conj()) / 2
+    x = np.concatenate([diag[..., None, :], anti[..., None, :]], axis=-2)
     coeffs = _sector_coefficients(x, n)
     coeffs[..., 0] = 1.0
-    return coeffs, x - np.swapaxes(_x_entries(coeffs, n), -1, -2)
+    sigma = _x_entries(coeffs, n)
+    diag -= sigma[..., 0]
+    anti -= sigma[..., 1]
+    return coeffs, diff, entries
 
 
 # (-1)**(number of set bits among the top two), per quarter of the basis
@@ -365,46 +385,43 @@ def _screen_deviation(rho: np.ndarray, n: int, frame: str) -> float:
     return float(np.abs(row - partner).max())
 
 
-def _screen_bound(n: int, frame: str) -> float:
-    """The largest _screen_deviation of a rho whose fit in the frame succeeds.
+def _screen_bound(n: int) -> float:
+    """The largest _screen_deviation of a rho whose fit succeeds, in any
+    frame: 2 SECTOR_FIT_TOL / sqrt(dim) plus a rounding bound, derived here
+    with u = 2**-53 and N = 4**n.
 
-    Z: the fit demands exact zeros off the X, and row 0's entries with
-    s(c) = -1 lie off it, so 0.
-
-    X and Y: 2 SECTOR_FIT_TOL / sqrt(dim) plus a rounding bound, derived
-    here with u = 2**-53 and N = 4**n.  Let sigma be the computed
-    projection.  It keeps g's symmetry bitwise: each of its entries is one
-    rounded sum of a d and an a term, exact multiples (by 0, +-1, +-i) of
-    the computed coefficients, the terms at (x, c ^ x) are s(c) times those
-    at (0, c), and rounding to nearest is odd.  So the projection's own
-    rounding adds nothing, and the deviation is that of rho - sigma, at most
-    2 max |rho - sigma| <= 2 ||rho - sigma||_F.  A passing fit has
-    fl(sqrt(dim) ||fl(rho - sigma)||_F) <= SECTOR_FIT_TOL.  The difference
-    rounds once per entry; the norm sums N squares in each of two dot
-    products (relative error gamma_N = N u / (1 - N u)), then adds them,
-    takes a square root and multiplies by the rounded sqrt(dim).  Squares
-    that underflow lose at most sqrt(N) 2**-537 in all, far below the rest.
-    So ||rho - sigma||_F <= SECTOR_FIT_TOL / (sqrt(dim) (1 - gamma_(N+5))).
-    The deviation's own subtraction and modulus add a factor 1 + gamma_3.
-    The result exceeds 2 SECTOR_FIT_TOL / sqrt(dim) by a factor of about
-    1 + (N + 8) u.  The bound takes 1 + (N + 16) 2**-52, which also covers
-    the rounding in computing the bound itself.  No bound at n = 1: the
-    algebra's center is empty, and every state fits in the Z frame.
+    Let sigma be the computed projection.  Its own screen deviation is
+    exactly 0.  In the X and Y frames each of its entries is one rounded
+    sum of a d and an a term, exact multiples (by 0, +-1, +-i) of the
+    computed coefficients, the terms at (x, c ^ x) are s(c) times those at
+    (0, c), and rounding to nearest is odd.  In the Z frame sigma is
+    X-shaped and x = 0, so row 0 holds only c = 0 and c = dim - 1, where
+    s(c) = +1, and every other entry of row 0 is exactly 0.  So the
+    projection's own rounding adds nothing, and the deviation is that of
+    rho - sigma, at most 2 max |rho - sigma| <= 2 ||rho - sigma||_F.  A
+    passing fit has fl(sqrt(dim) ||fl(rho - sigma)||_F) <= SECTOR_FIT_TOL.
+    The difference rounds once per entry; the norm sums N squares in each
+    of two dot products (relative error gamma_N = N u / (1 - N u)), then
+    adds them, takes a square root and multiplies by the rounded sqrt(dim).
+    Squares that underflow lose at most sqrt(N) 2**-537 in all, far below
+    the rest.  So ||rho - sigma||_F <= SECTOR_FIT_TOL / (sqrt(dim) (1 -
+    gamma_(N+5))).  The deviation's own subtraction and modulus add a
+    factor 1 + gamma_3.  The result exceeds 2 SECTOR_FIT_TOL / sqrt(dim) by
+    a factor of about 1 + (N + 8) u.  The bound takes 1 + (N + 16) 2**-52,
+    which also covers the rounding in computing the bound itself.  No bound
+    at n = 1: the algebra's center is empty, and every state fits in the Z
+    frame.
     """
-    if frame == "Z":
-        return 0.0
     fit = 2 * SECTOR_FIT_TOL / math.sqrt(1 << n)
     return fit + fit * (4 ** n + 16) * np.finfo(float).eps
 
 
 def _fit(rho: np.ndarray, n: int, frame: str) -> "tuple[np.ndarray, np.ndarray] | None":
-    """Z-frame (diag, anti) of rho if it fits the frame's family, else None
-    (see fit_sectors)."""
-    if frame == "Z":
-        return x_matrix_entries(rho)
-    coeffs, diff = _project(rho, n, frame)
+    """Z-frame (diag, anti) of the projection of rho onto the frame's
+    family if it lies within SECTOR_FIT_TOL, else None (see fit_sectors)."""
+    _, diff, entries = _project(rho, n, frame)
     if math.sqrt(len(rho)) * np.linalg.norm(diff) <= SECTOR_FIT_TOL:
-        return _sector_entries(coeffs, n)
+        return entries
     return None
 
 
@@ -412,25 +429,24 @@ def fit_sectors(rho: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray] | Non
     """Z-frame (diag, anti) of the X state, in any frame, that rho is, else None.
 
     The frames are tried in the order Z, X, Y, and the first that fits
-    gives the entries: the frames are local unitary conjugates of the Z
-    frame.
-    - Z: X-shaped input gives its own entries (linalg.x_matrix_entries,
-      which rejects non-Hermitian ones).
-    - X and Y: rho is projected onto the frame's family; sqrt(dim)
-      ||diff||_F bounds the trace-norm distance to the projection, and so
-      the change of any negativity, as the partial transpose keeps the
-      Frobenius norm.  It must be within SECTOR_FIT_TOL.  The projection is
-      Hermitian with unit trace, so a non-Hermitian rho, or one of another
-      trace, fails the bound.
+    gives the entries of rho's projection onto its family: the frames are
+    local unitary conjugates of the Z frame.  A frame fits when sqrt(dim)
+    ||rho - sigma||_F, for sigma the projection (_project), is within
+    SECTOR_FIT_TOL.  That bounds the trace-norm distance to sigma, and so
+    the change of any negativity, as the partial transpose keeps the
+    Frobenius norm.  sigma is Hermitian with unit trace, so a non-Hermitian
+    rho, or one of another trace, fails the bound in every frame.  The Z
+    frame's entries are those of the projection before d_0 is pinned, the
+    orthogonal one, which lies no farther from rho (see _project).
     For n >= 2 one row screens each fit first, in O(2**n): a
     _screen_deviation above _screen_bound means the fit fails, so it is
-    skipped.  A Y-frame state typically skips the Z check and the X
-    projection, and input outside every family all three.  rho passes
-    linalg.as_state, which rejects the entries a projection could not take.
+    skipped.  A Y-frame state typically skips the Z and X projections, and
+    input outside every family all three.  rho passes linalg.as_state,
+    which rejects the entries a projection could not take.
     """
     rho = as_state(rho, n)
     for frame in FRAMES:
-        if n > 1 and _screen_deviation(rho, n, frame) > _screen_bound(n, frame):
+        if n > 1 and _screen_deviation(rho, n, frame) > _screen_bound(n):
             continue
         if (entries := _fit(rho, n, frame)) is not None:
             return entries
@@ -448,11 +464,10 @@ def materialize(p: XStateParams) -> np.ndarray:
     if p.frame != "Z":
         return _entries(coeffs, p.n, _frame_blocks(p.n, p.frame))
     x = _x_entries(coeffs, p.n)
-    dim = 1 << p.n
-    rho = np.zeros((dim, dim), dtype=complex)
-    flat = rho.reshape(-1)
-    flat[::dim + 1] = x[:, 0].real
-    flat[dim - 1:-1:dim - 1] = x[:, 1]     # rho[b, dim - 1 - b]
+    rho = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
+    diag, anti = _x_views(rho)
+    diag[:] = x[:, 0].real
+    anti[:] = x[:, 1]
     return rho
 
 
@@ -461,13 +476,13 @@ def decompose(rho: np.ndarray, n: int, frame: str = "Z") -> tuple[XStateParams, 
 
     Returns the recovered parameters, as Python floats, and the max-norm
     residual of rho outside the family, family_residual's value; both come
-    from _project, which reads an X-shaped Z-frame rho from its X entries
-    alone.  d[0] is pinned to 1, so any trace deficit shows up in the
-    residual rather than in the parameters.  rho passes linalg.as_state,
-    and an unknown frame raises ValueError.
+    from _project, which in the Z frame reads the coefficients from rho's
+    X entries alone.  d[0] is pinned to 1, so any trace deficit shows up in
+    the residual rather than in the parameters.  rho passes
+    linalg.as_state, and an unknown frame raises ValueError.
     """
     rho = as_state(rho, n)
-    coeffs, diff = _project(rho, n, frame)
+    coeffs, diff, _ = _project(rho, n, frame)
     dim = 1 << n
     return XStateParams(n, coeffs[:dim], coeffs[dim:], frame), float(np.abs(diff).max())
 

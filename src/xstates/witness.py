@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from math import comb, isfinite, sqrt
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,6 +26,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        require_qubit_count(self.n)
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (1 << self.n,):
             raise ValueError(f"amplitude vector must have length {1 << self.n}")
@@ -53,7 +54,7 @@ class Witness:
 def dicke_state(n: int, k: int) -> PureState:
     """Equal superposition of all basis states with exactly k excitations."""
     require_qubit_count(n)
-    if not 0 <= k <= n:
+    if isinstance(k, bool) or not isinstance(k, Integral) or not 0 <= k <= n:
         raise ValueError(f"excitation count must be in 0..{n}")
     amp = np.zeros(1 << n, dtype=complex)
     norm = 1.0 / sqrt(comb(n, k))
@@ -144,13 +145,14 @@ def negativity(rho: np.ndarray, subset, n: int) -> float:
     """Sum of |negative eigenvalues| of the partial transpose, +0.0 when
     there is none.
 
-    rho passes linalg.as_state.  When model.fit_sectors resolves its Z-frame
-    sector entries (X-shaped input, or an X/Y-frame X state within
-    linalg.SECTOR_FIT_TOL, which bounds the error), the sector blocks give
+    rho passes linalg.as_state.  When model.fit_sectors resolves the
+    Z-frame sector entries of rho's projection onto a frame's family, within
+    linalg.SECTOR_FIT_TOL, which bounds the error, the sector blocks give
     it: transposing the qubits of S keeps the diagonal and moves row b's
     anti-diagonal entry to row b ^ m_S, m_S their basis bits, and local
-    unitaries keep negativity.  Other input takes the dense partial
-    transpose and its eigenvalues.
+    unitaries keep negativity.  Other input, a non-Hermitian rho among it,
+    takes the dense partial transpose and its eigenvalues, whose solver
+    checks Hermiticity.
     """
     rho, qubits = _state_and_subset(rho, subset, n)
     entries = fit_sectors(rho, n)
@@ -179,15 +181,15 @@ def yu_eberly(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
 def concurrence(rho: np.ndarray) -> float:
     """Two-qubit concurrence of a unit-trace state passing linalg.as_state.
 
-    When model.fit_sectors resolves rho's Z-frame sector entries (local
-    unitaries keep concurrence), it takes their Yu-Eberly closed form,
-    yu_eberly.  Any other state takes Wootters' formula in Hermitian form:
-    the descending lambdas, square roots of the eigenvalues of
-    rho (Y x Y) rho* (Y x Y), are those of the similar PSD
-    sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho).
-    Hermiticity is checked once, to linalg.HERMITIAN_TOL: by the sector
-    check of X-shaped input, else by the eigensolver's, as a non-Hermitian
-    rho fails the fit.
+    When model.fit_sectors resolves the Z-frame sector entries of rho's
+    projection onto a frame's family (local unitaries keep concurrence), it
+    takes their Yu-Eberly closed form, yu_eberly.  Any other state takes
+    Wootters' formula in Hermitian form: the descending lambdas, square
+    roots of the eigenvalues of rho (Y x Y) rho* (Y x Y), are those of the
+    similar PSD sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho).
+    Hermiticity is decided once on each route: a fit passes only within
+    SECTOR_FIT_TOL of a Hermitian projection, far inside
+    linalg.HERMITIAN_TOL, and any other rho meets the eigensolver's check.
     """
     rho = as_state(rho, 2)
     if not abs(complex(np.trace(rho)) - 1.0) <= UNIT_TRACE_TOL:

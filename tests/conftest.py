@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from xstates import FRAMES, DesignReport, PauliString, decompose, model
-from xstates.linalg import SECTOR_FIT_TOL, x_matrix_entries
+from xstates.linalg import SECTOR_FIT_TOL
 
 # An example's cost grows with its qubit count, so no per-example deadline;
 # each @settings gives only its max_examples.
@@ -122,17 +122,49 @@ def oracle_negativity(rho, subset, n):
     return float(-w[w < 0].sum())
 
 
+def oracle_z_projection(rho, n):
+    """(diff, entries) of the Z-frame projection, from a mask of the X
+    positions built here: every Z-frame family operator is zero off the X,
+    so the coefficients come from the X entries, rho minus the projection
+    is rho's own entries off the X and the difference on it, and the
+    sector entries are the X entries made Hermitian."""
+    dim = 1 << n
+    rows = np.arange(dim)
+    cols = (rows, rows[::-1])                   # (b, b) and (b, ~b)
+    on_x = np.zeros((dim, dim), dtype=bool)
+    for c in cols:
+        on_x[rows, c] = True
+    x = np.array([rho[rows, c] for c in cols])
+    coeffs = model._sector_coefficients(x, n)
+    coeffs[0] = 1.0
+    sigma = model._x_entries(coeffs, n).T
+    diff = np.zeros((dim, dim), dtype=complex)
+    diff[~on_x] = rho[~on_x]
+    for c, e, s in zip(cols, x, sigma):
+        diff[rows, c] = e - s
+    return diff, (x[0].real, (x[1] + x[1][::-1].conj()) / 2)
+
+
+def oracle_fit_distance(rho, n, frame):
+    """(entries, sqrt(dim) ||rho - sigma||_F) of the frame's projection
+    sigma: the Z frame's from oracle_z_projection, the others' from
+    model._project."""
+    if frame == "Z":
+        diff, entries = oracle_z_projection(rho, n)
+    else:
+        _, diff, entries = model._project(rho, n, frame)
+    return entries, math.sqrt(len(rho)) * np.linalg.norm(diff)
+
+
 def oracle_fit_sectors(rho, n):
-    """The sector resolver without its row screens: the X entries of
-    X-shaped input, else the sector entries of the first of the X and Y
-    frames whose projection lies within SECTOR_FIT_TOL, else None."""
-    entries = x_matrix_entries(rho)
-    if entries is not None:
-        return entries
-    for frame in ("X", "Y"):
-        coeffs, diff = model._project(rho, n, frame)
-        if math.sqrt(len(rho)) * np.linalg.norm(diff) <= SECTOR_FIT_TOL:
-            return model._sector_entries(coeffs, n)
+    """The sector resolver by the one fit rule, without its row screens:
+    the sector entries of the first frame, in the order Z, X, Y, whose
+    projection lies within SECTOR_FIT_TOL (oracle_fit_distance), else
+    None."""
+    for frame in FRAMES:
+        entries, distance = oracle_fit_distance(rho, n, frame)
+        if distance <= SECTOR_FIT_TOL:
+            return entries
     return None
 
 

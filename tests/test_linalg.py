@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (SX, SZ, oracle_matrix_to_csv, oracle_matrix_to_json,
                       oracle_partial_trace, random_density)
-from xstates import (PauliString, ToleranceError, XStateParams, apply_channel,
+from xstates import (PauliString, PureState, ToleranceError, XStateParams, apply_channel,
                      build_simplex, concurrence, decompose, dicke_state, evaluate_witness,
                      expectation, family_residual, generate_set, ghz_params, ghz_state,
                      hermitian_eigen, kron, make_witness, matrix_from_json, matrix_to_csv,
@@ -17,7 +17,7 @@ from xstates import (PauliString, ToleranceError, XStateParams, apply_channel,
                      standard_channel)
 from xstates.algebra import MAX_GEOMETRY_QUBITS
 from xstates.linalg import (ConvergenceError, as_state, hermitian_eigenvalues,
-                            hermiticity_deviation, json_text, x_matrix_entries)
+                            hermiticity_deviation, json_text)
 from xstates.model import fit_sectors
 from xstates.pauli import MAX_QUBITS
 
@@ -66,21 +66,14 @@ def test_hermiticity_deviation_bounded_memory(rng):
 
 def test_real_input_checked_without_complex_copy(rng):
     dense = rng.normal(size=(1024, 1024))
-    x = np.zeros((1024, 1024))
-    x[np.arange(1024), np.arange(1024)] = rng.random(1024)
-    anti = rng.normal(size=1024)
-    x[np.arange(1024), np.arange(1024)[::-1]] = anti + anti[::-1]
-    for check, m in ((hermiticity_deviation, dense), (x_matrix_entries, x)):
-        tracemalloc.start()
-        try:
-            got = check(m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 << 20, check.__name__  # the matrix itself takes 8 MiB
-        want = check(m.astype(complex))
-        assert np.array_equal(got, want), check.__name__
-    assert x_matrix_entries(dense) is None
+    tracemalloc.start()
+    try:
+        got = hermiticity_deviation(dense)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # the matrix itself takes 8 MiB
+    assert got == hermiticity_deviation(dense.astype(complex))
 
 
 def test_hermitian_eigenvalues_match_hermitian_eigen(rng):
@@ -406,6 +399,7 @@ QUBIT_COUNT_GATES = {
     "as_state": (lambda n: as_state(np.eye(2), n), 1, 12),
     "dicke_state": (lambda n: dicke_state(n, 1), 1, 12),
     "ghz_state": (ghz_state, 2, 12),
+    "PureState": (lambda n: PureState(n, [1.0, 0.0]), 1, 12),
 }
 
 

@@ -16,7 +16,7 @@ from xstates import (FRAMES, XStateParams, bell_diagonal, decompose,
                      ghz_state, hermitian_eigen, materialize, named_example,
                      negativity, params_from_json, params_to_json, partial_trace,
                      partial_transpose, validate, werner)
-from xstates.linalg import SECTOR_FIT_TOL, sector_eigenvalues, x_matrix_entries
+from xstates.linalg import SECTOR_FIT_TOL, sector_eigenvalues
 from xstates.model import VALID_EIG_TOL, _sector_entries, fit_sectors
 
 BELL = XStateParams.build(2, d={3: 1.0}, a={0: 1.0, 3: -1.0})
@@ -404,9 +404,11 @@ def test_fit_sectors_recovers_the_sector_entries(p):
     got = fit_sectors(rho, p.n)
     want = _sector_entries(np.concatenate([p.d, p.a]), p.n)
     if p.frame == "Z":      # X-shaped: the entries read off the matrix
-        assert all(map(np.array_equal, got, x_matrix_entries(rho)))
+        assert all(map(np.array_equal, got, (rho.diagonal().real, rho[:, ::-1].diagonal())))
         assert all(map(np.array_equal, got, want))
-    # the fitted entries come from the projection's coefficients
+    else:                   # from the coefficients, which decompose returns
+        q, _ = decompose(rho, p.n, p.frame)
+        assert all(map(np.array_equal, got, _sector_entries(np.concatenate([q.d, q.a]), p.n)))
     assert all(np.max(np.abs(g - w)) <= 1e-12 for g, w in zip(got, want))
     off_family = rho.copy()
     off_family[0, 1] += 1e-3      # a Hermitian pair off the family of every frame
@@ -424,7 +426,8 @@ def test_real_state_projected_without_complex_copy(rng):
     n = 10
     real = rng.normal(size=(1 << n, 1 << n))
     peaks = {}
-    for project in (lambda m: decompose(m, n, "X"), lambda m: family_residual(m, n, "Y")):
+    for project in (lambda m: decompose(m, n, "X"), lambda m: family_residual(m, n, "Y"),
+                    lambda m: decompose(m, n, "Z"), lambda m: family_residual(m, n, "Z")):
         for rho in (real, real.astype(complex)):
             tracemalloc.start()
             try:
@@ -511,17 +514,17 @@ def test_z_frame_x_shaped_round_trip_takes_no_dense_transform(rng):
             decompose(rho, n, "Z")
             family_residual(rho, n, "Z")
             family_residual(np.stack([rho, rho]), n, "Z")
-        assert entries.call_count == coeffs.call_count == 0
-        with mock.patch.object(model, "_entries", wraps=model._entries) as entries:
-            materialize(XStateParams(n, p.d, p.a, "X"))
-            rho[0, 1] = 1e-3          # X-shaped only at n = 1; else the dense transform
+            rho[0, 1] = 1e-3          # off the X at n > 1: still no dense transform
             decompose(rho, n, "Z")
-        assert entries.call_count == 1 + (n > 1)
+            family_residual(np.stack([rho, rho]), n, "Z")
+            materialize(XStateParams(n, p.d, p.a, "X"))
+        assert coeffs.call_count == 0 and entries.call_count == 1
 
 
 def _dense_projection(rho, n):
-    """The Z-frame projection by the dense transform, as before the X-entry
-    route: coefficients with d_0 pinned, and the max-norm residual."""
+    """The Z-frame projection by the dense transform and its adjoint over
+    all 4**n entries: coefficients with d_0 pinned, and the max-norm
+    residual."""
     coeffs = model._coefficients(rho, n, "Z")
     coeffs[..., 0] = 1.0
     sigma = model._entries(coeffs, n, model._frame_blocks(n, "Z"))
@@ -529,13 +532,18 @@ def _dense_projection(rho, n):
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_z_frame_projection_of_x_shaped_input_matches_dense(n, seed, real):
-    """Any X-shaped input, Hermitian or not, of any trace, single or stacked,
-    with entries of a density matrix's size."""
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+def test_z_frame_projection_matches_dense(n, seed, real, shaped):
+    """Any input, Hermitian or not, of any trace, single or stacked, with
+    entries of a density matrix's size: X-shaped, or with entries off the
+    X too, which the dense residual keeps as they are."""
     rng = np.random.default_rng(seed)
     dim = 1 << n
     stack = np.zeros((3, dim, dim), dtype=float if real else complex)
+    if not shaped:      # entries everywhere, then overwritten on the X
+        stack += rng.uniform(-1.0, 1.0, stack.shape) / dim
+        if not real:
+            stack += 1j * rng.uniform(-1.0, 1.0, stack.shape) / dim
     for rho in stack:
         for m in (rho, rho[:, ::-1]):
             v = rng.uniform(-1.0, 1.0, dim) / dim
@@ -568,14 +576,22 @@ def test_x_shaped_projection_rejects_non_finite(bad):
         decompose(m, 3, "Z")
 
 
-@pytest.mark.parametrize("frame", ["X", "Y"])
+@pytest.mark.parametrize("frame", sorted(FRAMES))
 def test_projection_keeps_center_symmetry_bitwise(rng, frame):
     """The computed projection commutes with the image g of Z_1 Z_2 with no
-    rounding at all: the premise of the screen bound."""
+    rounding at all: the premise of the screen bound.  The Z-frame
+    projection is its X entries on a zero matrix."""
     for n in range(2, 9):
-        rho = random_density(rng, 1 << n) + 0.1 * rng.normal(size=(1 << n, 1 << n))
+        dim = 1 << n
+        rho = random_density(rng, dim) + 0.1 * rng.normal(size=(dim, dim))
         coeffs = model._project(rho, n, frame)[0]
-        sigma = model._entries(coeffs, n, model._frame_blocks(n, frame))
+        if frame == "Z":
+            x = model._x_entries(coeffs, n)
+            sigma = np.zeros((dim, dim), dtype=complex)
+            sigma[np.arange(dim), np.arange(dim)] = x[:, 0]
+            sigma[np.arange(dim), np.arange(dim)[::-1]] = x[:, 1]
+        else:
+            sigma = model._entries(coeffs, n, model._frame_blocks(n, frame))
         g = oracle_center_image(n, frame)
         # g is a phased permutation matrix: each entry of g sigma g^dag is one
         # exact product
@@ -607,7 +623,7 @@ def screen_cases(draw):
 def test_screen_rejection_implies_failed_fit(case):
     rho, n = case
     for frame in FRAMES:
-        if model._screen_deviation(rho, n, frame) > model._screen_bound(n, frame):
+        if model._screen_deviation(rho, n, frame) > model._screen_bound(n):
             assert model._fit(rho, n, frame) is None
 
 
@@ -617,7 +633,7 @@ def test_screen_passes_family_states_of_its_frame(rng):
             rho = materialize(random_valid_x_params(rng, n, frame))
             assert model._screen_deviation(rho, n, frame) == 0.0
             others = [f for f in FRAMES if f != frame]
-            assert all(model._screen_deviation(rho, n, f) > model._screen_bound(n, f)
+            assert all(model._screen_deviation(rho, n, f) > model._screen_bound(n)
                        for f in others)
 
 
@@ -626,7 +642,7 @@ def test_screened_fits_keep_the_transform_errors():
     # projection would have raised, and still does
     rho = np.eye(8) / 8
     rho[0, 2] = rho[2, 0] = 0.1
-    assert all(model._screen_deviation(rho, 3, f) > model._screen_bound(3, f) for f in FRAMES)
+    assert all(model._screen_deviation(rho, 3, f) > model._screen_bound(3) for f in FRAMES)
     for bad, match in ((1e308, "overflow"), (np.inf, "finite"), (np.nan, "finite")):
         m = rho.copy()
         m[5, 6] = m[6, 5] = bad

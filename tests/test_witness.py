@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (center_twist, kron_chain, oracle_fit_sectors, oracle_negativity,
-                      oracle_witness_matrix, oracle_wootters_concurrence, random_density,
-                      random_product_states, random_unitary, random_valid_x_params)
-from xstates import (PureState, Witness, XStateParams, concurrence, dicke_state,
+from conftest import (center_twist, kron_chain, oracle_fit_distance, oracle_fit_sectors,
+                      oracle_negativity, oracle_witness_matrix, oracle_wootters_concurrence,
+                      random_density, random_product_states, random_unitary,
+                      random_valid_x_params)
+from xstates import (PureState, Witness, XStateParams, apply_channel, concurrence, dicke_state,
                      evaluate_witness, ghz_params, ghz_state, make_witness,
-                     materialize, named_example, negativity, strength_grid, sweep,
-                     werner, witness, witness_report)
+                     materialize, named_example, negativity, standard_channel,
+                     strength_grid, sweep, werner, witness, witness_report)
 from xstates import linalg, model
-from xstates.linalg import ToleranceError, hermitian_eigenvalues, x_matrix_entries
+from xstates.linalg import ToleranceError, hermitian_eigen, hermitian_eigenvalues
 
 
 def spy_dense_spectrum():
@@ -34,8 +35,10 @@ def test_dicke_examples():
     assert np.allclose(d24.amplitudes[d24.amplitudes != 0], 1 / np.sqrt(6))
     zero = dicke_state(3, 0)
     assert zero.amplitudes[0] == 1.0 and np.count_nonzero(zero.amplitudes) == 1
-    with pytest.raises(ValueError):
-        dicke_state(3, 4)
+    for k in (4, -1, 1.5, True, "1"):
+        with pytest.raises(ValueError, match=r"^excitation count must be in 0\.\.3$"):
+            dicke_state(3, k)
+    assert np.array_equal(dicke_state(3, np.int64(1)).amplitudes, w3.amplitudes)
 
 
 def test_ghz_state_literal_forms():
@@ -311,12 +314,13 @@ def x_matrix_and_subset(draw, frames):
 @given(x_matrix_and_subset(("Z",)))
 def test_negativity_matches_index_loop_oracle(case):
     rho, subset, n, (i, j) = case
-    assert x_matrix_entries(rho) is not None  # the sector path
-    assert abs(negativity(rho, subset, n) - oracle_negativity(rho, subset, n)) <= 1e-12
-    rho = rho.copy()
-    rho[i, j] = rho[j, i] = 1e-3
-    assert x_matrix_entries(rho) is None      # the dense path
-    assert abs(negativity(rho, subset, n) - oracle_negativity(rho, subset, n)) <= 1e-12
+    with spy_dense_spectrum() as dense:
+        assert abs(negativity(rho, subset, n) - oracle_negativity(rho, subset, n)) <= 1e-12
+        assert dense.call_count == 0              # the sector path
+        rho = rho.copy()
+        rho[i, j] = rho[j, i] = 1e-3
+        assert abs(negativity(rho, subset, n) - oracle_negativity(rho, subset, n)) <= 1e-12
+        assert dense.call_count == 1              # the dense path
 
 
 @settings(max_examples=60)
@@ -331,22 +335,23 @@ def test_negativity_of_xy_frame_states_from_fitted_sectors(case):
         assert dense.call_count == 0                # the fitted sector path
         for m in (off_family, 2 * rho):             # off the family; trace 2
             assert abs(negativity(m, subset, n) - oracle_negativity(m, subset, n)) <= 1e-12
-        # the dense path, except for an X-shaped 2 * rho (the Z-sector path)
-        assert dense.call_count == 1 + (x_matrix_entries(rho) is None)
+        # the dense path for both: 2 * rho fits no frame, as its trace is 2
+        assert dense.call_count == 2
     rho[i, j] += 0.25
     with pytest.raises(ValueError, match="not Hermitian"):
         negativity(rho, subset, n)
 
 
 def test_negativity_rejects_non_hermitian_x_matrix():
-    rho = materialize(ghz_params(3))
-    rho[0, 7] = 0.25          # rho[7, 0] stays 0.5
-    with pytest.raises(ValueError, match="not Hermitian"):
-        negativity(rho, {1}, 3)
-    rho = materialize(ghz_params(3))
-    rho[2, 2] += 1e-6j
-    with pytest.raises(ValueError, match="not Hermitian"):
-        negativity(rho, {1}, 3)
+    # X-shaped, but no Z-frame projection fits: the dense gate rejects it
+    for (i, j), bump, text in (((0, 7), -0.25, "2.500e-01"),     # rho[7, 0] stays 0.5
+                               ((2, 2), 1e-6j, "2.000e-06")):
+        rho = materialize(ghz_params(3))
+        rho[i, j] += bump
+        with spy_dense_spectrum() as dense, \
+             pytest.raises(ValueError, match=rf"^matrix is not Hermitian \(deviation {text}\)$"):
+            negativity(rho, {1}, 3)
+        assert dense.call_count == 1
 
 
 @pytest.mark.parametrize("qubits", [[1], [2], [1, 2]])
@@ -355,11 +360,17 @@ def test_concurrence_of_damped_bell_state_matches_yu_eberly(qubits):
     # by sqrt(1 - g) per damped qubit.  One damped qubit leaves one of |01>,
     # |10> empty; both put g (1 - g) / 2 on each.  Yu-Eberly then gives
     # sqrt(1 - g) and (1 - g) - g (1 - g) = (1 - g)**2.
+    # The dense damped state is X-shaped with exact zero populations: its
+    # Z-frame fit must keep them, or Yu-Eberly's square roots turn rounding
+    # into errors near 1e-8.
     grid = strength_grid(0.0, 1.0, 21)
     traj = sweep(werner(1.0), "amplitude_damping", qubits, grid)
+    bell = materialize(werner(1.0))
     for g, c in zip(grid, traj.concurrence):
         expect = sqrt(1 - g) if len(qubits) == 1 else (1 - g) ** 2
-        assert abs(c - expect) <= 1e-12, (g, c, expect)
+        dense = concurrence(apply_channel(bell, standard_channel("amplitude_damping", g),
+                                          qubits, 2))
+        assert abs(c - expect) <= 1e-12 and abs(dense - expect) <= 1e-12, (g, c, dense, expect)
 
 
 
@@ -377,32 +388,73 @@ def test_ghz_amplitudes_bitwise_equal_kron_chain(n):
         assert ghz_state(n, frame).amplitudes.tobytes() == oracle_ghz(n, frame).tobytes()
 
 
-def test_concurrence_checks_hermiticity_once():
-    with mock.patch.object(linalg, "hermiticity_deviation",
-                           wraps=linalg.hermiticity_deviation) as dense, \
-         mock.patch.object(linalg, "sector_hermiticity_deviation",
-                           wraps=linalg.sector_hermiticity_deviation) as sector:
-        concurrence(materialize(werner(0.7)))
-    assert dense.call_count + sector.call_count == 1
+def test_concurrence_checks_hermiticity_once(rng):
+    # a fitted state is within SECTOR_FIT_TOL of a Hermitian projection, so
+    # its route computes no Hermiticity deviation; any other rho's is the
+    # eigensolver's, once (the final spectrum's solver checks its own matrix)
+    for rho, count in ((materialize(werner(0.7)), 0), (random_density(rng, 4), 1)):
+        with mock.patch.object(linalg, "hermiticity_deviation",
+                               wraps=linalg.hermiticity_deviation) as dense, \
+             mock.patch.object(linalg, "sector_hermiticity_deviation",
+                               wraps=linalg.sector_hermiticity_deviation) as sector:
+            concurrence(rho)
+        checked = [c.args[0] for c in dense.call_args_list]
+        assert sum(m is rho for m in checked) == count and sector.call_count == 0
+        assert len(checked) == 2 * count
 
 
 def test_non_hermitian_input_rejected_on_every_route(rng):
     x_shaped = materialize(werner(0.7))
     fitted = materialize(random_valid_x_params(rng, 2, "Y"))
     dense = random_density(rng, 4)
-    assert x_matrix_entries(x_shaped) is not None and x_matrix_entries(fitted) is None
     with spy_dense_spectrum() as spectrum:
+        concurrence(x_shaped)
         concurrence(fitted)
-        assert spectrum.call_count == 0          # the fitted sector route
+        assert spectrum.call_count == 0          # the Z- and Y-frame fits
         concurrence(dense)
         assert spectrum.call_count == 1          # the dense route
+    # a non-Hermitian rho fits no frame, X-shaped or not: the dense gate
+    # rejects it
+    text = r"^matrix is not Hermitian \(deviation 1\.000e-06\)$"
     for rho in (x_shaped, fitted, dense):
         rho = rho.copy()
         rho[0, 3] += 1e-6                        # no longer conj(rho[3, 0])
-        with pytest.raises(ValueError, match="not Hermitian"):
+        with mock.patch.object(witness, "hermitian_eigen", wraps=hermitian_eigen) as eigen, \
+             pytest.raises(ValueError, match=text):
             concurrence(rho)
-        with pytest.raises(ValueError, match="not Hermitian"):
+        with spy_dense_spectrum() as spectrum, pytest.raises(ValueError, match=text):
             negativity(rho, {1}, 2)
+        assert eigen.call_count == spectrum.call_count == 1
+
+
+@st.composite
+def near_z_family_states(draw):
+    """A physical Z-frame X state, n = 2..7, plus a Hermitian perturbation
+    off the X of Frobenius norm 2**t SECTOR_FIT_TOL / sqrt(dim), t in
+    [-3, 3]: on both sides of the fit bound."""
+    n = draw(st.integers(2, 7))
+    dim = 1 << n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rho = materialize(random_valid_x_params(rng, n, "Z"))
+    e = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    e = e + e.conj().T
+    rows = np.arange(dim)
+    e[rows, rows] = e[rows, rows[::-1]] = 0.0
+    size = 2.0 ** draw(st.floats(-3.0, 3.0)) * linalg.SECTOR_FIT_TOL / sqrt(dim)
+    return rho + e * (size / np.linalg.norm(e)), n
+
+
+@settings(max_examples=150)
+@given(near_z_family_states())
+def test_near_x_z_input_fits_exactly_within_the_bound(case):
+    rho, n = case
+    _, distance = oracle_fit_distance(rho, n, "Z")
+    entries = model.fit_sectors(rho, n)
+    assert (entries is not None) == (distance <= linalg.SECTOR_FIT_TOL)
+    if entries is not None:
+        assert all(map(np.array_equal, entries, oracle_fit_sectors(rho, n)))
+    for q in ([1], [n], range(1, n)):
+        assert abs(negativity(rho, q, n) - oracle_negativity(rho, q, n)) <= linalg.SECTOR_FIT_TOL
 
 
 def test_overflowing_state_raises():
@@ -468,7 +520,8 @@ def test_negativity_without_negative_eigenvalue_is_positive_zero(rng):
         states = [np.eye(dim) / dim,                                      # X-shaped
                   materialize(XStateParams.build(n, "Y", d={1: 0.5})),    # fitted
                   np.outer(product, product.conj())]                      # dense
-        assert x_matrix_entries(states[1]) is None
-        for rho in states:
-            for subset in (set(), set(range(1, n + 1)), {1}):
-                assert copysign(1.0, negativity(rho, subset, n)) == 1.0
+        for rho, dense_calls in zip(states, (0, 0, 3)):
+            with spy_dense_spectrum() as dense:
+                for subset in (set(), set(range(1, n + 1)), {1}):
+                    assert copysign(1.0, negativity(rho, subset, n)) == 1.0
+            assert dense.call_count == dense_calls
