@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from numbers import Integral
@@ -9,11 +10,11 @@ from numbers import Integral
 import numpy as np
 
 from .linalg import as_state
-from .model import (_FACTORS, _LAYOUTS, _SECTORS, XStateParams, _entries, _sector_entries,
-                    _table, family_residual)
+from .model import (_LAYOUTS, _SECTORS, XStateParams, _dense, _entries, _frame_factors,
+                    _sector_entries, _table, family_residual)
 # bound here too, though unused: perfbench's tracer wraps every binding of it
 from .model import materialize  # noqa: F401
-from .pauli import PAULI_MATRICES
+from .pauli import FRAMES, PAULI_MATRICES
 from .witness import (_frame_amplitudes, _sector_value, concurrence, evaluate_witness,
                       make_witness, yu_eberly)
 
@@ -137,14 +138,19 @@ def _contract(rho: np.ndarray, superop: np.ndarray, qubits: list[int], n: int) -
     return rho.reshape(shape)
 
 
+@functools.lru_cache(maxsize=None)
 def _frame_bases(frame: str) -> tuple[np.ndarray, np.ndarray]:
     """Two per-qubit bases of the frame's 2x2 matrices, as rows of flattened
     matrices: its family factors (I, F(Z), F(X), F(Y)), and the images
     F(|0><0|), F(|1><1|), F(|0><1|), F(|1><0|) of the matrix units, which
-    the Z-frame sector table gives as (I +- F(Z))/2 and (F(X) +- i F(Y))/2."""
-    factors = _FACTORS[frame][0][1]                  # (half, factor bit, vec)
+    the Z-frame sector table gives as (I +- F(Z))/2 and (F(X) +- i F(Y))/2.
+    Read-only, made once per frame."""
+    factors = _frame_factors(FRAMES[frame]).reshape(2, 2, 4)    # (half, factor bit, vec)
     units = np.einsum("hcr,hcv->hrv", _SECTORS[0][1].conj(), factors) / 2
-    return factors.reshape(4, 4), units.reshape(4, 4)
+    bases = factors.reshape(4, 4), units.reshape(4, 4)
+    for basis in bases:
+        basis.setflags(write=False)
+    return bases
 
 
 def _preserves_family(superop: np.ndarray, factors: np.ndarray) -> "bool | np.ndarray":
@@ -195,7 +201,8 @@ def _mapped_points(p0: XStateParams, superops: np.ndarray, factors: np.ndarray,
     come from the 2x2 blocks of T^k = B^dag S^k B / 2, the transfer matrix
     of _preserves_family to the power k, applied per qubit to d and a in
     O(n * 2**n): d' = (x)T_dd d + (x)T_da a, a' = (x)T_ad d + (x)T_aa a,
-    with d'_0 pinned to 1 as decompose pins it.
+    with d'_0 pinned to 1 as decompose pins it, and sigma's dense matrix
+    is model._dense's, as materialize builds it.
     """
     n, count = p0.n, len(superops)
     coeffs = np.concatenate([p0.d, p0.a])
@@ -208,14 +215,11 @@ def _mapped_points(p0: XStateParams, superops: np.ndarray, factors: np.ndarray,
     # each qubit's (batch, half, bit, row, column) factors, for _table
     qubit_factors = [np.ascontiguousarray(m.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 4, 1, 2))
                      for m in mapped]
-    # one table stack per distinct run of counts over a block of the layout;
-    # the family's own runs are all 0 (the frame's module tables are laid
-    # out for their pinned bits, and _entries would copy them at each call)
+    # one table stack per distinct run of counts over a block of the layout
     sizes = _LAYOUTS[n].sizes
     keys = [tuple(counts[start:start + g]) for start, g in zip(np.cumsum((0, *sizes)), sizes)]
-    family = [(0,) * g for g in sizes]
     tables = {}
-    for key in {*keys, *family}:
+    for key in set(keys):
         table = _table([qubit_factors[k] for k in key])
         tables[key] = np.broadcast_to(table, (count, *table.shape[-3:]))
 
@@ -230,7 +234,7 @@ def _mapped_points(p0: XStateParams, superops: np.ndarray, factors: np.ndarray,
 
     for i in range(count):
         rho = _entries(coeffs, n, [tables[key][i] for key in keys])
-        diff = _entries(sigma[i], n, [tables[key][i] for key in family])
+        diff = _dense(sigma[i], n, p0.frame)
         yield rho, sigma[i], float(np.abs(np.subtract(rho, diff, out=diff)).max())
 
 

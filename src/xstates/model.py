@@ -24,13 +24,19 @@ sectors on {b, ~b}.  Its X entries rho[b, b] and rho[b, ~b] are the same sum
 with 2x1 per-qubit factors, the Z-frame factors at the X positions:
 [[1, 1], [1, -1]] for d and [[1, -i], [1, i]] for a.
 
-So four transforms are one operation: the dense transform _entries and its
-adjoint _coefficients, the sector transform _x_entries and its adjoint
-_sector_coefficients.  One builder, _table, makes the Kronecker product of
-a sequence of per-qubit factors over a block of up to _BLOCK qubits, and
-one loop, _block_loop, applies a table per block.  The frame's and the
-sector factors' tables are built once, for every block size; they serve
-every n, every frame and any stack.
+So three transforms are one operation: the sector transform _x_entries
+and its adjoint _sector_coefficients, and _entries, the dense transform of
+any per-qubit factors.  One builder, _table, makes the Kronecker product
+of a sequence of per-qubit factors over a block of up to _BLOCK qubits,
+and one loop, _block_loop, applies a table per block.  The sector
+factors' tables are built once, for every block size; they serve every n
+and any stack.
+
+In the X and Y frames F(Z) is +-X or +-Y, so every family operator has
+one nonzero per row, at column r ^ s for its flip mask s, and each half
+(d, a) has the 2**n masks: rho[r, c] is one d and one a term of mask
+r ^ c (see _xor_terms).  Their dense matrices and projections are gathers
+on that XOR structure, _xor_matrix and _xor_project, with no transform.
 
 A channel E applied to listed qubits maps each listed qubit's factor
 columns by its 4x4 superoperator S (S^k for a qubit listed k times), so
@@ -41,13 +47,15 @@ builds them once per sweep), and E(rho) needs no dense rho.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SECTOR_FIT_TOL, as_state, sector_eigenvalues, sector_hermiticity_deviation
+from .linalg import (_STRIP_BYTES, SECTOR_FIT_TOL, as_state, sector_eigenvalues,
+                     sector_hermiticity_deviation)
 from .pauli import FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame, require_qubit_count
 
 # Qubits per Kronecker block: n <= 4 costs one matmul, n <= 12 at most three.
@@ -161,9 +169,8 @@ def _frame_tables(per_qubit) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, 
     0.._BLOCK qubits: forward[g], _table's (2, 2**g, rows * columns) as a
     view of (2, rows * columns, 2**g) memory, and adjoint[g], its conjugate
     as (2, rows * columns, 2**g), a view of (rows * columns, 2, 2**g)
-    memory, so that adjoint[g] moved back flattens to one matrix without a
-    copy.  A matmul's rounding can depend on its operands' memory layout,
-    and the transforms' output bits are pinned with these layouts."""
+    memory.  A matmul's rounding can depend on its operands' memory layout,
+    and the sector transforms' output bits are pinned with these layouts."""
     forward = tuple(np.ascontiguousarray(_table([per_qubit] * g).swapaxes(1, 2)).swapaxes(1, 2)
                     for g in range(_BLOCK + 1))
     adjoint = tuple(np.ascontiguousarray(f.conj().transpose(2, 0, 1)).transpose(1, 0, 2)
@@ -180,7 +187,6 @@ def _frame_factors(frame: AxisFrame) -> np.ndarray:
     return np.array([[PAULI_MATRICES["I"], z], [x, y]])
 
 
-_FACTORS = {name: _frame_tables(_frame_factors(frame)) for name, frame in FRAMES.items()}
 # The Z-frame factors at the X positions, as one-column factors, (bit, row)
 # per half: I/Z at (r, r), [[1, 1], [1, -1]], and X/Y at (r, ~r),
 # [[1, 1], [-i, i]].  forward[g][h, c, r] is then the g-qubit operator of
@@ -193,18 +199,14 @@ class _Layout(NamedTuple):
     """How n qubits split into blocks, and the block axes of a dense matrix."""
 
     sizes: tuple[int, ...]      # qubits per block, from qubit 1 (the top row bit) on
-    matrix: tuple[int, ...]     # (batch, rows 1..m, cols 1..m)
     pairs: tuple[int, ...]      # (batch, rows 1, cols 1, ..., rows m, cols m)
-    to_pairs: tuple[int, ...]   # axis order from the matrix shape to the pairs
-    to_matrix: tuple[int, ...]  # and back
+    to_matrix: tuple[int, ...]  # axis order from the pairs to (batch, rows, cols)
 
 
 def _layout(n: int) -> _Layout:
     sizes = tuple(min(_BLOCK, n - q) for q in range(0, n, _BLOCK))
-    dims = tuple(1 << g for g in sizes)
     m = len(sizes)
-    return _Layout(sizes, (-1, *dims, *dims), (-1, *(d for d in dims for _ in (0, 1))),
-                   (0, *(k for j in range(1, m + 1) for k in (j, j + m))),
+    return _Layout(sizes, (-1, *(1 << g for g in sizes for _ in (0, 1))),
                    (0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2)))
 
 
@@ -227,16 +229,10 @@ def _block_loop(t: np.ndarray, tables) -> np.ndarray:
     return t
 
 
-def _frame_blocks(n: int, frame: str) -> list[np.ndarray]:
-    """The frame's forward tables for the blocks of n qubits, in layout order."""
-    forward = _FACTORS[frame][0]
-    return [forward[g] for g in _LAYOUTS[n].sizes]
-
-
 def _entries(coeffs: np.ndarray, n: int, blocks) -> np.ndarray:
     """2**-n * sum_k coeffs[..., k] * P_k over the operators P_k whose
-    per-qubit factors the tables give: blocks holds one forward table per
-    block of the layout, _frame_blocks for the frame's family operators.
+    per-qubit factors the tables give: blocks holds one _table per block
+    of the layout, of any factors (channels.sweep's channel-mapped ones).
 
     coeffs (..., 2**(n+1)) holds d then a; the result is (..., dim, dim).
     The per-half factors act on blocks 1..m-1, lowest parameter bits first,
@@ -251,36 +247,12 @@ def _entries(coeffs: np.ndarray, n: int, blocks) -> np.ndarray:
     return t.reshape(*coeffs.shape[:-1], 1 << n, 1 << n)
 
 
-def _real_coefficients(t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The real parts of an adjoint's loop result t (rows, parameter bits
-    of the blocks it took, half, parameter bits left) laid out as shape,
-    checked finite: a safety check, as input through linalg.as_state cannot
-    overflow in the transform."""
-    left = t.shape[-1]
-    t = t.reshape(-1, shape[-1] // (2 * left), 2, left).transpose(0, 2, 3, 1)
-    coeffs = t.real.reshape(shape)
+def _checked(coeffs: np.ndarray) -> np.ndarray:
+    """coeffs, checked finite: a safety check, as input through
+    linalg.as_state cannot overflow in a projection."""
     if not np.isfinite(coeffs).all():
         raise ValueError("state family coefficients overflow")
     return coeffs
-
-
-def _coefficients(rho: np.ndarray, n: int, frame: str) -> np.ndarray:
-    """tr(P_k rho) for every family operator P_k: the adjoint of _entries.
-
-    rho (..., dim, dim), through linalg.as_state, gives the real parts
-    (..., 2**(n+1)), d then a.  Block m, the lowest row and column bits,
-    splits the halves in one matmul; its parameter bits stay last in the
-    index while the loop takes blocks m-1..1.
-    """
-    _, adjoint = _FACTORS[frame]
-    layout = _LAYOUTS[n]
-    first, *rest = layout.sizes[::-1]
-    t = rho.reshape(layout.matrix).transpose(layout.to_pairs)
-    t = t.reshape(-1, 4 ** first) @ adjoint[first].transpose(1, 0, 2).reshape(4 ** first, -1)
-    # (B, pairs of blocks 1..m-1, half, block m's bits) -> (B, half, bits, pairs)
-    t = t.reshape(-1, 4 ** (n - first), 2, 1 << first).transpose(0, 2, 3, 1)
-    t = _block_loop(t.reshape(-1, 2, 1 << (2 * n - first)), [adjoint[g] for g in rest])
-    return _real_coefficients(t, (*rho.shape[:-2], 2 << n))
 
 
 def _x_entries(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -305,15 +277,17 @@ def _sector_entries(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
 def _sector_coefficients(x: np.ndarray, n: int) -> np.ndarray:
     """tr(P_k rho) for the Z-frame family operators P_k of any rho (or
     stack) from its X entries x (..., 2, dim), diag then anti, as every P_k
-    is zero off the X: the adjoint of _x_entries, in O(n * 2**n), with
-    _coefficients' check.
+    is zero off the X: the adjoint of _x_entries, in O(n * 2**n), checked
+    finite.
 
     The conjugate sector tables run from block m, the lowest basis bits,
     whose parameter bits come out first: the result is in parameter order.
     """
     t = _block_loop(x.reshape(-1, 2, 1 << n),
                     [_SECTORS[1][g] for g in _LAYOUTS[n].sizes[::-1]])
-    return _real_coefficients(t, (*x.shape[:-2], 2 << n))
+    left = t.shape[-1]
+    t = t.reshape(-1, (1 << n) // left, 2, left).transpose(0, 2, 3, 1)
+    return _checked(t.real.reshape(*x.shape[:-2], 2 << n))
 
 
 def _x_views(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,40 +299,211 @@ def _x_views(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat[..., ::dim + 1], flat[..., dim - 1:-1:dim - 1]
 
 
-def _project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(coeffs, diff, entries): the family coefficients of rho (or of a
-    stack) with d_0 pinned to 1, so a trace deficit lands in diff; rho minus
-    their matrix sigma, (..., dim, dim) in every frame; and the Z-frame
-    (diag, anti) of the projection, laid out as _sector_entries's.
+# ---- the X and Y frames: one nonzero per row --------------------------------
+#
+# In the X and Y frames F(Z) is +-X or +-Y, so each qubit's factor of a
+# family operator either keeps its basis bit (I, or the one of F(X), F(Y)
+# that is +-Z) or flips it.  An operator then has one nonzero per row, at
+# column r ^ s for its flip mask s, and within each half (d, a) the 2**n
+# operators have the 2**n masks.  So rho[r, c] is one d term plus one a
+# term, both of mask s = r ^ c.  The factors' entries make its phase: a
+# power of i per qubit, times -1 per qubit whose row bit is set and whose
+# factor's two rows differ in sign.  Those signs are (-1)**(beta *
+# parity(r & ~s)) over the kept factors and (-1)**(alpha * parity(r & s))
+# over the flipping ones; with p = parity(r) and w = parity(r & s), that is
+# (-1)**(beta * p + gamma * w), gamma = alpha ^ beta.  The sign of w, the
+# Walsh sign, is there in both halves when F(Z) is +-Y, in neither when
+# it is +-X.
+
+_POPCOUNT = np.zeros(1, dtype=np.intp)          # of 0..2**MAX_DENSE_QUBITS - 1
+_REVERSED = np.zeros(1, dtype=np.intp)          # their bit reversals
+for _bit in range(MAX_DENSE_QUBITS):            # the next bit doubles each table
+    _POPCOUNT = np.concatenate([_POPCOUNT, _POPCOUNT + 1])
+    _REVERSED = np.concatenate([_REVERSED, _REVERSED + (1 << (MAX_DENSE_QUBITS - 1 - _bit))])
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+class _XorTerms(NamedTuple):
+    """Half h's operator of mask s (in basis bits, qubit 1 the top one) is
+    P[r, r ^ s] = phase[h, s] times the row signs, and its coefficient is
+    coeffs[h * dim + flip_h(s)], flip_h an involution of the parameter
+    bits, so a take by index also brings an array in mask order to
+    parameter order."""
+
+    index: np.ndarray       # (h, s): h * dim + flip_h(s)
+    seed: np.ndarray        # (p, w, h, s): (-1)**(p beta_h + w gamma) phase[h, s] / dim
+    values: np.ndarray      # (p, h, s): (-1)**(p beta_h) conj(phase[h, s])
+    walsh: bool             # gamma
+
+
+@functools.lru_cache(maxsize=None)
+def _xor_terms(n: int, frame: str) -> _XorTerms:
+    """The X or Y frame's _XorTerms for n qubits, O(2**n), read off its
+    per-qubit factors once per n."""
+    factors = _frame_factors(FRAMES[frame])             # (half, bit, row, column)
+    flip = (factors[:, :, 0, 0] == 0).argmax(axis=1)    # per half, the flipping bit
+    kept, flipped = factors[[0, 1], 1 - flip], factors[[0, 1], flip]
+    top = np.stack([kept[:, 0, 0], flipped[:, 0, 1]], axis=1)         # (half, s_q)
+    beta, alpha = (np.stack([kept[:, 1, 1], flipped[:, 1, 0]], axis=1) / top).real.T < 0
+    powers = np.round(np.angle(top) / (np.pi / 2)).astype(int)
+    dim, flips = 1 << n, _POPCOUNT[:1 << n]
+    # parameter bit q - 1 is qubit q, basis bit n - q; it is set where the
+    # half's bit-1 factor is used
+    bits = _REVERSED[:dim] >> (MAX_DENSE_QUBITS - n)
+    index = np.where(flip[:, None] == 1, bits, bits ^ (dim - 1)) + np.array([[0], [dim]])
+    phase = (np.where(np.outer([0, 1], beta), -1.0, 1.0)[:, :, None]
+             * _I_POWERS[(powers[:, :1] * (n - flips) + powers[:, 1:] * flips) % 4])
+    # gamma = alpha ^ beta is the same in both halves
+    walsh = bool(alpha[0] ^ beta[0])
+    return _XorTerms(index, phase[:, None] * np.array([1.0, 1 - 2 * walsh])[:, None, None] / dim,
+                     phase.conj(), walsh)
+
+
+class _Half(NamedTuple):
+    """Index tables of one half, k bits, of the row and column bits: the
+    top n // 2 bits or the rest.  r and c are the half's row and column
+    bits, s = r ^ c, w = parity(r & s) = parity(r & ~c); all O(4**k).
+    The top half's tables gather and scatter its (row, column) pairs, the
+    low half's make the takes, with c' a top-half column."""
+
+    split: np.ndarray       # (r, c, p', w'): ((p' ^ parity(r)) * 2 + (w' ^ w)) * 2**k + s
+    pair: np.ndarray        # (r, p, c): (p ^ parity(r)) * 2**k + s
+    sums: np.ndarray        # (r, p, s): (2 r + p ^ parity(r)) * 2**k + (r ^ s)
+    walsh: np.ndarray       # (r, 1, c, 1): (-1)**w
+    build: np.ndarray       # (r, 1, c): (2 parity(r) + w) * 2**k + s, plus c' * 4 * 2**k
+    gather: dict            # top half's width: (j, 1, s): rows[j] * dim + (rows[j] ^ s), plus c' 2**k
+    step: np.ndarray        # (c', 1): c' * 2**k
+    step4: np.ndarray       # (c', 1): c' * 4 * 2**k
+    row_walsh: np.ndarray   # (1, j, 1, s): (-1)**parity(rows[j] & s), rows even parity first
+
+
+@functools.lru_cache(maxsize=None)
+def _half(k: int) -> _Half:
+    """The _Half of k bits, made once per k."""
+    r = np.arange(1 << k)
+    parity, s, walsh = _POPCOUNT[r] & 1, r[:, None] ^ r, _POPCOUNT[r[:, None] & ~r] & 1
+    rows = np.argsort(parity, kind="stable")
+    flip = np.arange(2)
+    pair = (parity[:, None, None] ^ flip[:, None]) << k | s[:, None, :]
+    return _Half((((parity[:, None, None, None] ^ flip[:, None]) << 1
+                   | walsh[:, :, None, None] ^ flip) << k) + s[:, :, None, None],
+                 pair, pair + (r << (k + 1))[:, None, None], (1.0 - 2 * walsh)[:, None, :, None],
+                 (((parity[:, None] << 1) | walsh) << k | s)[:, None, :],
+                 {top: ((rows << (k + top))[:, None] + (rows[:, None] ^ r))[:, None, :]
+                  for top in (k - 1, k)},
+                 (r << k)[:, None], (r << (k + 2))[:, None],
+                 (1.0 - 2 * (_POPCOUNT[rows[:, None] & r] & 1))[None, :, None, :])
+
+
+def _xor_seed(coeffs: np.ndarray, terms: _XorTerms, seed: np.ndarray) -> np.ndarray:
+    """(..., p, [w,] s) for seed terms.seed or its w = 0 plane: rho[r, r ^ s]
+    of the coefficients (..., 2**(n+1)), d then a, for the rows r of
+    parity p and Walsh sign w: one rounded sum of a d and an a term, each
+    an exact multiple of a coefficient by +-2**-n or +-2**-n i."""
+    x = coeffs.take(terms.index, axis=-1)[..., None, :, :] * seed
+    return x[..., 0, :] + x[..., 1, :]
+
+
+def _xor_matrix(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
+    """The dense X- or Y-frame matrix (dim, dim) of the coefficients
+    (2**(n+1),), d then a: rho[r, c] = seed[parity(r), w, r ^ c], with w
+    the parity of r & ~c for the Walsh sign.
+
+    The row and column bits split into a top half (n // 2 bits) and the
+    rest, and the parities and Walsh signs into those of each half.  One
+    take makes the seed's rows for the top halves of r and c, O(2**(3n/2))
+    entries, and one more fills rho from them.  Each entry is then
+    bitwise the one rounding of _xor_seed, and + 0.0 makes each zero +0.0.
+    """
+    dim, high, low = 1 << n, _half(n // 2), _half(n - n // 2)
+    dh, dl, terms = len(high.step), len(low.step), _xor_terms(n, frame)
+    take = low.step4[:dh] + low.build                             # (r_l, c_h, c_l)
+    rho = np.empty((dh, dl, dh, dl), dtype=complex)
+    seed = _xor_seed(coeffs, terms, terms.seed)
+    seed += 0.0
+    rows = seed.reshape(4 * dh, -1).take(high.split, axis=0)      # (r_h, c_h, p, w, s_l)
+    # every index is in range; "clip" takes straight into rho, unbuffered
+    rows.reshape(dh, -1).take(take, axis=1, out=rho, mode="clip")
+    return rho.reshape(dim, dim)
+
+
+def _xor_project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarray]:
+    """_project in the X and Y frames, for rho passing linalg.as_state.
+
+    One take gathers rho into G[..., r_h, j, c_h, s_l] = rho[..., r, r ^ s]
+    for r = (r_h, the j-th low row) and s = (r_h ^ c_h, s_l): the low rows
+    in parity order, the top column bits as they are.  tr(P rho) for a
+    family operator P of mask s is its conjugate phase times the sum of
+    G's column over the rows, each with P's row sign: (-1)**(p * beta),
+    and in the Y frame the Walsh sign w = w_h * w_l of its two halves.
+    The low rows' parity halves are summed first, with w_l applied to G
+    in place, then the top rows into their parities, with w_h applied to
+    those O(2**(3n/2)) sums.  Subtracting w_h * seed[parity(r)], the
+    pinned coefficients' rows, leaves w_l * (rho - sigma) in G, in place,
+    whose entries' moduli are those of rho - sigma.  A real rho stays real
+    throughout: its sums are real, the coefficients of the +-i phases
+    exactly 0, and the seed real.
+    """
+    dim, high, low = 1 << n, _half(n // 2), _half(n - n // 2)
+    dh, dl = len(high.step), len(low.step)
+    batch, terms = rho.shape[:-2], _xor_terms(n, frame)
+    take = low.gather[n // 2] + low.step[:dh]                     # (j, c_h, s_l)
+    g = np.empty((*batch, dh, dl, dh, dl), dtype=rho.dtype)
+    rho.reshape(*batch, dh, dl * dim).take(take, axis=-1, out=g, mode="clip")
+    if terms.walsh:
+        g *= low.row_walsh
+    rows = g.reshape(*batch, dh, 2, dl // 2, dim)
+    sums = rows.sum(axis=-2).reshape(*batch, dh, 2, dh, dl)
+    if terms.walsh:
+        sums *= high.walsh
+    sums = sums.reshape(*batch, 2 * dh * dh, dl).take(high.sums, axis=-2).sum(axis=-4)
+    sums = sums.reshape(*batch, 2, 1, dim) * terms.values
+    values = (sums[..., 0, :, :] + sums[..., 1, :, :]).real.reshape(*batch, 2 * dim)
+    coeffs = _checked(values.take(terms.index, axis=-1).reshape(*batch, 2 * dim))
+    coeffs[..., 0] = 1.0
+    seed = _xor_seed(coeffs, terms, terms.seed[:, 0])
+    if g.dtype.kind != "c":
+        seed = seed.real
+    seed = seed.reshape(*batch, 2 * dh, dl).take(high.pair, axis=-2)   # (r_h, p_l, c_h, s_l)
+    if terms.walsh:
+        seed *= high.walsh
+    rows -= seed.reshape(*batch, dh, 2, 1, dim)
+    return coeffs, g.reshape(*batch, dim, dim)
+
+
+def _project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarray]:
+    """(coeffs, diff): the family coefficients of rho (or of a stack),
+    passing linalg.as_state, with d_0 pinned to 1, so a trace deficit
+    lands in diff; and rho minus their matrix sigma, (..., dim, dim) with
+    the same Frobenius norm and entry moduli as rho - sigma.
 
     The Z frame's family operators are zero off the X, so its coefficients
     are _sector_coefficients of rho's X entries, sigma's X entries are
     _x_entries, and diff is a copy of rho with those subtracted on the X:
-    two O(n * 2**n) transforms and one O(4**n) copy.  Its entries are read
-    off rho's X entries, made Hermitian, before d_0 is pinned: the
-    projection without a transform's rounding, so a population keeps its
-    relative precision (Yu-Eberly takes square roots of populations), and a
-    Hermitian X-shaped rho gives its own bits.  The X and Y frames take the
-    Kronecker-factored transform and its adjoint, and their entries come
-    from the coefficients.  An unknown frame raises ValueError before any
-    transform.
+    two O(n * 2**n) transforms and one O(4**n) copy.  The X and Y frames
+    take _xor_project: one O(4**n) gather, and diff in its (row, mask)
+    coordinates.  An unknown frame raises ValueError before any transform.
     """
     _require_frame(frame)
     if frame != "Z":
-        coeffs = _coefficients(rho, n, frame)
-        coeffs[..., 0] = 1.0
-        diff = _entries(coeffs, n, _frame_blocks(n, frame))
-        return coeffs, np.subtract(rho, diff, out=diff), _sector_entries(coeffs, n)
+        return _xor_project(rho, n, frame)
     diff = np.array(rho, dtype=complex, order="C")
     diag, anti = _x_views(diff)
-    entries = diag.real.copy(), (anti + anti[..., ::-1].conj()) / 2
     x = np.concatenate([diag[..., None, :], anti[..., None, :]], axis=-2)
     coeffs = _sector_coefficients(x, n)
     coeffs[..., 0] = 1.0
     sigma = _x_entries(coeffs, n)
     diag -= sigma[..., 0]
     anti -= sigma[..., 1]
-    return coeffs, diff, entries
+    return coeffs, diff
+
+
+def _max_modulus(diff: np.ndarray) -> np.ndarray:
+    """max |diff| over the last two axes, a strip of rows at a time, so
+    that no temporary as large as diff is made."""
+    step = max(1, _STRIP_BYTES * diff.shape[-2] // max(diff.nbytes, 1))
+    return functools.reduce(np.maximum, (np.abs(diff[..., i:i + step, :]).max(axis=(-2, -1))
+                                         for i in range(0, diff.shape[-2], step)))
 
 
 # (-1)**(number of set bits among the top two), per quarter of the basis
@@ -392,9 +537,11 @@ def _screen_bound(n: int) -> float:
 
     Let sigma be the computed projection.  Its own screen deviation is
     exactly 0.  In the X and Y frames each of its entries is one rounded
-    sum of a d and an a term, exact multiples (by 0, +-1, +-i) of the
-    computed coefficients, the terms at (x, c ^ x) are s(c) times those at
-    (0, c), and rounding to nearest is odd.  In the Z frame sigma is
+    sum of a d and an a term (_xor_seed), exact multiples (by +-2**-n,
+    +-2**-n i) of the computed coefficients, times the entry's Walsh sign;
+    the terms at (x, c ^ x) are s(c) times those at (0, c), and rounding
+    to nearest is odd.  _xor_project subtracts those same rows, so its
+    difference is rho - sigma up to signs.  In the Z frame sigma is
     X-shaped and x = 0, so row 0 holds only c = 0 and c = dim - 1, where
     s(c) = +1, and every other entry of row 0 is exactly 0.  So the
     projection's own rounding adds nothing, and the deviation is that of
@@ -418,10 +565,27 @@ def _screen_bound(n: int) -> float:
 
 def _fit(rho: np.ndarray, n: int, frame: str) -> "tuple[np.ndarray, np.ndarray] | None":
     """Z-frame (diag, anti) of the projection of rho onto the frame's
-    family if it lies within SECTOR_FIT_TOL, else None (see fit_sectors)."""
-    _, diff, entries = _project(rho, n, frame)
-    if math.sqrt(len(rho)) * np.linalg.norm(diff) <= SECTOR_FIT_TOL:
-        return entries
+    family if it lies within SECTOR_FIT_TOL, else None (see fit_sectors).
+    The entries are made only for a fit that passes: in the X and Y frames
+    from the coefficients, in the Z frame read off rho's X entries, made
+    Hermitian, before d_0 is pinned (see fit_sectors)."""
+    coeffs, diff = _project(rho, n, frame)
+    if not math.sqrt(len(rho)) * np.linalg.norm(diff) <= SECTOR_FIT_TOL:
+        return None
+    if frame != "Z":
+        return _sector_entries(coeffs, n)
+    rows = np.arange(len(rho))
+    anti = rho[rows, rows[::-1]].astype(complex, copy=False)
+    return rho[rows, rows].real, (anti + anti[::-1].conj()) / 2
+
+
+def _fit_sectors(rho: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray] | None":
+    """fit_sectors for a rho that has passed linalg.as_state."""
+    for frame in FRAMES:
+        if n > 1 and _screen_deviation(rho, n, frame) > _screen_bound(n):
+            continue
+        if (entries := _fit(rho, n, frame)) is not None:
+            return entries
     return None
 
 
@@ -437,38 +601,38 @@ def fit_sectors(rho: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray] | Non
     Frobenius norm.  sigma is Hermitian with unit trace, so a non-Hermitian
     rho, or one of another trace, fails the bound in every frame.  The Z
     frame's entries are those of the projection before d_0 is pinned, the
-    orthogonal one, which lies no farther from rho (see _project).
+    orthogonal one, which lies no farther from rho: read off rho's X
+    entries with no transform, so a population keeps its relative
+    precision (Yu-Eberly takes square roots of populations), and a
+    Hermitian X-shaped rho gives its own bits.
     For n >= 2 one row screens each fit first, in O(2**n): a
     _screen_deviation above _screen_bound means the fit fails, so it is
     skipped.  A Y-frame state typically skips the Z and X projections, and
     input outside every family all three.  rho passes linalg.as_state,
-    which rejects the entries a projection could not take.
+    which rejects the entries a projection could not take; the measures
+    of witness, which gate their input themselves, call _fit_sectors.
     """
-    rho = as_state(rho, n)
-    for frame in FRAMES:
-        if n > 1 and _screen_deviation(rho, n, frame) > _screen_bound(n):
-            continue
-        if (entries := _fit(rho, n, frame)) is not None:
-            return entries
-    return None
+    return _fit_sectors(as_state(rho, n), n)
 
 
-def materialize(p: XStateParams) -> np.ndarray:
-    """The dense density matrix of the parameterized X state.
-
-    A Z-frame state is its X entries (_x_entries, O(n * 2**n)) placed on
-    the diagonal and the anti-diagonal of a zero matrix; other frames take
-    the Kronecker-factored transform, _entries.
-    """
-    coeffs = np.concatenate([p.d, p.a])
-    if p.frame != "Z":
-        return _entries(coeffs, p.n, _frame_blocks(p.n, p.frame))
-    x = _x_entries(coeffs, p.n)
-    rho = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
+def _dense(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
+    """The dense matrix (dim, dim) of the frame's family coefficients
+    (2**(n+1),), d then a: in the Z frame its X entries (_x_entries,
+    O(n * 2**n)) placed on the diagonal and the anti-diagonal of a zero
+    matrix, in the X and Y frames _xor_matrix."""
+    if frame != "Z":
+        return _xor_matrix(coeffs, n, frame)
+    x = _x_entries(coeffs, n)
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
     diag, anti = _x_views(rho)
     diag[:] = x[:, 0].real
     anti[:] = x[:, 1]
     return rho
+
+
+def materialize(p: XStateParams) -> np.ndarray:
+    """The dense density matrix of the parameterized X state (_dense)."""
+    return _dense(np.concatenate([p.d, p.a]), p.n, p.frame)
 
 
 def decompose(rho: np.ndarray, n: int, frame: str = "Z") -> tuple[XStateParams, float]:
@@ -482,9 +646,9 @@ def decompose(rho: np.ndarray, n: int, frame: str = "Z") -> tuple[XStateParams, 
     linalg.as_state, and an unknown frame raises ValueError.
     """
     rho = as_state(rho, n)
-    coeffs, diff, _ = _project(rho, n, frame)
+    coeffs, diff = _project(rho, n, frame)
     dim = 1 << n
-    return XStateParams(n, coeffs[:dim], coeffs[dim:], frame), float(np.abs(diff).max())
+    return XStateParams(n, coeffs[:dim], coeffs[dim:], frame), float(_max_modulus(diff))
 
 
 def family_residual(rho: np.ndarray, n: int, frame: str = "Z") -> "float | np.ndarray":
@@ -497,7 +661,7 @@ def family_residual(rho: np.ndarray, n: int, frame: str = "Z") -> "float | np.nd
     that is not finite raises it too, as a safety check.
     """
     rho = as_state(rho, n, stack=True)
-    residual = np.abs(_project(rho, n, frame)[1]).max(axis=(-2, -1))
+    residual = _max_modulus(_project(rho, n, frame)[1])
     if not np.isfinite(residual).all():
         raise ValueError("family residual is not finite")
     return float(residual) if rho.ndim == 2 else residual

@@ -12,7 +12,7 @@ import numpy as np
 
 from .linalg import (_real_value, _state_and_subset, as_state, hermitian_eigen,
                      hermitian_eigenvalues, partial_transpose, sector_eigenvalues)
-from .model import XStateParams, _sector_entries, fit_sectors
+from .model import XStateParams, _fit_sectors, _sector_entries
 from .pauli import FRAMES, PAULI_MATRICES, require_qubit_count
 
 DETECTION_TOL = -1e-10
@@ -145,8 +145,9 @@ def negativity(rho: np.ndarray, subset, n: int) -> float:
     """Sum of |negative eigenvalues| of the partial transpose, +0.0 when
     there is none.
 
-    rho passes linalg.as_state.  When model.fit_sectors resolves the
-    Z-frame sector entries of rho's projection onto a frame's family, within
+    rho passes linalg.as_state, and the fit does not gate it again.  When
+    model.fit_sectors (here its ungated _fit_sectors) resolves the Z-frame
+    sector entries of rho's projection onto a frame's family, within
     linalg.SECTOR_FIT_TOL, which bounds the error, the sector blocks give
     it: transposing the qubits of S keeps the diagonal and moves row b's
     anti-diagonal entry to row b ^ m_S, m_S their basis bits, and local
@@ -155,7 +156,7 @@ def negativity(rho: np.ndarray, subset, n: int) -> float:
     checks Hermiticity.
     """
     rho, qubits = _state_and_subset(rho, subset, n)
-    entries = fit_sectors(rho, n)
+    entries = _fit_sectors(rho, n)
     if entries is None:
         eigenvalues = hermitian_eigenvalues(partial_transpose(rho, qubits, n))
     else:
@@ -179,11 +180,13 @@ def yu_eberly(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
 
 
 def concurrence(rho: np.ndarray) -> float:
-    """Two-qubit concurrence of a unit-trace state passing linalg.as_state.
+    """Two-qubit concurrence of a unit-trace state passing linalg.as_state,
+    which the fit does not repeat.
 
-    When model.fit_sectors resolves the Z-frame sector entries of rho's
-    projection onto a frame's family (local unitaries keep concurrence), it
-    takes their Yu-Eberly closed form, yu_eberly.  Any other state takes
+    When model.fit_sectors (here its ungated _fit_sectors) resolves the
+    Z-frame sector entries of rho's projection onto a frame's family
+    (local unitaries keep concurrence), it takes their Yu-Eberly closed
+    form, yu_eberly.  Any other state takes
     Wootters' formula in Hermitian form: the descending lambdas, square
     roots of the eigenvalues of rho (Y x Y) rho* (Y x Y), are those of the
     similar PSD sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho).
@@ -194,7 +197,7 @@ def concurrence(rho: np.ndarray) -> float:
     rho = as_state(rho, 2)
     if not abs(complex(np.trace(rho)) - 1.0) <= UNIT_TRACE_TOL:
         raise ValueError("state must have unit trace")
-    entries = fit_sectors(rho, 2)
+    entries = _fit_sectors(rho, 2)
     if entries is not None:
         return float(yu_eberly(*entries))
     rho = rho.astype(complex, copy=False)  # one (complex) solver for every dtype

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from xstates import FRAMES, DesignReport, PauliString, decompose, model
+from xstates import FRAMES, DesignReport, PauliString, decompose, generate_set, model
 from xstates.linalg import SECTOR_FIT_TOL
 
 # An example's cost grows with its qubit count, so no per-example deadline;
@@ -33,6 +33,46 @@ def oracle_pauli_matrix(p: PauliString) -> np.ndarray:
     """Literal Kronecker build from named factors; independent of the library path."""
     mats = [NAMED[p.axis_on(j)] for j in range(1, p.n + 1)]
     return (1j ** p.named_phase) * kron_chain(mats)
+
+
+def oracle_family_operators(n, frame):
+    """The frame's 2**(n+1) family operators in parameter order, d then a
+    (the identity first), as dense matrices from the named factors, one at
+    a time."""
+    yield np.eye(1 << n, dtype=complex)
+    for q in generate_set(n, frame).elements:
+        yield oracle_pauli_matrix(q)
+
+
+def oracle_family_sum(p):
+    """2**-n * sum_k c_k P_k, one operator at a time.  In the X and Y
+    frames each entry has exactly two nonzero terms, so one rounding."""
+    expect = 0.0
+    for c, op in zip(p.d + p.a, oracle_family_operators(p.n, p.frame)):
+        expect = expect + c * op
+    return expect / (1 << p.n)
+
+
+def oracle_family_projection(rho, n, frame):
+    """(coeffs, residual) of the projection of rho, or of each matrix of a
+    stack, by the dense operators, 16 at a time: coeffs[..., k] =
+    Re tr(P_k rho) = Re vec(rho) . vec(P_k^T), with d_0 pinned to 1, and
+    the max-norm of rho minus their family sum."""
+    dim = 1 << n
+    flat = np.reshape(rho, (-1, dim * dim))
+    ops = oracle_family_operators(n, frame)
+    coeffs, sigma = [], 0.0
+    while block := list(itertools.islice(ops, 16)):
+        block = np.array(block)
+        c = (flat @ block.transpose(0, 2, 1).reshape(len(block), -1).T).real
+        if not coeffs:
+            c[:, 0] = 1.0
+        coeffs.append(c)
+        sigma = sigma + c @ block.reshape(len(block), -1)
+    residual = np.abs(flat - sigma / dim).max(axis=-1, initial=0.0)
+    shape = np.shape(rho)[:-2]
+    return (np.concatenate(coeffs, axis=-1).reshape(*shape, 2 << n),
+            residual.reshape(shape))
 
 
 def oracle_center_image(n, frame):
@@ -148,11 +188,12 @@ def oracle_z_projection(rho, n):
 def oracle_fit_distance(rho, n, frame):
     """(entries, sqrt(dim) ||rho - sigma||_F) of the frame's projection
     sigma: the Z frame's from oracle_z_projection, the others' from
-    model._project."""
+    model._project, with the sector entries of its coefficients."""
     if frame == "Z":
         diff, entries = oracle_z_projection(rho, n)
     else:
-        _, diff, entries = model._project(rho, n, frame)
+        coeffs, diff = model._project(rho, n, frame)
+        entries = model._sector_entries(coeffs, n)
     return entries, math.sqrt(len(rho)) * np.linalg.norm(diff)
 
 

@@ -269,8 +269,9 @@ def test_sweep_of_an_empty_grid_is_empty():
 # the sweep builds no Channel: a dense point, here amplitude damping off the Z
 # frame at every strength > 0, maps the factors by its row of the checked
 # stack, whose tables are built once for all dense points: one per distinct
-# block of listed counts (1, 0, 1) and one for the family's (0, 0, 0).  No
-# dense initial state is built, nothing is contracted and nothing projected.
+# block of listed counts, here (1, 0, 1).  The family part's dense matrix
+# takes model._dense, with no table.  No dense initial state is built,
+# nothing is contracted and nothing projected.
 @pytest.mark.parametrize("frame,kind,dense", [("Z", "amplitude_damping", 0),
                                               ("X", "amplitude_damping", 1),
                                               ("Y", "depolarizing", 0)])
@@ -295,8 +296,8 @@ def test_sweep_builds_and_checks_one_kraus_stack(monkeypatch, frame, kind, dense
     traj = sweep(ghz_params(3, frame), kind, [1, 3], strength_grid(0.0, 1.0, count),
                  witness_kind="ghz_type")
     assert len(traj.witness) == count
-    assert calls == collections.Counter(kraus=1, completeness=1, table=2 * dense,
-                                        entries=2 * dense * (count - 1))
+    assert calls == collections.Counter(kraus=1, completeness=1, table=dense,
+                                        entries=dense * (count - 1))
 
 
 def _closed_form_kraus(kind, s):

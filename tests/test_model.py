@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (center_twist, oracle_center_image, oracle_ghz_params,
-                      oracle_pauli_matrix, random_density, random_valid_x_params)
+from conftest import (center_twist, oracle_center_image, oracle_family_projection,
+                      oracle_family_sum, oracle_ghz_params, oracle_pauli_matrix,
+                      random_density, random_valid_x_params)
 from xstates import model
 from xstates import (FRAMES, XStateParams, bell_diagonal, decompose,
                      dicke_state, family_residual, generate_set, ghz_params,
@@ -214,11 +215,12 @@ def test_constructor_rejections():
         XStateParams(2, (1.0, 0, 0, 0), (0, 0, 0, 0), frame="Q")
     # an unknown frame name gets the same text from the projections, before
     # any transform
-    with mock.patch.object(model, "_coefficients") as transform:
+    with mock.patch.object(model, "_xor_project") as xor, \
+         mock.patch.object(model, "_sector_coefficients") as sector:
         for project in (decompose, family_residual):
             with pytest.raises(ValueError, match=r"unknown frame 'Q'; expected one of"):
                 project(np.eye(4) / 4, 2, "Q")
-    assert transform.call_count == 0
+    assert xor.call_count == sector.call_count == 0
     for n in (True, 2.5, 2.0, "2"):
         with pytest.raises(ValueError, match="qubit count must be an integer"):
             XStateParams(n, (1.0, 0, 0, 0), (0, 0, 0, 0))
@@ -470,14 +472,6 @@ def test_decompose_returns_python_floats(rng, frame):
         assert np.array_equal(q.d + q.a, coeffs)
 
 
-def _oracle_sum(p):
-    ops = [oracle_pauli_matrix(q) for q in generate_set(p.n, p.frame).elements]
-    expect = np.eye(1 << p.n) * p.d[0]
-    for c, op in zip(p.d[1:] + p.a, ops):
-        expect = expect + c * op
-    return expect / (1 << p.n)
-
-
 @settings(max_examples=60)
 @given(st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
 def test_z_frame_materialize_matches_dense_oracle(n, seed):
@@ -486,7 +480,7 @@ def test_z_frame_materialize_matches_dense_oracle(n, seed):
     d[0] = 1.0
     p = XStateParams(n, tuple(d), tuple(rng.uniform(-1.0, 1.0, 1 << n)))
     rho = materialize(p)
-    assert np.max(np.abs(rho - _oracle_sum(p))) <= 1e-15
+    assert np.max(np.abs(rho - oracle_family_sum(p))) <= 1e-15
     x = np.zeros_like(rho, dtype=bool)
     np.fill_diagonal(x, True)
     np.fill_diagonal(x[:, ::-1], True)
@@ -502,14 +496,76 @@ def test_z_frame_ghz_materialize_bitwise(n):
     expect[0, 0] = expect[0, -1] = expect[-1, 0] = expect[-1, -1] = 0.5
     assert rho.tobytes() == expect.tobytes()
     if n <= 7:
-        assert rho.tobytes() == _oracle_sum(ghz_params(n)).tobytes()
+        assert rho.tobytes() == oracle_family_sum(ghz_params(n)).tobytes()
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 7), st.integers(0, 2 ** 32 - 1), st.sampled_from("XY"))
+def test_xy_frame_materialize_bitwise_equal_to_dense_oracle(n, seed, frame):
+    """Each entry of an X- or Y-frame matrix has exactly two nonzero terms,
+    a d and an a term, each an exact multiple of its coefficient, so the
+    oracle's sum rounds once, as the XOR gather's seed does; both give
+    +0.0 for every zero."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-1.0, 1.0, 1 << n)
+    d[0] = 1.0
+    p = XStateParams(n, tuple(d), tuple(rng.uniform(-1.0, 1.0, 1 << n)), frame)
+    assert materialize(p).tobytes() == oracle_family_sum(p).tobytes()
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 7), st.integers(0, 2 ** 32 - 1), st.sampled_from("XY"), st.booleans(),
+       st.sampled_from([None, 0, 1, 3]))
+def test_xy_frame_projection_matches_dense_oracle(n, seed, frame, real, count):
+    """Any input, Hermitian or not, of any trace, real or complex, single
+    (count None) or a stack of count matrices (0 included), with entries of
+    a density matrix's size."""
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    shape = (dim, dim) if count is None else (count, dim, dim)
+    rho = rng.uniform(-1.0, 1.0, shape) / dim
+    if not real:
+        rho = rho + 1j * rng.uniform(-1.0, 1.0, shape) / dim
+    # each coefficient sums dim terms of size at most sqrt(2) / dim: the
+    # projection in at most 2**(n // 2) + 2**((n + 1) // 2 - 1) roundings
+    # (15 at n = 7), the oracle's pairwise sums of 4**n products in at
+    # most 2n + 8: at most 45 in all
+    tol = 2 * 45 * np.finfo(float).eps * math.sqrt(2)
+    want_coeffs, want_res = oracle_family_projection(rho, n, frame)
+    coeffs, _ = model._project(rho, n, frame)
+    assert coeffs.shape == want_coeffs.shape and coeffs.dtype == float
+    assert np.max(np.abs(coeffs - want_coeffs), initial=0.0) <= tol
+    residual = family_residual(rho, n, frame)
+    assert np.max(np.abs(residual - want_res), initial=0.0) <= tol
+    if count is None:
+        q, res = decompose(rho, n, frame)
+        assert np.array_equal(q.d + q.a, coeffs) and res == residual
+
+
+@pytest.mark.parametrize("frame", ["X", "Y"])
+def test_xy_frame_projection_makes_one_dense_temporary(rng, frame):
+    """decompose and negativity of an n = 10 X- or Y-frame state: the
+    gathered difference is the only temporary of the input's size; the
+    rest, O(2**(3n/2)) index tables and sums and strips of rows, take
+    about 2.3 MiB against the input's 16 MiB."""
+    n = 10
+    rho = materialize(random_valid_x_params(rng, n, frame))
+    for measure in (lambda: decompose(rho, n, frame), lambda: negativity(rho, [1], n)):
+        measure()         # the per-n tables, built once
+        tracemalloc.start()
+        try:
+            measure()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rho.nbytes * 5 // 4
 
 
 def test_z_frame_x_shaped_round_trip_takes_no_dense_transform(rng):
     for n in (1, 4, 9):
         p = random_valid_x_params(rng, n, "Z")
-        with mock.patch.object(model, "_entries", wraps=model._entries) as entries, \
-             mock.patch.object(model, "_coefficients", wraps=model._coefficients) as coeffs:
+        with mock.patch.object(model, "_xor_matrix", wraps=model._xor_matrix) as build, \
+             mock.patch.object(model, "_xor_project", wraps=model._xor_project) as project:
             rho = materialize(p)
             decompose(rho, n, "Z")
             family_residual(rho, n, "Z")
@@ -518,17 +574,7 @@ def test_z_frame_x_shaped_round_trip_takes_no_dense_transform(rng):
             decompose(rho, n, "Z")
             family_residual(np.stack([rho, rho]), n, "Z")
             materialize(XStateParams(n, p.d, p.a, "X"))
-        assert coeffs.call_count == 0 and entries.call_count == 1
-
-
-def _dense_projection(rho, n):
-    """The Z-frame projection by the dense transform and its adjoint over
-    all 4**n entries: coefficients with d_0 pinned, and the max-norm
-    residual."""
-    coeffs = model._coefficients(rho, n, "Z")
-    coeffs[..., 0] = 1.0
-    sigma = model._entries(coeffs, n, model._frame_blocks(n, "Z"))
-    return coeffs, np.abs(rho - sigma).max(axis=(-2, -1))
+        assert project.call_count == 0 and build.call_count == 1
 
 
 @settings(max_examples=60)
@@ -549,9 +595,10 @@ def test_z_frame_projection_matches_dense(n, seed, real, shaped):
             v = rng.uniform(-1.0, 1.0, dim) / dim
             np.fill_diagonal(m, v if real else v + 1j * rng.uniform(-1.0, 1.0, dim) / dim)
     # each coefficient sums dim terms of size at most sqrt(2) / dim, in
-    # blocks of at most 16 per level on either path: at most 45 roundings
+    # blocks of at most 16 per level, and the oracle's pairwise sums of
+    # 4**n products take at most 2n: at most 45 roundings in all
     tol = 2 * 45 * np.finfo(float).eps * math.sqrt(2)
-    want_coeffs, want_res = _dense_projection(stack, n)
+    want_coeffs, want_res = oracle_family_projection(stack, n, "Z")
     for rho, c, r in zip(stack, want_coeffs, want_res):
         q, res = decompose(rho, n, "Z")
         assert np.max(np.abs(np.array(q.d + q.a) - c)) <= tol
@@ -578,20 +625,18 @@ def test_x_shaped_projection_rejects_non_finite(bad):
 
 @pytest.mark.parametrize("frame", sorted(FRAMES))
 def test_projection_keeps_center_symmetry_bitwise(rng, frame):
-    """The computed projection commutes with the image g of Z_1 Z_2 with no
-    rounding at all: the premise of the screen bound.  The Z-frame
-    projection is its X entries on a zero matrix."""
+    """The computed projection, materialize of the projected coefficients,
+    commutes with the image g of Z_1 Z_2 with no rounding at all: the
+    premise of the screen bound.  In the X and Y frames it is the dense
+    oracle's sum bitwise, one rounding per entry."""
     for n in range(2, 9):
         dim = 1 << n
         rho = random_density(rng, dim) + 0.1 * rng.normal(size=(dim, dim))
         coeffs = model._project(rho, n, frame)[0]
-        if frame == "Z":
-            x = model._x_entries(coeffs, n)
-            sigma = np.zeros((dim, dim), dtype=complex)
-            sigma[np.arange(dim), np.arange(dim)] = x[:, 0]
-            sigma[np.arange(dim), np.arange(dim)[::-1]] = x[:, 1]
-        else:
-            sigma = model._entries(coeffs, n, model._frame_blocks(n, frame))
+        p = XStateParams(n, coeffs[:dim], coeffs[dim:], frame)
+        sigma = materialize(p)
+        if frame != "Z" and n <= 6:
+            assert sigma.tobytes() == oracle_family_sum(p).tobytes()
         g = oracle_center_image(n, frame)
         # g is a phased permutation matrix: each entry of g sigma g^dag is one
         # exact product

@@ -494,7 +494,7 @@ def near_family_states(draw):
 @given(near_family_states())
 def test_measures_bitwise_equal_to_unscreened_fit(case):
     rho, n = case
-    with mock.patch.object(witness, "fit_sectors", oracle_fit_sectors):
+    with mock.patch.object(witness, "_fit_sectors", oracle_fit_sectors):
         want = [negativity(rho, q, n) for q in ([1], [n], range(1, n))]
         want_c = concurrence(rho) if n == 2 else None
     got = [negativity(rho, q, n) for q in ([1], [n], range(1, n))]
