@@ -213,10 +213,11 @@ def iterate_construction(prev: OperatorSet) -> OperatorSet:
 
 
 def incidence_json(opset: OperatorSet, lineset: LineSet | None = None) -> dict:
-    """Stable {"points": [...labels], "lines": [[i, j, k], ...]} export."""
+    """Stable {"points": [...labels], "lines": ((i, j, k), ...)} export,
+    the lines as LineSet holds them; JSON writes both as arrays."""
     if lineset is None:
         lineset = lines(opset)
     return {
         "points": opset.labels(),
-        "lines": [list(t) for t in lineset.lines],
+        "lines": lineset.lines,
     }

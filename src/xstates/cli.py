@@ -13,10 +13,10 @@ import os
 import sys
 
 from . import algebra, channels, simplex
-from .linalg import (ConvergenceError, ToleranceError, json_text,
-                     matrix_to_csv, matrix_to_json, partial_trace)
-from .model import (NAMED_EXAMPLES, XStateParams, bell_diagonal, ghz_params,
-                    materialize, named_example, params_from_json,
+from .linalg import (ConvergenceError, ToleranceError, json_text, matrix_table,
+                     matrix_text, partial_trace)
+from .model import (NAMED_EXAMPLES, XStateParams, bell_diagonal, entry_table,
+                    ghz_params, materialize, named_example, params_from_json,
                     params_to_json, validate, werner)
 from .pauli import FRAMES
 from .witness import make_witness, witness_report
@@ -88,12 +88,6 @@ def _resolve_state(selector: str, args) -> XStateParams:
         "'ghz', 'bell', 'werner:<p>' or 'bell_diagonal:<a0>,<a3>,<d3>'")
 
 
-def _matrix_payload(m, fmt: str) -> str:
-    if fmt == "csv":
-        return matrix_to_csv(m)
-    return json_text(matrix_to_json(m))
-
-
 # ---- subcommand handlers ----------------------------------------------------
 
 def _cmd_gen(args) -> tuple[str, int]:
@@ -102,7 +96,7 @@ def _cmd_gen(args) -> tuple[str, int]:
     if fmt == "json":
         return json_text(params_to_json(params)), 0
     if fmt in ("matrix", "csv"):
-        return _matrix_payload(materialize(params), "csv" if fmt == "csv" else "json"), 0
+        return matrix_text(*entry_table(params), "csv" if fmt == "csv" else "json"), 0
     raise CliError(f"gen supports --format json|matrix|csv, got {fmt!r}")
 
 
@@ -165,11 +159,11 @@ def _cmd_marginal(args) -> tuple[str, int]:
     if args.keep is None:
         raise CliError("marginal requires --keep")
     keep = _parse_qubits(args.keep)
-    reduced = partial_trace(materialize(params), keep, params.n)
     fmt = args.format or "json"
     if fmt not in ("json", "csv"):
         raise CliError(f"marginal supports --format json|csv, got {fmt!r}")
-    return _matrix_payload(reduced, fmt), 0
+    reduced = partial_trace(materialize(params), keep, params.n)
+    return matrix_text(*matrix_table(reduced), fmt), 0
 
 
 # Every other flag takes a string and defaults to None.

@@ -7,6 +7,7 @@ is the most significant basis bit and qubit indices are 1-based everywhere.
 
 from __future__ import annotations
 
+import itertools
 import json
 from functools import reduce
 
@@ -31,6 +32,9 @@ _STRIP_BYTES = 1 << 20
 
 # json's C encoder (no indent): the text of one scalar or key.
 _ENCODE = json.JSONEncoder().encode
+
+# json's spellings of the non-finite float reprs
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class ConvergenceError(RuntimeError):
@@ -268,9 +272,52 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 def matrix_to_csv(m: np.ndarray) -> str:
     """CSV rows of alternating re,im cell pairs, one matrix row per line."""
+    return matrix_text(*matrix_table(m), "csv")
+
+
+def matrix_table(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The square matrix m as matrix_text's (table, index): one table entry
+    per matrix entry, in row-major order."""
     m = _as_square(m)
-    rows = np.stack([m.real, m.imag], axis=-1).reshape(len(m), 2 * len(m)).tolist()
-    return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
+    return m.ravel(), np.arange(m.size).reshape(m.shape)
+
+
+def matrix_text(table: np.ndarray, index: np.ndarray, fmt: str = "json") -> str:
+    """The dump of the square matrix table[index], for an integer index
+    (dim, dim) into a table of its entries: with fmt "json" the text of
+    json_text(matrix_to_json(table[index])), with "csv" matrix_to_csv's.
+
+    Each table value's real and imaginary part is one float.__repr__, in
+    json's spelling for "json", and each row of the dump is one join of
+    those strings by its row of the index.  So a matrix that its structure
+    makes from a few values (model.entry_table) costs one repr per value,
+    not one per entry.
+    """
+    table, index = _as_array(table).ravel(), np.asarray(index)
+    parts = [list(map(float.__repr__, part.tolist())) for part in (table.real, table.imag)]
+    if fmt == "csv":
+        return "\n".join(_joined_rows(list(map(",".join, zip(*parts))), index, ",")) + "\n"
+    if fmt != "json":
+        raise ValueError(f"matrix dumps are json or csv, got {fmt!r}")
+    if not len(index):
+        return json_text({"dim": 0, "re": [], "im": []})
+    if not np.isfinite(table).all():
+        parts = [[_JSON_FLOATS.get(s, s) for s in strings] for strings in parts]
+    rows = "\n    ],\n    [\n      "
+    re, im = (rows.join(_joined_rows(strings, index, ",\n      ")) for strings in parts)
+    return "".join(['{\n  "dim": %d,\n  "re": [\n    [\n      ' % len(index), re,
+                    '\n    ]\n  ],\n  "im": [\n    [\n      ', im, "\n    ]\n  ]\n}\n"])
+
+
+def _joined_rows(strings: list, index: np.ndarray, sep: str) -> list:
+    """sep.join of the strings that each row of index picks, a strip of
+    about _STRIP_BYTES of index rows at a time."""
+    strings = np.array(strings, dtype=object)
+    step = max(1, _STRIP_BYTES // max(index[:1].nbytes, 1))
+    rows = []
+    for i in range(0, len(index), step):
+        rows += map(sep.join, strings.take(index[i:i + step]).tolist())
+    return rows
 
 
 def json_text(obj) -> str:
@@ -279,8 +326,11 @@ def json_text(obj) -> str:
     dicts, lists and tuples are laid out as json's indent-2 writer lays them
     out; every scalar and key is one call of json's C encoder, and a list of
     only floats, or of only ints, is one join of their reprs, so a matrix
-    dump never walks json's pure-Python encoder.  A key that is not a str
-    raises TypeError (json would convert int, float, bool and None keys).
+    dump never walks json's pure-Python encoder.  An integer table, a list
+    or tuple whose rows are all lists or tuples of the same nonzero number
+    of ints (by type, so a bool is not one), is one %d template over all
+    its ints, with no call per row.  A key that is not a str raises
+    TypeError (json would convert int, float, bool and None keys).
     """
     return _json_value(obj, "\n") + "\n"
 
@@ -298,6 +348,8 @@ def _json_value(obj, newline: str) -> str:
                 body = body.replace("nan", "NaN").replace("inf", "Infinity")
         elif kinds == {int}:
             body = sep.join(map(int.__repr__, obj))
+        elif kinds <= {list, tuple} and (table := _int_table(obj, inner)) is not None:
+            body = table
         else:
             body = sep.join([_json_value(v, inner) for v in obj])
         return "[" + inner + body + newline + "]"
@@ -309,6 +361,20 @@ def _json_value(obj, newline: str) -> str:
             [_json_key(k) + ": " + _json_value(v, inner) for k, v in obj.items()]
         ) + newline + "}"
     return _ENCODE(obj)
+
+
+def _int_table(rows, inner: str) -> "str | None":
+    """The rows, lists or tuples, as _json_value lays them out with the
+    indent inner, if all hold the same nonzero number of ints (by type, so
+    not bool): one %d template over the flattened table.  Else None."""
+    if len(widths := set(map(len, rows))) != 1:
+        return None
+    flat = tuple(itertools.chain.from_iterable(rows))
+    if set(map(type, flat)) != {int}:
+        return None
+    cell = inner + "  "
+    row = "[" + cell + ("," + cell).join(["%d"] * widths.pop()) + inner + "]"
+    return ("," + inner).join([row] * len(rows)) % flat
 
 
 def _json_key(key) -> str:

@@ -36,7 +36,9 @@ In the X and Y frames F(Z) is +-X or +-Y, so every family operator has
 one nonzero per row, at column r ^ s for its flip mask s, and each half
 (d, a) has the 2**n masks: rho[r, c] is one d and one a term of mask
 r ^ c (see _xor_terms).  Their dense matrices and projections are gathers
-on that XOR structure, _xor_matrix and _xor_project, with no transform.
+on that XOR structure, _xor_matrix and _xor_project, with no transform;
+the same fill of the seed's own positions indexes a matrix's distinct
+entries (entry_table), which the CLI's dumps are written from.
 
 A channel E applied to listed qubits maps each listed qubit's factor
 columns by its 4x4 superoperator S (S^k for a qubit listed k times), so
@@ -404,27 +406,41 @@ def _xor_seed(coeffs: np.ndarray, terms: _XorTerms, seed: np.ndarray) -> np.ndar
     return x[..., 0, :] + x[..., 1, :]
 
 
-def _xor_matrix(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
-    """The dense X- or Y-frame matrix (dim, dim) of the coefficients
-    (2**(n+1),), d then a: rho[r, c] = seed[parity(r), w, r ^ c], with w
-    the parity of r & ~c for the Walsh sign.
+def _xor_fill(seed: np.ndarray, n: int) -> np.ndarray:
+    """The (dim, dim) array rho[r, c] = seed[parity(r), w, r ^ c] of a
+    C-contiguous seed (2, 2, dim) of any dtype, with w the parity of
+    r & ~c for the Walsh sign.
 
     The row and column bits split into a top half (n // 2 bits) and the
     rest, and the parities and Walsh signs into those of each half.  One
     take makes the seed's rows for the top halves of r and c, O(2**(3n/2))
-    entries, and one more fills rho from them.  Each entry is then
-    bitwise the one rounding of _xor_seed, and + 0.0 makes each zero +0.0.
+    entries, and one more fills rho from them, so each entry is a copy of
+    its seed entry.
     """
     dim, high, low = 1 << n, _half(n // 2), _half(n - n // 2)
-    dh, dl, terms = len(high.step), len(low.step), _xor_terms(n, frame)
+    dh, dl = len(high.step), len(low.step)
     take = low.step4[:dh] + low.build                             # (r_l, c_h, c_l)
-    rho = np.empty((dh, dl, dh, dl), dtype=complex)
-    seed = _xor_seed(coeffs, terms, terms.seed)
-    seed += 0.0
+    rho = np.empty((dh, dl, dh, dl), dtype=seed.dtype)
     rows = seed.reshape(4 * dh, -1).take(high.split, axis=0)      # (r_h, c_h, p, w, s_l)
     # every index is in range; "clip" takes straight into rho, unbuffered
     rows.reshape(dh, -1).take(take, axis=1, out=rho, mode="clip")
     return rho.reshape(dim, dim)
+
+
+def _xor_matrix_seed(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
+    """The X- or Y-frame seed (2, 2, dim) of _xor_fill for the coefficients
+    (2**(n+1),), d then a: each entry the one rounding of _xor_seed, with
+    + 0.0 making each zero +0.0."""
+    terms = _xor_terms(n, frame)
+    seed = _xor_seed(coeffs, terms, terms.seed)
+    seed += 0.0
+    return seed
+
+
+def _xor_matrix(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
+    """The dense X- or Y-frame matrix (dim, dim) of the coefficients
+    (2**(n+1),), d then a: _xor_fill of their seed."""
+    return _xor_fill(_xor_matrix_seed(coeffs, n, frame), n)
 
 
 def _xor_project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarray]:
@@ -633,6 +649,30 @@ def _dense(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
 def materialize(p: XStateParams) -> np.ndarray:
     """The dense density matrix of the parameterized X state (_dense)."""
     return _dense(np.concatenate([p.d, p.a]), p.n, p.frame)
+
+
+def entry_table(p: XStateParams) -> tuple[np.ndarray, np.ndarray]:
+    """(table, index): the entries of the parameterized X state's dense
+    matrix that its family structure makes, as a complex table, and a
+    (dim, dim) integer index into it, with materialize(p) == table[index]
+    bitwise.
+
+    In the X and Y frames the table is _xor_matrix's seed, 4 * dim
+    entries, and the index is _xor_fill of the seed's own positions.  In
+    the Z frame it is 0.0, then the diagonal, then the anti-diagonal
+    entries, and the index is 0 off the X.
+    """
+    coeffs, n = np.concatenate([p.d, p.a]), p.n
+    if p.frame != "Z":
+        seed = _xor_matrix_seed(coeffs, n, p.frame)
+        return seed.ravel(), _xor_fill(np.arange(seed.size).reshape(seed.shape), n)
+    x = _x_entries(coeffs, n)
+    dim = 1 << n
+    index = np.zeros((dim, dim), dtype=np.intp)
+    diag, anti = _x_views(index)
+    diag[:] = np.arange(1, dim + 1)
+    anti[:] = diag + dim
+    return np.concatenate([[0.0], x[:, 0].real, x[:, 1]]), index
 
 
 def decompose(rho: np.ndarray, n: int, frame: str = "Z") -> tuple[XStateParams, float]:

@@ -290,6 +290,18 @@ def oracle_matrix_to_csv(m):
     return "\n".join(lines) + "\n"
 
 
+def params_with_signed_zeros(n, frame, seed):
+    """XStateParams of random reals over ten decades, about a quarter of
+    them exactly 0.0 and a quarter -0.0, d[0] = 1."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((2, 1 << n)) * 10.0 ** rng.integers(-5, 5, (2, 1 << n))
+    pick = rng.integers(0, 4, values.shape)
+    values[pick == 0] = 0.0
+    values[pick == 1] = -0.0
+    values[0, 0] = 1.0
+    return model.XStateParams(n, *values, frame)
+
+
 def random_pauli(rng, n) -> PauliString:
     full = (1 << n) - 1
     return PauliString(n, int(rng.integers(0, full + 1)),

@@ -7,8 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_valid_x_params
+from conftest import (oracle_matrix_to_csv, oracle_matrix_to_json, params_with_signed_zeros,
+                      random_valid_x_params)
 from xstates import cli, matrix_from_json, model, params_from_json, params_to_json
 from xstates.cli import run
 from xstates.model import XStateParams, ghz_params
@@ -84,6 +86,20 @@ def test_matrix_dumps_equal_indented_json_dumps(tmp_path, rng, frame):
             if n > 1:
                 keep = "1,2" if n > 2 else "1"
                 _assert_indent_2_json(["marginal", *flags, "--keep", keep])
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.builds(params_with_signed_zeros, st.integers(1, 7), st.sampled_from("ZXY"),
+                   st.integers(0, 2**32 - 1)))
+def test_gen_dumps_equal_elementwise_oracles(tmp_path_factory, p):
+    state = tmp_path_factory.getbasetemp() / "gen-dump-state.json"
+    state.write_text(json.dumps(params_to_json(p)))
+    rho = model.materialize(p)
+    for fmt, text in (("matrix", json.dumps(oracle_matrix_to_json(rho), indent=2) + "\n"),
+                      ("csv", oracle_matrix_to_csv(rho))):
+        code, out, err = invoke(["gen", "--state", str(state), "--format", fmt])
+        assert code == 0, err
+        assert out == text
 
 
 def test_largest_matrix_dump_equals_indented_json_dumps():
@@ -285,3 +301,18 @@ def test_witness_command_builds_no_dense_matrix():
     report = json.loads(out)
     assert report["witness"] == "ghz_type_12" and report["detects"] is True
     assert abs(report["value"] + 0.5) <= 1e-12
+
+
+def test_marginal_rejects_a_bad_format_before_the_dense_matrix():
+    argv = ["marginal", "--state", "ghz", "--n", "12", "--keep", "1,2", "--format", "dot"]
+    with mock.patch.object(cli, "materialize", wraps=model.materialize) as spy:
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert "marginal supports --format json|csv" in err
+    assert spy.call_count == 0
+    assert peak < 8 << 20       # one 4096 x 4096 complex matrix takes 256 MiB

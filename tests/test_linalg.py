@@ -17,7 +17,7 @@ from xstates import (PauliString, PureState, ToleranceError, XStateParams, apply
                      standard_channel)
 from xstates.algebra import MAX_GEOMETRY_QUBITS
 from xstates.linalg import (ConvergenceError, as_state, hermitian_eigenvalues,
-                            hermiticity_deviation, json_text)
+                            hermiticity_deviation, json_text, matrix_table, matrix_text)
 from xstates.model import fit_sectors
 from xstates.pauli import MAX_QUBITS
 
@@ -252,7 +252,19 @@ def test_matrix_dumps_match_elementwise_oracles(rng, dim):
         assert all(type(x) is float for part in ("re", "im") for row in got[part] for x in row)
         # NaN != NaN, so the dumps are compared as the text the CLI prints
         assert json_text(got) == json.dumps(oracle_matrix_to_json(m), indent=2) + "\n"
+        assert matrix_text(*matrix_table(m)) == json_text(got)
         assert matrix_to_csv(m) == oracle_matrix_to_csv(m)
+
+
+def test_matrix_text_writes_each_entry_through_the_index(rng):
+    m = _special_matrix(rng, 8)
+    table = m.ravel()[rng.permutation(64)][:20]
+    index = rng.integers(0, 20, (8, 8))
+    full = table[index]
+    assert matrix_text(table, index) == json.dumps(oracle_matrix_to_json(full), indent=2) + "\n"
+    assert matrix_text(table, index, "csv") == oracle_matrix_to_csv(full)
+    with pytest.raises(ValueError, match="json or csv"):
+        matrix_text(table, index, "dot")
 
 
 _SPECIAL_FLOATS = st.sampled_from(_SPECIALS)
@@ -279,6 +291,44 @@ _PAYLOADS = st.recursive(
 @example(_SPECIALS)
 @example([np.float64(math.nan), np.float64(-0.0), 2.5])
 def test_json_text_equals_indented_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+_INT_TABLES = [
+    [[1, 2, 3], [4, 5, 6]],
+    ((1, 2), (3, 4)),
+    [(0, 1, 2), [3, 4, 5]],
+    {"lines": ((0, 1, 2), (0, 3, 4)), "n": 2},
+    [[[1, 2]], [[3, 4]]],
+    [[1, 2], [3]],                      # ragged
+    [[1, True], [0, 1]],                # a bool among ints
+    [[True, False], [False, True]],
+    [[2**64, -2**70], [0, 1]],          # ints beyond 64 bits
+    [[], []],                           # empty rows
+    [[], [1]],
+    [[1.0, 2.0], [3.0, 4.0]],           # float rows
+    [[1, 2.0], [3, 4]],
+    [[1, 2], "ab"],
+    [[-1]],
+]
+
+
+@pytest.mark.parametrize("obj", _INT_TABLES)
+def test_json_text_integer_tables_equal_indented_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def _rows(k, cells):
+    """Lists of up to 6 rows of k cells each, as lists or tuples."""
+    return st.lists(st.one_of(st.lists(cells, min_size=k, max_size=k),
+                              st.tuples(*[cells] * k)), max_size=6)
+
+
+# all-int tables take the template; a bool anywhere sends them per row
+@settings(max_examples=200)
+@given(st.integers(0, 4).flatmap(lambda k: st.one_of(
+    _rows(k, st.integers()), _rows(k, st.one_of(st.integers(-3, 3), st.booleans())))))
+def test_json_text_rows_of_ints_equal_indented_json_dumps(obj):
     assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
 
 

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import (center_twist, oracle_center_image, oracle_family_projection,
                       oracle_family_sum, oracle_ghz_params, oracle_pauli_matrix,
-                      random_density, random_valid_x_params)
+                      params_with_signed_zeros, random_density, random_valid_x_params)
 from xstates import model
 from xstates import (FRAMES, XStateParams, bell_diagonal, decompose,
                      dicke_state, family_residual, generate_set, ghz_params,
@@ -18,7 +18,7 @@ from xstates import (FRAMES, XStateParams, bell_diagonal, decompose,
                      negativity, params_from_json, params_to_json, partial_trace,
                      partial_transpose, validate, werner)
 from xstates.linalg import SECTOR_FIT_TOL, sector_eigenvalues
-from xstates.model import VALID_EIG_TOL, _sector_entries, fit_sectors
+from xstates.model import VALID_EIG_TOL, _sector_entries, entry_table, fit_sectors
 
 BELL = XStateParams.build(2, d={3: 1.0}, a={0: 1.0, 3: -1.0})
 
@@ -41,6 +41,18 @@ def test_materialize_maximally_mixed():
     for n in (1, 2, 3):
         p = XStateParams.build(n)
         assert np.array_equal(materialize(p), np.eye(1 << n) / (1 << n))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 9), st.sampled_from(sorted(FRAMES)), st.integers(0, 2**32 - 1))
+def test_entry_table_indexes_the_dense_matrix_bitwise(n, frame, seed):
+    p = params_with_signed_zeros(n, frame, seed)
+    table, index = entry_table(p)
+    dim = 1 << n
+    assert table.dtype == complex and index.shape == (dim, dim)
+    assert len(table) == (2 * dim + 1 if frame == "Z" else 4 * dim)
+    # bitwise, so -0.0 and +0.0 differ
+    assert np.array_equal(table[index].view(np.uint64), materialize(p).view(np.uint64))
 
 
 def test_z_frame_letter_x_pattern(rng):
