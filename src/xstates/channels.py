@@ -163,12 +163,13 @@ def _preserves_family(superop: np.ndarray, factors: np.ndarray) -> "bool | np.nd
     return ~(t[..., :2, 2:].any(axis=(-2, -1)) | t[..., 2:, :2].any(axis=(-2, -1)))
 
 
-def _sector_step(entries, superop: np.ndarray, units: np.ndarray, qubits,
+def _sector_step(entries, pop: np.ndarray, coh: np.ndarray, qubits,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """Z-frame sector entries (diag, anti) after a family-preserving channel
-    on each listed qubit in turn, O(2**n) per qubit.  A stack of
-    superoperators (..., 4, 4) gives one (diag, anti) per channel, as
-    arrays (..., 2**n).
+    on each listed qubit in turn, O(2**n) per qubit.  pop and coh are the
+    channel's (..., 1, 2, 2) population and coherence blocks, as
+    _channel_family gives them; a stack of P channels gives one (diag,
+    anti) per channel, as arrays (P, 2**n).
 
     In the matrix-unit basis the channel acts on qubit q's basis bit of
     diag by its 2x2 population block and on that of anti by its 2x2
@@ -176,14 +177,44 @@ def _sector_step(entries, superop: np.ndarray, units: np.ndarray, qubits,
     itself, so a population or coherence the channel cannot reach stays
     exactly 0, as in the dense matrix.
     """
-    r = units.conj() @ superop @ units.T
-    batch = r.shape[:-2]
-    pop, coh = r[..., None, :2, :2].real, r[..., None, 2:, 2:]
+    batch = pop.shape[:-3]
     diag, anti = (np.broadcast_to(e, batch + e.shape) for e in entries)
     for q in qubits:
         diag = (pop @ diag.reshape(*batch, 1 << (q - 1), 2, -1)).reshape(*batch, -1)
         anti = (coh @ anti.reshape(*batch, 1 << (q - 1), 2, -1)).reshape(*batch, -1)
     return diag, anti
+
+
+# The (kind, grid, frame) families one process keeps: a decoherence study
+# scans many initial states over a few grids.  An entry is O(G) for a grid
+# of G strengths and is held until it is evicted.
+_FAMILY_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_FAMILY_CACHE_SIZE)
+def _channel_family(kind: str, grid: bytes, frame: str
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The named channel at each of G checked strengths, given as their
+    float64 bits (ndarray.tobytes), seen from the frame: its (G, 4, 4)
+    superoperators, the (G,) mask of strengths where it preserves the
+    frame's family (_preserves_family), and the (P, 1, 2, 2) population
+    and coherence blocks of _sector_step at the P preserving strengths.
+
+    The Kraus operators are built and checked for completeness once, as one
+    (G, K, 2, 2) stack.  Keyed on the grid's bits, so -0.0 and 0.0 are two
+    entries; an unknown kind or an incomplete stack raises and is not
+    cached.  The arrays are read-only: every caller shares them.
+    """
+    kraus = _kraus_stack(kind, np.frombuffer(grid))
+    _check_completeness(kraus)
+    superops = _superoperator(kraus)
+    factors, units = _frame_bases(frame)
+    preserving = _preserves_family(superops, factors)
+    r = units.conj() @ superops[preserving] @ units.T
+    family = superops, preserving, r[..., None, :2, :2].real, r[..., None, 2:, 2:]
+    for a in family:
+        a.setflags(write=False)
+    return family
 
 
 def _mapped_points(p0: XStateParams, superops: np.ndarray, factors: np.ndarray,
@@ -286,12 +317,15 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     the initial state's frame.  Each grid point starts from the initial
     state; strengths do not accumulate.
 
-    The grid is checked (strengths in [0, 1], strictly increasing) before
-    any other work, and the channel's Kraus operators and superoperators
-    are built and checked for completeness once, as (G, K, 2, 2) and
-    (G, 4, 4) stacks over the G strengths.  The strengths where the channel
-    preserves the frame's family (_preserves_family) are computed together
-    from the state's Z-frame sector entries, in O(n * 2**n) each:
+    The qubits and the grid are checked (strengths in [0, 1], strictly
+    increasing) on every call, before any other work.  The channel family
+    then comes from _channel_family, which builds it once per (kind, grid,
+    frame) in a process and keeps a bounded number of them, read-only: the
+    (G, 4, 4) superoperators over the G strengths, from one Kraus stack
+    checked for completeness, the mask of strengths where the channel
+    preserves the frame's family (_preserves_family), and those strengths'
+    population and coherence blocks.  The preserving strengths are computed
+    together from the state's Z-frame sector entries, in O(n * 2**n) each:
     concurrence by yu_eberly, the witness value by the parameter route of
     evaluate_witness, and the residual is exactly 0.0.  The other
     strengths (amplitude damping off the Z frame) take the channel-mapped
@@ -310,22 +344,19 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     strengths = tuple(float(s) for s in grid)
     _check_strengths(strengths)
     _check_increasing(strengths)
-    kraus = _kraus_stack(kind, strengths)
-    _check_completeness(kraus)
-    superops = _superoperator(kraus)
+    superops, preserving, pop, coh = _channel_family(
+        kind, np.asarray(strengths, dtype=float).tobytes(), frame)
     w = make_witness(witness_kind, n) if witness_kind is not None else None
-    factors, units = _frame_bases(frame)
-    preserving = _preserves_family(superops, factors)
     values = np.empty(len(strengths))
     residuals = np.zeros(len(strengths))
     if preserving.any():
         entries0 = _sector_entries(np.concatenate([p0.d, p0.a]), n)
-        diag, anti = _sector_step(entries0, superops[preserving], units, qubit_list, n)
+        diag, anti = _sector_step(entries0, pop, coh, qubit_list, n)
         values[preserving] = (yu_eberly(diag, anti) if w is None else
                               _sector_value(w, _frame_amplitudes(w.psi, frame), diag, anti))
     dense = np.flatnonzero(~preserving)
     if dense.size:
-        points = _mapped_points(p0, superops[dense], factors, qubit_list)
+        points = _mapped_points(p0, superops[dense], _frame_bases(frame)[0], qubit_list)
         for g, (rho, _, residual) in zip(dense, points):
             values[g] = concurrence(rho) if w is None else evaluate_witness(w, rho)[0]
             residuals[g] = residual

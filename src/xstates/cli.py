@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import algebra, channels, simplex
-from .linalg import (ConvergenceError, ToleranceError, json_text, matrix_table,
-                     matrix_text, partial_trace)
+from .linalg import (ConvergenceError, ToleranceError, _checked_keep, json_text,
+                     matrix_table, matrix_text, partial_trace)
 from .model import (NAMED_EXAMPLES, XStateParams, bell_diagonal, entry_table,
                     ghz_params, materialize, named_example, params_from_json,
                     params_to_json, validate, werner)
@@ -162,6 +162,7 @@ def _cmd_marginal(args) -> tuple[str, int]:
     fmt = args.format or "json"
     if fmt not in ("json", "csv"):
         raise CliError(f"marginal supports --format json|csv, got {fmt!r}")
+    _checked_keep(keep, params.n)
     reduced = partial_trace(materialize(params), keep, params.n)
     return matrix_text(*matrix_table(reduced), fmt), 0
 

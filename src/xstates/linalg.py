@@ -179,15 +179,22 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     return _hermitian_solve(h, np.linalg.eigvalsh)[::-1]
 
 
-def partial_trace(rho: np.ndarray, keep: "set[int] | list[int] | tuple[int, ...]",
-                  n: int) -> np.ndarray:
-    """Trace out all qubits not in ``keep`` (1-based), preserving their order."""
-    rho = as_state(rho, n)
+def _checked_keep(keep, n: int) -> set[int]:
+    """The qubits (1-based) that partial_trace keeps, as a set: a nonempty
+    proper subset of 1..n, or ValueError."""
     keep_set = set(keep)
     if not keep_set or not keep_set <= set(range(1, n + 1)):
         raise ValueError(f"keep set must be a nonempty subset of 1..{n}")
     if keep_set == set(range(1, n + 1)):
         raise ValueError("keep set must be a proper subset")
+    return keep_set
+
+
+def partial_trace(rho: np.ndarray, keep: "set[int] | list[int] | tuple[int, ...]",
+                  n: int) -> np.ndarray:
+    """Trace out all qubits not in ``keep`` (1-based), preserving their order."""
+    rho = as_state(rho, n)
+    keep_set = _checked_keep(keep, n)
     out = rho
     m = n
     for q in sorted(set(range(1, n + 1)) - keep_set, reverse=True):

@@ -17,6 +17,13 @@ from xstates.pauli import PAULI_MATRICES
 KINDS = ("amplitude_damping", "phase_damping", "depolarizing")
 
 
+@pytest.fixture(autouse=True)
+def cold_channel_families():
+    """Each test starts with no channel family cached, so the builds it
+    counts or forbids are its own."""
+    channels._channel_family.cache_clear()
+
+
 def test_kraus_completeness():
     for kind in KINDS:
         for s in np.linspace(0.0, 1.0, 11):
@@ -298,6 +305,67 @@ def test_sweep_builds_and_checks_one_kraus_stack(monkeypatch, frame, kind, dense
     assert len(traj.witness) == count
     assert calls == collections.Counter(kraus=1, completeness=1, table=dense,
                                         entries=dense * (count - 1))
+    # the same (kind, grid, frame) again: the family is cached, the points are not
+    again = sweep(ghz_params(3, frame), kind, [1, 3], strength_grid(0.0, 1.0, count),
+                  witness_kind="ghz_type")
+    assert again == traj
+    assert calls == collections.Counter(kraus=1, completeness=1, table=2 * dense,
+                                        entries=2 * dense * (count - 1))
+
+
+def _trajectory_bits(traj):
+    columns = (traj.strengths, traj.concurrence or (), traj.witness or (), traj.x_residual)
+    return b"|".join(np.array(c, dtype=float).tobytes() for c in columns)
+
+
+# a cached family gives the bits of a fresh build: Werner and GHZ states,
+# every kind and frame (X/Y amplitude damping on the dense points), and a
+# grid that starts at -0.0
+@pytest.mark.parametrize("grid", [strength_grid(0.0, 1.0, 11), (-0.0, 0.25, 0.5, 1.0)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_cached_channel_family_gives_the_bits_of_a_fresh_build(kind, grid):
+    cases = [(model.werner(0.7), [1, 2], None)] + [
+        (ghz_params(3, frame), [1, 3, 1], "ghz_type") for frame in "ZXY"]
+    for p, qubits, witness_kind in cases:
+        channels._channel_family.cache_clear()
+        cold = sweep(p, kind, qubits, grid, witness_kind)
+        warm = sweep(p, kind, qubits, grid, witness_kind)
+        assert channels._channel_family.cache_info()[:2] == (1, 1)     # (hits, misses)
+        assert _trajectory_bits(warm) == _trajectory_bits(cold)
+
+
+# keyed on the grid's float64 bits: -0.0 and 0.0 are two entries
+def test_signed_zero_grids_are_separate_channel_families():
+    for start in (-0.0, 0.0, -0.0):
+        sweep(ghz_params(2), "amplitude_damping", [1], (start, 0.5))
+    info = channels._channel_family.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
+def test_channel_family_cache_is_bounded():
+    size = channels._FAMILY_CACHE_SIZE
+    for top in np.linspace(0.5, 1.0, size + 3):
+        sweep(ghz_params(2), "depolarizing", [1], (0.0, float(top)))
+    assert channels._channel_family.cache_info().currsize == size
+
+
+def test_cached_channel_family_is_read_only():
+    sweep(ghz_params(3, "X"), "amplitude_damping", [1], (0.0, 0.5, 1.0),
+          witness_kind="ghz_type")
+    family = channels._channel_family("amplitude_damping",
+                                      np.array([0.0, 0.5, 1.0]).tobytes(), "X")
+    assert channels._channel_family.cache_info().hits == 1
+    assert [a.shape for a in family] == [(3, 4, 4), (3,), (1, 1, 2, 2), (1, 1, 2, 2)]
+    for a in family:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_unknown_channel_kind_raises_on_every_sweep():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown channel kind 'bit_flip'"):
+            sweep(ghz_params(2), "bit_flip", [1], strength_grid(0.0, 1.0, 3))
+    assert channels._channel_family.cache_info().currsize == 0
 
 
 def _closed_form_kraus(kind, s):
@@ -398,19 +466,20 @@ def sector_step_cases(draw):
     size = 1 << n
     p = XStateParams(n, (1.0, *rng.normal(size=size - 1)), tuple(rng.normal(size=size)),
                      frame)
-    return p, standard_channel(kind, draw(st.floats(0.0, 1.0))), qubits
+    return p, kind, draw(st.floats(0.0, 1.0)), qubits
 
 
 @settings(max_examples=150)
 @given(sector_step_cases())
 def test_sector_step_matches_dense_oracle(case):
-    p, ch, qubits = case
+    p, kind, s, qubits = case
     n = p.n
-    _, units = channels._frame_bases(p.frame)
-    superop = channels._superoperator(np.stack(ch.kraus))
+    _, preserving, pop, coh = channels._channel_family(kind, np.array([s]).tobytes(),
+                                                       p.frame)
+    assert preserving.tolist() == [True]
     diag, anti = channels._sector_step(_sector_entries(np.concatenate([p.d, p.a]), n),
-                                       superop, units, qubits, n)
-    rho = apply_channel(materialize(p), ch, qubits, n)
+                                       pop[0], coh[0], qubits, n)
+    rho = apply_channel(materialize(p), standard_channel(kind, s), qubits, n)
     q, residual = decompose(rho, n, p.frame)
     want_diag, want_anti = _sector_entries(np.concatenate([q.d, q.a]), n)
     assert residual <= 1e-12

@@ -303,8 +303,16 @@ def test_witness_command_builds_no_dense_matrix():
     assert abs(report["value"] + 0.5) <= 1e-12
 
 
-def test_marginal_rejects_a_bad_format_before_the_dense_matrix():
-    argv = ["marginal", "--state", "ghz", "--n", "12", "--keep", "1,2", "--format", "dot"]
+# a bad format or keep list exits 1 before the 12-qubit dense matrix is built
+@pytest.mark.parametrize("options,message", [
+    (["--keep", "1,2", "--format", "dot"],
+     "error: marginal supports --format json|csv, got 'dot'\n"),
+    (["--keep", "13"], "error: keep set must be a nonempty subset of 1..12\n"),
+    (["--keep", ",".join(map(str, range(1, 13)))],
+     "error: keep set must be a proper subset\n"),
+], ids=["format", "keep-outside", "keep-all"])
+def test_marginal_rejects_a_bad_format_before_the_dense_matrix(options, message):
+    argv = ["marginal", "--state", "ghz", "--n", "12", *options]
     with mock.patch.object(cli, "materialize", wraps=model.materialize) as spy:
         tracemalloc.start()
         try:
@@ -313,6 +321,6 @@ def test_marginal_rejects_a_bad_format_before_the_dense_matrix():
         finally:
             tracemalloc.stop()
     assert code == 1 and out == ""
-    assert "marginal supports --format json|csv" in err
+    assert err == message
     assert spy.call_count == 0
     assert peak < 8 << 20       # one 4096 x 4096 complex matrix takes 256 MiB
