@@ -9,8 +9,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import as_state
-from .model import (_LAYOUTS, _SECTORS, XStateParams, _dense, _entries, _frame_factors,
+from .linalg import _checked_qubits, as_state
+from .model import (_LAYOUTS, XStateParams, _entries, _frame_factors, _max_modulus, _project,
                     _sector_entries, _table, family_residual)
 # bound here too, though unused: perfbench's tracer wraps every binding of it
 from .model import materialize  # noqa: F401
@@ -103,13 +103,6 @@ def _superoperator(k: np.ndarray) -> np.ndarray:
     return prod.sum(axis=-5).reshape(*k.shape[:-3], 4, 4)
 
 
-def _checked_qubits(qubits, n: int) -> list[int]:
-    qubit_list = list(qubits)
-    if not set(qubit_list) <= set(range(1, n + 1)):
-        raise ValueError(f"qubit subset must lie in 1..{n}")
-    return qubit_list
-
-
 def apply_channel(rho: np.ndarray, ch: Channel, qubits, n: int) -> np.ndarray:
     """Apply the channel to each listed qubit (1-based) in turn.
 
@@ -138,16 +131,20 @@ def _contract(rho: np.ndarray, superop: np.ndarray, qubits: list[int], n: int) -
     return rho.reshape(shape)
 
 
+# The matrix units |0><0|, |1><1|, |0><1|, |1><0| in the basis I, Z, X, Y:
+# (I +- Z)/2 and (X +- i Y)/2.
+_UNITS = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j]]) / 2
+
+
 @functools.lru_cache(maxsize=None)
 def _frame_bases(frame: str) -> tuple[np.ndarray, np.ndarray]:
     """Two per-qubit bases of the frame's 2x2 matrices, as rows of flattened
     matrices: its family factors (I, F(Z), F(X), F(Y)), and the images
-    F(|0><0|), F(|1><1|), F(|0><1|), F(|1><0|) of the matrix units, which
-    the Z-frame sector table gives as (I +- F(Z))/2 and (F(X) +- i F(Y))/2.
-    Read-only, made once per frame."""
-    factors = _frame_factors(FRAMES[frame]).reshape(2, 2, 4)    # (half, factor bit, vec)
-    units = np.einsum("hcr,hcv->hrv", _SECTORS[0][1].conj(), factors) / 2
-    bases = factors.reshape(4, 4), units.reshape(4, 4)
+    F(|0><0|), F(|1><1|), F(|0><1|), F(|1><0|) of the matrix units, the
+    same change of basis (_UNITS) applied to the factors.  Read-only, made
+    once per frame."""
+    factors = _frame_factors(FRAMES[frame]).reshape(4, 4)
+    bases = factors, _UNITS @ factors
     for basis in bases:
         basis.setflags(write=False)
     return bases
@@ -218,22 +215,15 @@ def _channel_family(kind: str, grid: bytes, frame: str
 
 
 def _mapped_points(p0: XStateParams, superops: np.ndarray, factors: np.ndarray,
-                   qubits: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
-    """(E(rho0), sigma's parameters, max |E(rho0) - sigma|) for each
-    channel E of the stack superops (G, 4, 4) on each listed qubit, one
-    point at a time; sigma is E(rho0)'s part in the frame's family, and its
-    parameters are d then a, as decompose's.
+                   qubits: list[int]) -> Iterator[np.ndarray]:
+    """E(rho0) for each channel E of the stack superops (G, 4, 4) on each
+    listed qubit, one point at a time.
 
     vec(rho0) = 2**-n (B_d^(x)n d + B_a^(x)n a), with B = factors.T the
     per-qubit factors, and E maps the factors of a qubit listed k times to
     S^k B.  So E(rho0) is model._entries with the tables of those factors,
     built once for all G channels and only for the layout's blocks, once
-    per distinct run of counts.  The parameters of sigma, tr(P_j E(rho0)),
-    come from the 2x2 blocks of T^k = B^dag S^k B / 2, the transfer matrix
-    of _preserves_family to the power k, applied per qubit to d and a in
-    O(n * 2**n): d' = (x)T_dd d + (x)T_da a, a' = (x)T_ad d + (x)T_aa a,
-    with d'_0 pinned to 1 as decompose pins it, and sigma's dense matrix
-    is model._dense's, as materialize builds it.
+    per distinct run of counts.
     """
     n, count = p0.n, len(superops)
     coeffs = np.concatenate([p0.d, p0.a])
@@ -254,19 +244,8 @@ def _mapped_points(p0: XStateParams, superops: np.ndarray, factors: np.ndarray,
         table = _table([qubit_factors[k] for k in key])
         tables[key] = np.broadcast_to(table, (count, *table.shape[-3:]))
 
-    # T^k as (batch, h', h, 1, b', b) blocks; qubit q + 1 is parameter bit q
-    transfer = [(factors.conj() @ m / 2).real.reshape(-1, 2, 2, 1, 2, 2).swapaxes(2, 4)
-                for m in mapped]
-    sigma = np.broadcast_to(coeffs.reshape(1, 1, 2, -1), (count, 2, 2, 1 << n))
-    for q, k in enumerate(counts):
-        sigma = transfer[k] @ sigma.reshape(count, 2, 2, -1, 2, 1 << q)
-    sigma = sigma.reshape(count, 2, 2, -1).sum(axis=2).reshape(count, -1)
-    sigma[:, 0] = 1.0
-
     for i in range(count):
-        rho = _entries(coeffs, n, [tables[key][i] for key in keys])
-        diff = _dense(sigma[i], n, p0.frame)
-        yield rho, sigma[i], float(np.abs(np.subtract(rho, diff, out=diff)).max())
+        yield _entries(coeffs, n, [tables[key][i] for key in keys])
 
 
 def x_form_residual(rho: np.ndarray, frame: str, n: int) -> "float | np.ndarray":
@@ -332,9 +311,9 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     factors of _mapped_points: each point's dense E(rho0) is the family
     transform with each listed qubit's factors mapped by its superoperator,
     a row of the stack, and the record is read from that one matrix (the
-    dense witness, or Wootters' concurrence).  The residual is its distance
-    from its family part, whose parameters the transfer matrices give
-    directly.  No dense initial state is built, and no state is projected.
+    dense witness, or Wootters' concurrence).  The residual is that
+    matrix's own family_residual, from its projection (model._project),
+    ungated as the measures' fits are.  No dense initial state is built.
     """
     n, frame = p0.n, p0.frame
     if witness_kind is None and n != 2:
@@ -357,9 +336,9 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     dense = np.flatnonzero(~preserving)
     if dense.size:
         points = _mapped_points(p0, superops[dense], _frame_bases(frame)[0], qubit_list)
-        for g, (rho, _, residual) in zip(dense, points):
+        for g, rho in zip(dense, points):
             values[g] = concurrence(rho) if w is None else evaluate_witness(w, rho)[0]
-            residuals[g] = residual
+            residuals[g] = _max_modulus(_project(rho, n, frame)[1])
     records = tuple(values.tolist())
     return Trajectory(strengths, records if w is None else None,
                       records if w is not None else None, tuple(residuals.tolist()))

@@ -207,20 +207,20 @@ def partial_trace(rho: np.ndarray, keep: "set[int] | list[int] | tuple[int, ...]
     return out
 
 
-def _state_and_subset(rho: np.ndarray, subset, n: int) -> tuple[np.ndarray, set[int]]:
-    """The n-qubit state through as_state and the qubit subset as a set,
-    checked to lie in 1..n."""
-    rho = as_state(rho, n)
-    subset_set = set(subset)
-    if not subset_set <= set(range(1, n + 1)):
+def _checked_qubits(qubits, n: int) -> list:
+    """The listed qubits (1-based) as a list, in their order and with
+    repeats, checked to lie in 1..n."""
+    qubit_list = list(qubits)
+    if not set(qubit_list) <= set(range(1, n + 1)):
         raise ValueError(f"qubit subset must lie in 1..{n}")
-    return rho, subset_set
+    return qubit_list
 
 
 def partial_transpose(rho: np.ndarray, subset: "set[int] | list[int] | tuple[int, ...]",
                       n: int) -> np.ndarray:
     """Transpose the tensor factors of the listed qubits (1-based)."""
-    rho, subset_set = _state_and_subset(rho, subset, n)
+    rho = as_state(rho, n)
+    subset_set = set(_checked_qubits(subset, n))
     dim = 1 << n
     arr = rho.reshape((2,) * (2 * n))
     axes = list(range(2 * n))

@@ -35,10 +35,14 @@ and any stack.
 In the X and Y frames F(Z) is +-X or +-Y, so every family operator has
 one nonzero per row, at column r ^ s for its flip mask s, and each half
 (d, a) has the 2**n masks: rho[r, c] is one d and one a term of mask
-r ^ c (see _xor_terms).  Their dense matrices and projections are gathers
-on that XOR structure, _xor_matrix and _xor_project, with no transform;
-the same fill of the seed's own positions indexes a matrix's distinct
-entries (entry_table), which the CLI's dumps are written from.
+r ^ c (see _xor_terms).  Their projections are a gather on that XOR
+structure, _xor_project, with no transform.
+
+Every dense matrix is one _fill of one _seed, the entries the family
+structure makes: in the X and Y frames _xor_fill's two takes from a seed
+of 4 * 2**n entries, in the Z frame the X entries placed on a zero
+matrix.  The same fill of the seed's own positions indexes a matrix's
+distinct entries (entry_table), which the CLI's dumps are written from.
 
 A channel E applied to listed qubits maps each listed qubit's factor
 columns by its 4x4 superoperator S (S^k for a qubit listed k times), so
@@ -58,7 +62,8 @@ import numpy as np
 
 from .linalg import (_STRIP_BYTES, SECTOR_FIT_TOL, as_state, sector_eigenvalues,
                      sector_hermiticity_deviation)
-from .pauli import FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame, require_qubit_count
+from .pauli import (FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame, require_frame,
+                    require_qubit_count)
 
 # Qubits per Kronecker block: n <= 4 costs one matmul, n <= 12 at most three.
 _BLOCK = 4
@@ -66,11 +71,6 @@ _BLOCK = 4
 VALID_TRACE_TOL = 1e-10
 VALID_HERM_TOL = 1e-10
 VALID_EIG_TOL = -1e-10
-
-
-def _require_frame(frame) -> None:
-    if not isinstance(frame, str) or frame not in FRAMES:
-        raise ValueError(f"unknown frame {frame!r}; expected one of {sorted(FRAMES)}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class XStateParams:
             raise ValueError("parameters must be finite reals")
         if values[0, 0] != 1.0:
             raise ValueError("d[0] must equal 1 (trace normalization)")
-        _require_frame(self.frame)
+        require_frame(self.frame)
         d, a = values.astype(float, copy=False).tolist()
         object.__setattr__(self, "d", tuple(d))
         object.__setattr__(self, "a", tuple(a))
@@ -427,22 +427,6 @@ def _xor_fill(seed: np.ndarray, n: int) -> np.ndarray:
     return rho.reshape(dim, dim)
 
 
-def _xor_matrix_seed(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
-    """The X- or Y-frame seed (2, 2, dim) of _xor_fill for the coefficients
-    (2**(n+1),), d then a: each entry the one rounding of _xor_seed, with
-    + 0.0 making each zero +0.0."""
-    terms = _xor_terms(n, frame)
-    seed = _xor_seed(coeffs, terms, terms.seed)
-    seed += 0.0
-    return seed
-
-
-def _xor_matrix(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
-    """The dense X- or Y-frame matrix (dim, dim) of the coefficients
-    (2**(n+1),), d then a: _xor_fill of their seed."""
-    return _xor_fill(_xor_matrix_seed(coeffs, n, frame), n)
-
-
 def _xor_project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarray]:
     """_project in the X and Y frames, for rho passing linalg.as_state.
 
@@ -500,7 +484,7 @@ def _project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarra
     take _xor_project: one O(4**n) gather, and diff in its (row, mask)
     coordinates.  An unknown frame raises ValueError before any transform.
     """
-    _require_frame(frame)
+    require_frame(frame)
     if frame != "Z":
         return _xor_project(rho, n, frame)
     diff = np.array(rho, dtype=complex, order="C")
@@ -631,48 +615,55 @@ def fit_sectors(rho: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray] | Non
     return _fit_sectors(as_state(rho, n), n)
 
 
-def _dense(coeffs: np.ndarray, n: int, frame: str) -> np.ndarray:
-    """The dense matrix (dim, dim) of the frame's family coefficients
-    (2**(n+1),), d then a: in the Z frame its X entries (_x_entries,
-    O(n * 2**n)) placed on the diagonal and the anti-diagonal of a zero
-    matrix, in the X and Y frames _xor_matrix."""
+def _seed(p: XStateParams) -> np.ndarray:
+    """The entries of the parameterized X state's dense matrix that its
+    family structure makes, complex, each made once: in the X and Y frames
+    the (2, 2, dim) seed of _xor_fill, each entry the one rounding of
+    _xor_seed, with + 0.0 making each zero +0.0; in the Z frame 0.0, then
+    the diagonal, then the anti-diagonal entries (_x_entries), (2 dim + 1,)."""
+    coeffs, n = np.concatenate([p.d, p.a]), p.n
+    if p.frame == "Z":
+        x = _x_entries(coeffs, n)
+        return np.concatenate([[0.0], x[:, 0].real, x[:, 1]])
+    terms = _xor_terms(n, p.frame)
+    seed = _xor_seed(coeffs, terms, terms.seed)
+    seed += 0.0
+    return seed
+
+
+def _fill(seed: np.ndarray, n: int, frame: str) -> np.ndarray:
+    """The (dim, dim) matrix of a _seed of the frame, or of any array of its
+    shape and any dtype: _xor_fill in the X and Y frames; in the Z frame the
+    diagonal and the anti-diagonal placed on np.zeros, whose untouched
+    pages stay lazily zeroed, so a Z-frame matrix costs little memory
+    until it is read."""
     if frame != "Z":
-        return _xor_matrix(coeffs, n, frame)
-    x = _x_entries(coeffs, n)
-    rho = np.zeros((1 << n, 1 << n), dtype=complex)
-    diag, anti = _x_views(rho)
-    diag[:] = x[:, 0].real
-    anti[:] = x[:, 1]
-    return rho
+        return _xor_fill(seed, n)
+    dim = 1 << n
+    m = np.zeros((dim, dim), dtype=seed.dtype)
+    diag, anti = _x_views(m)
+    diag[:] = seed[1:dim + 1]
+    anti[:] = seed[dim + 1:]
+    return m
 
 
 def materialize(p: XStateParams) -> np.ndarray:
-    """The dense density matrix of the parameterized X state (_dense)."""
-    return _dense(np.concatenate([p.d, p.a]), p.n, p.frame)
+    """The dense density matrix of the parameterized X state: _fill of its
+    _seed."""
+    return _fill(_seed(p), p.n, p.frame)
 
 
 def entry_table(p: XStateParams) -> tuple[np.ndarray, np.ndarray]:
     """(table, index): the entries of the parameterized X state's dense
     matrix that its family structure makes, as a complex table, and a
     (dim, dim) integer index into it, with materialize(p) == table[index]
-    bitwise.
-
-    In the X and Y frames the table is _xor_matrix's seed, 4 * dim
-    entries, and the index is _xor_fill of the seed's own positions.  In
-    the Z frame it is 0.0, then the diagonal, then the anti-diagonal
-    entries, and the index is 0 off the X.
+    bitwise: the _seed, flattened, and the _fill of the seed's own
+    positions.  In the X and Y frames the table holds 4 * dim entries; in
+    the Z frame 2 * dim + 1, and the index is 0, at the table's 0.0, off
+    the X.
     """
-    coeffs, n = np.concatenate([p.d, p.a]), p.n
-    if p.frame != "Z":
-        seed = _xor_matrix_seed(coeffs, n, p.frame)
-        return seed.ravel(), _xor_fill(np.arange(seed.size).reshape(seed.shape), n)
-    x = _x_entries(coeffs, n)
-    dim = 1 << n
-    index = np.zeros((dim, dim), dtype=np.intp)
-    diag, anti = _x_views(index)
-    diag[:] = np.arange(1, dim + 1)
-    anti[:] = diag + dim
-    return np.concatenate([[0.0], x[:, 0].real, x[:, 1]]), index
+    seed = _seed(p)
+    return seed.ravel(), _fill(np.arange(seed.size).reshape(seed.shape), p.n, p.frame)
 
 
 def decompose(rho: np.ndarray, n: int, frame: str = "Z") -> tuple[XStateParams, float]:
@@ -746,9 +737,7 @@ def ghz_params(n: int, frame: str = "Z") -> XStateParams:
     popcount 0/2 mod 4 and vanishes on odd popcount.
     """
     require_qubit_count(n, 2)
-    popcount = np.zeros(1, dtype=int)
-    for _ in range(n):      # the next index bit doubles the table
-        popcount = np.concatenate([popcount, popcount + 1])
+    popcount = _POPCOUNT[:1 << n]
     even = 1 - popcount % 2
     return XStateParams(n, even, even * (1 - (popcount & 2)), frame)
 

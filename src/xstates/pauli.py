@@ -53,6 +53,13 @@ def require_qubit_count(n, low: int = 1, high: int = MAX_DENSE_QUBITS) -> None:
         raise ValueError(f"qubit count must be an integer in {low}..{high}, got {n!r}")
 
 
+def require_frame(frame) -> None:
+    """Raise ValueError unless frame is the name of one of FRAMES: the one
+    frame-name gate, which every entry point taking a name runs first."""
+    if not isinstance(frame, str) or frame not in FRAMES:
+        raise ValueError(f"unknown frame {frame!r}; expected one of {sorted(FRAMES)}")
+
+
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PREFIX_PHASE = {v: k for k, v in _PHASE_PREFIX.items()}
 
@@ -321,10 +328,8 @@ def resolve_frame(frame: "str | AxisFrame") -> AxisFrame:
     """Accept a named frame ('Z', 'X', 'Y') or an AxisFrame instance."""
     if isinstance(frame, AxisFrame):
         return frame
-    try:
-        return FRAMES[frame]
-    except KeyError:
-        raise ValueError(f"unknown frame {frame!r}; expected one of {sorted(FRAMES)}")
+    require_frame(frame)
+    return FRAMES[frame]
 
 
 def apply_frame(p: PauliString, frame: "str | AxisFrame") -> PauliString:

@@ -10,10 +10,10 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .linalg import (_real_value, _state_and_subset, as_state, hermitian_eigen,
+from .linalg import (_checked_qubits, _real_value, as_state, hermitian_eigen,
                      hermitian_eigenvalues, partial_transpose, sector_eigenvalues)
 from .model import XStateParams, _fit_sectors, _sector_entries
-from .pauli import FRAMES, PAULI_MATRICES, require_qubit_count
+from .pauli import FRAMES, PAULI_MATRICES, require_frame, require_qubit_count
 
 DETECTION_TOL = -1e-10
 NORMALIZATION_TOL = 1e-12      # largest | ||amplitudes|| - 1 | of a PureState
@@ -76,11 +76,8 @@ _BASIS_PAIR = {
 def ghz_state(n: int, frame: str = "Z") -> PureState:
     """(|u..u> + |v..v>)/sqrt(2) for the +1/-1 eigenbasis of the frame axis."""
     require_qubit_count(n, 2)
-    try:
-        up, down = _BASIS_PAIR[frame]
-    except KeyError:
-        raise ValueError(f"unknown frame {frame!r}; expected one of "
-                         f"{sorted(_BASIS_PAIR)}")
+    require_frame(frame)
+    up, down = _BASIS_PAIR[frame]
     plus, minus = (reduce(np.multiply.outer, (v,) * n).ravel() for v in (up, down))
     return PureState(n, (plus + minus) / sqrt(2))
 
@@ -155,7 +152,8 @@ def negativity(rho: np.ndarray, subset, n: int) -> float:
     takes the dense partial transpose and its eigenvalues, whose solver
     checks Hermiticity.
     """
-    rho, qubits = _state_and_subset(rho, subset, n)
+    rho = as_state(rho, n)
+    qubits = set(_checked_qubits(subset, n))
     entries = _fit_sectors(rho, n)
     if entries is None:
         eigenvalues = hermitian_eigenvalues(partial_transpose(rho, qubits, n))

@@ -1,5 +1,6 @@
 import collections
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -276,9 +277,9 @@ def test_sweep_of_an_empty_grid_is_empty():
 # the sweep builds no Channel: a dense point, here amplitude damping off the Z
 # frame at every strength > 0, maps the factors by its row of the checked
 # stack, whose tables are built once for all dense points: one per distinct
-# block of listed counts, here (1, 0, 1).  The family part's dense matrix
-# takes model._dense, with no table.  No dense initial state is built,
-# nothing is contracted and nothing projected.
+# block of listed counts, here (1, 0, 1).  Each dense point is projected once
+# for its residual (model._project, not through family_residual).  No dense
+# initial state is built and nothing is contracted.
 @pytest.mark.parametrize("frame,kind,dense", [("Z", "amplitude_damping", 0),
                                               ("X", "amplitude_damping", 1),
                                               ("Y", "depolarizing", 0)])
@@ -555,20 +556,43 @@ def mapped_cases(draw):
 
 
 # every frame and kind, family-preserving or not: E(rho0) from the mapped
-# factors, and its family part from the transfer blocks, against the dense oracle
+# factors, against the dense oracle
 @settings(max_examples=100)
 @given(mapped_cases())
 def test_mapped_points_match_dense_oracle(case):
     p, kind, strengths, qubits = case
-    n = p.n
     factors, _ = channels._frame_bases(p.frame)
     superops = channels._superoperator(channels._kraus_stack(kind, strengths))
     points = list(channels._mapped_points(p, superops, factors, qubits))
     assert len(points) == len(strengths)
     rho0 = materialize(p)
-    for s, (rho, sigma, residual) in zip(strengths, points):
-        want = apply_channel(rho0, standard_channel(kind, s), qubits, n)
-        q, want_residual = decompose(want, n, p.frame)
+    for s, rho in zip(strengths, points):
+        want = apply_channel(rho0, standard_channel(kind, s), qubits, p.n)
         assert np.max(np.abs(rho - want)) <= 1e-12
-        assert np.max(np.abs(sigma - np.concatenate([q.d, q.a]))) <= 1e-12
-        assert abs(residual - want_residual) <= 1e-12
+
+
+# every frame and kind: a dense point's residual is family_residual of that
+# point's own state, bit for bit, and within 1e-12 of the dense oracle's.
+# A sweep needs n >= 2 (concurrence at n = 2, a witness from n = 2 on).
+@settings(max_examples=100)
+@given(sweep_cases())
+def test_dense_point_residual_is_the_family_residual_of_its_state(case):
+    p, kind, qubits, grid, witness_kind = case
+    n, frame = p.n, p.frame
+    states, mapped_points = [], channels._mapped_points
+
+    def recorded(*args):
+        for rho in mapped_points(*args):
+            states.append(rho)
+            yield rho
+    with mock.patch.object(channels, "_mapped_points", recorded):
+        traj = sweep(p, kind, qubits, grid, witness_kind)
+    dense = [g for g, s in enumerate(grid) if not _preserves(kind, s, frame)]
+    assert len(states) == len(dense)
+    rho0 = materialize(p)
+    for g, rho in zip(dense, states):
+        residual = traj.x_residual[g]
+        assert (np.float64(residual).tobytes()
+                == np.float64(model.family_residual(rho, n, frame)).tobytes())
+        want = apply_channel(rho0, standard_channel(kind, grid[g]), qubits, n)
+        assert abs(residual - decompose(want, n, frame)[1]) <= 1e-12

@@ -576,7 +576,7 @@ def test_xy_frame_projection_makes_one_dense_temporary(rng, frame):
 def test_z_frame_x_shaped_round_trip_takes_no_dense_transform(rng):
     for n in (1, 4, 9):
         p = random_valid_x_params(rng, n, "Z")
-        with mock.patch.object(model, "_xor_matrix", wraps=model._xor_matrix) as build, \
+        with mock.patch.object(model, "_xor_fill", wraps=model._xor_fill) as build, \
              mock.patch.object(model, "_xor_project", wraps=model._xor_project) as project:
             rho = materialize(p)
             decompose(rho, n, "Z")

@@ -6,7 +6,9 @@ import pytest
 
 from conftest import SX, SY, SZ, oracle_pauli_matrix, random_pauli
 from xstates import (AXES, FRAME_X, FRAME_Y, FRAME_Z, AxisFrame, PauliString,
-                     all_proper_frames, apply_frame, xy_product, z_product)
+                     all_proper_frames, apply_frame, decompose, generate_set, ghz_params,
+                     ghz_state, resolve_frame, xy_product, z_product)
+from xstates.pauli import require_frame
 
 
 def test_z_product_examples():
@@ -135,6 +137,20 @@ def test_named_frames_are_proper():
     assert FRAME_Y.describe() == {"X": "+Z", "Y": "+X", "Z": "+Y"}
     for f in (FRAME_Z, FRAME_X, FRAME_Y):
         assert round(np.linalg.det(f.rotation())) == 1
+
+
+# every entry point that takes a frame name runs pauli.require_frame first:
+# anything but "Z", "X" or "Y", unhashable or not, gets the one text
+@pytest.mark.parametrize("frame", [["X"], "Q", 1, b"X", None, "x"])
+def test_unknown_frame_names_get_one_value_error(frame):
+    calls = (lambda: require_frame(frame), lambda: resolve_frame(frame),
+             lambda: apply_frame(PauliString.from_label("+Z1"), frame),
+             lambda: ghz_state(3, frame), lambda: generate_set(2, frame),
+             lambda: ghz_params(2, frame), lambda: decompose(np.eye(4) / 4, 2, frame))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^unknown frame .*; expected one of "
+                                             r"\['X', 'Y', 'Z'\]$"):
+            call()
 
 
 def test_improper_frame_rejected():
