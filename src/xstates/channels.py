@@ -10,7 +10,7 @@ from numbers import Integral
 import numpy as np
 
 from .linalg import _checked_qubits, as_state
-from .model import (_LAYOUTS, XStateParams, _entries, _frame_factors, _max_modulus, _project,
+from .model import (_LAYOUTS, XStateParams, _entries, _frame_factors, _peak, _project,
                     _sector_entries, _table, family_residual)
 # bound here too, though unused: perfbench's tracer wraps every binding of it
 from .model import materialize  # noqa: F401
@@ -338,7 +338,7 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
         points = _mapped_points(p0, superops[dense], _frame_bases(frame)[0], qubit_list)
         for g, rho in zip(dense, points):
             values[g] = concurrence(rho) if w is None else evaluate_witness(w, rho)[0]
-            residuals[g] = _max_modulus(_project(rho, n, frame)[1])
+            residuals[g] = _project(rho, n, frame, _peak)[1]
     records = tuple(values.tolist())
     return Trajectory(strengths, records if w is None else None,
                       records if w is not None else None, tuple(residuals.tolist()))

@@ -27,8 +27,12 @@ EXPECTATION_IMAG_TOL = 1e-10
 # it.  It bounds their trace-norm distance and the negativity error.
 SECTOR_FIT_TOL = 1e-12
 
-# Bytes of one row strip of hermiticity_deviation's temporaries.
-_STRIP_BYTES = 1 << 20
+# Bytes of one row strip of every dense pass (_strip_rows): the state
+# gate, the Hermiticity check, the projections' reductions and the dense
+# witness read a matrix a strip at a time, and their temporaries are strips.
+_STRIP_BYTES = 1 << 19
+
+_DBL_MAX = float(np.finfo(float).max)
 
 # json's C encoder (no indent): the text of one scalar or key.
 _ENCODE = json.JSONEncoder().encode
@@ -67,7 +71,8 @@ def as_state(rho: np.ndarray, n: int, *, stack: bool = False) -> np.ndarray:
     Every real and imaginary part must be finite and at most DBL_MAX /
     (2 dim) in magnitude, so that no transform, projection or rho psi
     product overflows: a real part of their results sums at most dim
-    terms, each +- one such part.  One min and one max, no temporary.
+    terms, each +- one such part.  One read: the min and the max of each
+    strip of rows (_strip_rows), with no temporary.
     """
     require_qubit_count(n)
     rho = _as_array(rho)
@@ -75,17 +80,30 @@ def as_state(rho: np.ndarray, n: int, *, stack: bool = False) -> np.ndarray:
     if rho.shape[-2:] != (dim, dim) or not (stack or rho.ndim == 2):
         raise ValueError(f"{n}-qubit state must have shape "
                          f"({'..., ' * stack}{dim}, {dim}), got {rho.shape}")
-    bound = np.finfo(float).max / (2 * dim)
+    bound = _DBL_MAX / (2 * dim)
     # a complex rho with contiguous rows is one float view, else two strided ones
     contiguous = rho.dtype.char == "d" or rho.strides[-1] == rho.itemsize
     for part in (rho.view(float),) if contiguous else (rho.real, rho.imag):
-        lo, hi = part.min(initial=0.0), part.max(initial=0.0)    # NaN propagates
+        lo = hi = 0.0
+        step = _strip_rows(dim, part.nbytes)
+        for i in range(0, dim, step):       # NaN propagates through initial
+            strip = part[..., i:i + step, :]
+            lo, hi = strip.min(initial=lo), strip.max(initial=hi)
         if not (-bound <= lo and hi <= bound):
             if np.isfinite(lo) and np.isfinite(hi):
                 raise ValueError(f"state entries above {bound:.3e} in magnitude "
                                  "could overflow")
             raise ValueError("state entries are not finite")
     return rho
+
+
+def _strip_rows(rows: int, nbytes: int) -> int:
+    """Rows per strip of an array of that many rows, of nbytes in all (a
+    row spanning every leading axis): the largest power of two, at most
+    rows, whose strip holds at most _STRIP_BYTES, or 1.  A power-of-two
+    row count splits into whole strips."""
+    fit = _STRIP_BYTES * rows // (nbytes or 1)
+    return min(rows, 1 << ((fit | 1).bit_length() - 1))
 
 
 def _check_power_of_two(dim: int, name: str = "dimension") -> None:
@@ -97,14 +115,14 @@ def _check_power_of_two(dim: int, name: str = "dimension") -> None:
 def hermiticity_deviation(m: np.ndarray) -> float:
     """Max-norm distance from the Hermitian cone, max |M - M^dag|.
 
-    Compared in strips of rows against the matching strips of columns, so
-    the temporaries stay near ``_STRIP_BYTES`` at any size; a NaN or
+    Compared in strips of rows (_strip_rows) against the matching strips of
+    columns, so the temporaries stay near ``_STRIP_BYTES`` at any size; a NaN or
     infinite entry gives NaN or inf, without a warning.
     """
     m = _as_square(m)
     if not m.size:
         return 0.0
-    rows = max(1, _STRIP_BYTES // m[0].nbytes)
+    rows = _strip_rows(len(m), m.nbytes)
     strips = (np.abs(m[i:i + rows] - m[:, i:i + rows].conj().T).max()
               for i in range(0, len(m), rows))
     return float(reduce(np.maximum, strips))

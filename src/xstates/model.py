@@ -56,11 +56,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import (_STRIP_BYTES, SECTOR_FIT_TOL, as_state, sector_eigenvalues,
+from .linalg import (SECTOR_FIT_TOL, _strip_rows, as_state, sector_eigenvalues,
                      sector_hermiticity_deviation)
 from .pauli import (FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame, require_frame,
                     require_qubit_count)
@@ -213,6 +213,10 @@ def _layout(n: int) -> _Layout:
 
 
 _LAYOUTS = {n: _layout(n) for n in range(1, MAX_DENSE_QUBITS + 1)}
+# per n, the sector tables of the blocks, from block 1, and their adjoints, from block m
+_SECTOR_TABLES = {n: ([_SECTORS[0][g] for g in layout.sizes],
+                      [_SECTORS[1][g] for g in layout.sizes[::-1]])
+                  for n, layout in _LAYOUTS.items()}
 
 
 def _block_loop(t: np.ndarray, tables) -> np.ndarray:
@@ -264,8 +268,7 @@ def _x_entries(coeffs: np.ndarray, n: int) -> np.ndarray:
     The sector tables run from block 1, the lowest parameter bits, whose
     basis bits come out first: the result is in basis order.
     """
-    t = _block_loop(coeffs.reshape(-1, 2, 1 << n) / (1 << n),
-                    [_SECTORS[0][g] for g in _LAYOUTS[n].sizes])
+    t = _block_loop(coeffs.reshape(-1, 2, 1 << n) / (1 << n), _SECTOR_TABLES[n][0])
     return t.reshape(*coeffs.shape[:-1], 1 << n, 2)
 
 
@@ -285,8 +288,7 @@ def _sector_coefficients(x: np.ndarray, n: int) -> np.ndarray:
     The conjugate sector tables run from block m, the lowest basis bits,
     whose parameter bits come out first: the result is in parameter order.
     """
-    t = _block_loop(x.reshape(-1, 2, 1 << n),
-                    [_SECTORS[1][g] for g in _LAYOUTS[n].sizes[::-1]])
+    t = _block_loop(x.reshape(-1, 2, 1 << n), _SECTOR_TABLES[n][1])
     left = t.shape[-1]
     t = t.reshape(-1, (1 << n) // left, 2, left).transpose(0, 2, 3, 1)
     return _checked(t.real.reshape(*x.shape[:-2], 2 << n))
@@ -427,7 +429,28 @@ def _xor_fill(seed: np.ndarray, n: int) -> np.ndarray:
     return rho.reshape(dim, dim)
 
 
-def _xor_project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarray]:
+def _peak(part: np.ndarray) -> np.ndarray:
+    """max |entry| per matrix of a stack part (B, ...)."""
+    return np.abs(part).reshape(len(part), math.prod(part.shape[1:])).max(axis=1)
+
+
+def _square_sum(part: np.ndarray) -> np.ndarray:
+    """The sum of |entry|**2 per matrix of a stack part (B, ...), rows
+    contiguous: one dot product of its real and imaginary parts."""
+    flat = part.reshape(len(part), math.prod(part.shape[1:]))
+    flat = flat.view(float) if flat.dtype.kind == "c" else flat
+    return (flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
+
+
+# What _project measures of rho - sigma, a strip at a time, and how it
+# merges the strips' values: _peak, max |rho - sigma|, the residual of
+# decompose, family_residual and sweep; _square_sum, ||rho - sigma||_F**2,
+# the distance of the sector fit.
+_FOLDS = {_peak: np.maximum, _square_sum: np.add}
+
+
+def _xor_project(rho: np.ndarray, n: int, frame: str,
+                 measure: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """_project in the X and Y frames, for rho passing linalg.as_state.
 
     One take gathers rho into G[..., r_h, j, c_h, s_l] = rho[..., r, r ^ s]
@@ -438,11 +461,12 @@ def _xor_project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.nd
     and in the Y frame the Walsh sign w = w_h * w_l of its two halves.
     The low rows' parity halves are summed first, with w_l applied to G
     in place, then the top rows into their parities, with w_h applied to
-    those O(2**(3n/2)) sums.  Subtracting w_h * seed[parity(r)], the
-    pinned coefficients' rows, leaves w_l * (rho - sigma) in G, in place,
-    whose entries' moduli are those of rho - sigma.  A real rho stays real
-    throughout: its sums are real, the coefficients of the +-i phases
-    exactly 0, and the seed real.
+    those O(2**(3n/2)) sums.  Then each strip of G (linalg._strip_rows)
+    has w_h * seed[parity(r)], the pinned coefficients' rows, taken from
+    it in place, which leaves a strip of w_l * (rho - sigma), whose
+    entries' moduli are those of rho - sigma, and is measured while in
+    cache.  A real rho stays real throughout: its sums are real, the
+    coefficients of the +-i phases exactly 0, and the seed real.
     """
     dim, high, low = 1 << n, _half(n // 2), _half(n - n // 2)
     dh, dl = len(high.step), len(low.step)
@@ -452,8 +476,7 @@ def _xor_project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.nd
     rho.reshape(*batch, dh, dl * dim).take(take, axis=-1, out=g, mode="clip")
     if terms.walsh:
         g *= low.row_walsh
-    rows = g.reshape(*batch, dh, 2, dl // 2, dim)
-    sums = rows.sum(axis=-2).reshape(*batch, dh, 2, dh, dl)
+    sums = g.reshape(*batch, dh, 2, dl // 2, dim).sum(axis=-2).reshape(*batch, dh, 2, dh, dl)
     if terms.walsh:
         sums *= high.walsh
     sums = sums.reshape(*batch, 2 * dh * dh, dl).take(high.sums, axis=-2).sum(axis=-4)
@@ -467,43 +490,59 @@ def _xor_project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.nd
     seed = seed.reshape(*batch, 2 * dh, dl).take(high.pair, axis=-2)   # (r_h, p_l, c_h, s_l)
     if terms.walsh:
         seed *= high.walsh
-    rows -= seed.reshape(*batch, dh, 2, 1, dim)
-    return coeffs, g.reshape(*batch, dim, dim)
+    seed = seed.reshape(-1, 2 * dh, 1, dim)              # per (r_h, p_l) group of rows
+    rows, half, step = g.reshape(-1, dim, dim), dl // 2, _strip_rows(dim, g.nbytes)
+    groups = max(step // half, 1)       # a strip is whole groups of G's rows, or rows of one
+    values = []
+    for i in range(0, dim, step):
+        strip = rows[:, i:i + step].reshape(len(rows), groups, min(step, half), dim)
+        strip -= seed[:, i // half:i // half + groups]
+        values.append(measure(strip))
+    return coeffs, functools.reduce(_FOLDS[measure], values).reshape(batch)
 
 
-def _project(rho: np.ndarray, n: int, frame: str) -> tuple[np.ndarray, np.ndarray]:
-    """(coeffs, diff): the family coefficients of rho (or of a stack),
+def _project(rho: np.ndarray, n: int, frame: str,
+             measure: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(coeffs, value): the family coefficients of rho (or of a stack),
     passing linalg.as_state, with d_0 pinned to 1, so a trace deficit
-    lands in diff; and rho minus their matrix sigma, (..., dim, dim) with
-    the same Frobenius norm and entry moduli as rho - sigma.
+    lands in rho - sigma, for sigma their matrix; and the measure of rho -
+    sigma, a value per matrix of rho's batch shape: _peak's max |rho -
+    sigma| or _square_sum's ||rho - sigma||_F**2 (_FOLDS).
 
-    The Z frame's family operators are zero off the X, so its coefficients
-    are _sector_coefficients of rho's X entries, sigma's X entries are
-    _x_entries, and diff is a copy of rho with those subtracted on the X:
-    two O(n * 2**n) transforms and one O(4**n) copy.  The X and Y frames
-    take _xor_project: one O(4**n) gather, and diff in its (row, mask)
+    rho - sigma is measured a strip of rows at a time (linalg._strip_rows),
+    each strip while in cache, and the X and Y frames' gather is the only
+    temporary of rho's size.  The Z frame's family operators are zero off
+    the X, so its coefficients are _sector_coefficients of rho's X
+    entries, sigma's X entries are _x_entries, and rho - sigma is rho
+    itself off the X: each strip of rho is copied into one strip buffer,
+    the differences are put in place of its X entries, and the buffer is
+    measured, so no copy of rho is made.  Two O(n * 2**n) transforms and
+    one read of rho.  The X and Y frames take
+    _xor_project: one O(4**n) gather, and rho - sigma in its (row, mask)
     coordinates.  An unknown frame raises ValueError before any transform.
     """
     require_frame(frame)
     if frame != "Z":
-        return _xor_project(rho, n, frame)
-    diff = np.array(rho, dtype=complex, order="C")
-    diag, anti = _x_views(diff)
-    x = np.concatenate([diag[..., None, :], anti[..., None, :]], axis=-2)
+        return _xor_project(rho, n, frame, measure)
+    dim, batch = 1 << n, rho.shape[:-2]
+    rho = rho.reshape(-1, dim, dim)
+    x = np.concatenate([rho.diagonal(0, 1, 2), rho[..., ::-1].diagonal(0, 1, 2)], axis=1)
+    x = x.reshape(*batch, 2, dim)
     coeffs = _sector_coefficients(x, n)
     coeffs[..., 0] = 1.0
-    sigma = _x_entries(coeffs, n)
-    diag -= sigma[..., 0]
-    anti -= sigma[..., 1]
-    return coeffs, diff
-
-
-def _max_modulus(diff: np.ndarray) -> np.ndarray:
-    """max |diff| over the last two axes, a strip of rows at a time, so
-    that no temporary as large as diff is made."""
-    step = max(1, _STRIP_BYTES * diff.shape[-2] // max(diff.nbytes, 1))
-    return functools.reduce(np.maximum, (np.abs(diff[..., i:i + step, :]).max(axis=(-2, -1))
-                                         for i in range(0, diff.shape[-2], step)))
+    x = x - _x_entries(coeffs, n).swapaxes(-1, -2)            # rho - sigma on the X
+    x = x.reshape(len(rho), 2, dim)
+    step = _strip_rows(dim, rho.nbytes)
+    part = np.empty((len(rho), step, dim), x.dtype)         # each strip of rho - sigma
+    flat = part.reshape(len(rho), step * dim)
+    values = []
+    for i in range(0, dim, step):
+        part[...] = rho[:, i:i + step]
+        # the strip's X entries (r, i + r) and (r, dim - 1 - i - r), r < step
+        flat[:, i::dim + 1] = x[:, 0, i:i + step]
+        flat[:, dim - 1 - i:step * (dim - 1) - i + 1:dim - 1] = x[:, 1, i:i + step]
+        values.append(measure(part))
+    return coeffs, functools.reduce(_FOLDS[measure], values).reshape(batch)
 
 
 # (-1)**(number of set bits among the top two), per quarter of the basis
@@ -530,6 +569,7 @@ def _screen_deviation(rho: np.ndarray, n: int, frame: str) -> float:
     return float(np.abs(row - partner).max())
 
 
+@functools.lru_cache(maxsize=None)
 def _screen_bound(n: int) -> float:
     """The largest _screen_deviation of a rho whose fit succeeds, in any
     frame: 2 SECTOR_FIT_TOL / sqrt(dim) plus a rounding bound, derived here
@@ -546,13 +586,18 @@ def _screen_bound(n: int) -> float:
     s(c) = +1, and every other entry of row 0 is exactly 0.  So the
     projection's own rounding adds nothing, and the deviation is that of
     rho - sigma, at most 2 max |rho - sigma| <= 2 ||rho - sigma||_F.  A
-    passing fit has fl(sqrt(dim) ||fl(rho - sigma)||_F) <= SECTOR_FIT_TOL.
-    The difference rounds once per entry; the norm sums N squares in each
-    of two dot products (relative error gamma_N = N u / (1 - N u)), then
-    adds them, takes a square root and multiplies by the rounded sqrt(dim).
-    Squares that underflow lose at most sqrt(N) 2**-537 in all, far below
-    the rest.  So ||rho - sigma||_F <= SECTOR_FIT_TOL / (sqrt(dim) (1 -
-    gamma_(N+5))).  The deviation's own subtraction and modulus add a
+    passing fit has fl(sqrt(dim) fl(sqrt(q))) <= SECTOR_FIT_TOL, for q the
+    computed ||fl(rho - sigma)||_F**2.  The difference rounds once per
+    entry.  q is summed a strip at a time (_square_sum): each strip's
+    squares of real and imaginary parts in one dot product, then the
+    strips' sums in turn, so 2N rounded squares and 2N - 1 additions in
+    some order, a relative error of at most gamma_2N (gamma_k = k u / (1 -
+    k u)), which the square root halves to about gamma_N; the square root,
+    the rounded sqrt(dim) and their product add three roundings.  Squares
+    that underflow lose at most sqrt(N) 2**-537 in all, far below the
+    rest.  So ||rho - sigma||_F <= SECTOR_FIT_TOL / (sqrt(dim) (1 -
+    gamma_(N+5))), as with the two dot products of N squares each that
+    the norm once took.  The deviation's own subtraction and modulus add a
     factor 1 + gamma_3.  The result exceeds 2 SECTOR_FIT_TOL / sqrt(dim) by
     a factor of about 1 + (N + 8) u.  The bound takes 1 + (N + 16) 2**-52,
     which also covers the rounding in computing the bound itself.  No bound
@@ -569,14 +614,13 @@ def _fit(rho: np.ndarray, n: int, frame: str) -> "tuple[np.ndarray, np.ndarray] 
     The entries are made only for a fit that passes: in the X and Y frames
     from the coefficients, in the Z frame read off rho's X entries, made
     Hermitian, before d_0 is pinned (see fit_sectors)."""
-    coeffs, diff = _project(rho, n, frame)
-    if not math.sqrt(len(rho)) * np.linalg.norm(diff) <= SECTOR_FIT_TOL:
+    coeffs, squares = _project(rho, n, frame, _square_sum)
+    if not math.sqrt(len(rho)) * math.sqrt(squares) <= SECTOR_FIT_TOL:
         return None
     if frame != "Z":
         return _sector_entries(coeffs, n)
-    rows = np.arange(len(rho))
-    anti = rho[rows, rows[::-1]].astype(complex, copy=False)
-    return rho[rows, rows].real, (anti + anti[::-1].conj()) / 2
+    anti = rho[:, ::-1].diagonal().astype(complex, copy=False)
+    return rho.diagonal().real.copy(), (anti + anti[::-1].conj()) / 2
 
 
 def _fit_sectors(rho: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray] | None":
@@ -671,15 +715,16 @@ def decompose(rho: np.ndarray, n: int, frame: str = "Z") -> tuple[XStateParams, 
 
     Returns the recovered parameters, as Python floats, and the max-norm
     residual of rho outside the family, family_residual's value; both come
-    from _project, which in the Z frame reads the coefficients from rho's
-    X entries alone.  d[0] is pinned to 1, so any trace deficit shows up in
-    the residual rather than in the parameters.  rho passes
-    linalg.as_state, and an unknown frame raises ValueError.
+    from one _project, which in the Z frame reads the coefficients from
+    rho's X entries alone, and takes the residual, _peak, from strips of
+    rho - sigma with no copy of rho.  d[0] is pinned to 1, so any trace
+    deficit shows up in the residual rather than in the parameters.  rho
+    passes linalg.as_state, and an unknown frame raises ValueError.
     """
     rho = as_state(rho, n)
-    coeffs, diff = _project(rho, n, frame)
+    coeffs, residual = _project(rho, n, frame, _peak)
     dim = 1 << n
-    return XStateParams(n, coeffs[:dim], coeffs[dim:], frame), float(_max_modulus(diff))
+    return XStateParams(n, coeffs[:dim], coeffs[dim:], frame), float(residual)
 
 
 def family_residual(rho: np.ndarray, n: int, frame: str = "Z") -> "float | np.ndarray":
@@ -692,7 +737,7 @@ def family_residual(rho: np.ndarray, n: int, frame: str = "Z") -> "float | np.nd
     that is not finite raises it too, as a safety check.
     """
     rho = as_state(rho, n, stack=True)
-    residual = _max_modulus(_project(rho, n, frame)[1])
+    residual = _project(rho, n, frame, _peak)[1]
     if not np.isfinite(residual).all():
         raise ValueError("family residual is not finite")
     return float(residual) if rho.ndim == 2 else residual

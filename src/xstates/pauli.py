@@ -49,7 +49,8 @@ MAX_DENSE_QUBITS = 12  # every dense operator and state: at most 4096 x 4096
 def require_qubit_count(n, low: int = 1, high: int = MAX_DENSE_QUBITS) -> None:
     """Raise ValueError unless n is an integer, not a bool, in low..high: the
     one qubit-count gate, which every entry point runs before any 1 << n."""
-    if isinstance(n, bool) or not isinstance(n, Integral) or not low <= n <= high:
+    if (type(n) is not int and (isinstance(n, bool) or not isinstance(n, Integral))
+            or not low <= n <= high):
         raise ValueError(f"qubit count must be an integer in {low}..{high}, got {n!r}")
 
 

@@ -10,7 +10,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .linalg import (_checked_qubits, _real_value, as_state, hermitian_eigen,
+from .linalg import (_checked_qubits, _real_value, _strip_rows, as_state, hermitian_eigen,
                      hermitian_eigenvalues, partial_transpose, sector_eigenvalues)
 from .model import XStateParams, _fit_sectors, _sector_entries
 from .pauli import FRAMES, PAULI_MATRICES, require_frame, require_qubit_count
@@ -116,10 +116,26 @@ def _sector_value(w: Witness, phi: np.ndarray, diag: np.ndarray,
     return _real_value(w.alpha * diag.sum(axis=-1) - overlap)
 
 
+def _overlap(rho: np.ndarray, psi: np.ndarray) -> complex:
+    """psi^dag rho psi from the entries of rho on the support S of psi
+    alone, rho[S, S], gathered a strip of rows at a time.  The strips are
+    linalg._strip_rows of the |S| x |S| block as complex entries, the
+    dtype of its product with psi, to which a real strip is converted."""
+    support = psi.nonzero()[0]
+    phi = psi[support]
+    step = _strip_rows(len(support), len(support) ** 2 * phi.itemsize)
+    total = 0.0
+    for i in range(0, len(support), step):
+        total += np.vdot(phi[i:i + step], rho[support[i:i + step, None], support] @ phi)
+    return total
+
+
 def evaluate_witness(w: Witness, state: "np.ndarray | XStateParams") -> tuple[float, bool]:
     """Expectation of the witness; detection means a strictly negative value.
     X-state parameters take their Z-frame sector entries, in O(n * 2**n); a
-    dense rho passing linalg.as_state takes alpha tr rho - psi^dag (rho psi)."""
+    dense rho passing linalg.as_state takes alpha tr rho - psi^dag rho psi,
+    which reads only the trace and the |supp psi|**2 entries of rho that
+    psi meets (_overlap): four of a GHZ witness's."""
     n = w.psi.n
     if isinstance(state, XStateParams):
         if state.n != n:
@@ -127,9 +143,8 @@ def evaluate_witness(w: Witness, state: "np.ndarray | XStateParams") -> tuple[fl
         diag, anti = _sector_entries(np.concatenate([state.d, state.a]), n)
         value = float(_sector_value(w, _frame_amplitudes(w.psi, state.frame), diag, anti))
     else:
-        rho, psi = as_state(state, n), w.psi.amplitudes
-        rho_psi = rho @ psi.real + 1j * (rho @ psi.imag)  # a real rho stays real
-        value = float(_real_value(w.alpha * np.trace(rho) - psi.conj() @ rho_psi))
+        rho = as_state(state, n)
+        value = float(_real_value(w.alpha * rho.trace() - _overlap(rho, w.psi.amplitudes)))
     return value, value < DETECTION_TOL
 
 

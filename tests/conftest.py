@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from xstates import FRAMES, DesignReport, PauliString, decompose, generate_set, model
+from xstates import (FRAMES, DesignReport, PauliString, XStateParams, decompose, generate_set,
+                     materialize, model)
 from xstates.linalg import SECTOR_FIT_TOL
 
 # An example's cost grows with its qubit count, so no per-example deadline;
@@ -186,25 +187,60 @@ def oracle_z_projection(rho, n):
 
 
 def oracle_fit_distance(rho, n, frame):
-    """(entries, sqrt(dim) ||rho - sigma||_F) of the frame's projection
-    sigma: the Z frame's from oracle_z_projection, the others' from
-    model._project, with the sector entries of its coefficients."""
+    """(entries, distance, spread) of the frame's projection sigma:
+    distance = sqrt(dim) ||rho - sigma||_F, for the Z frame's sigma from
+    oracle_z_projection, the others' oracle_family_sum of
+    oracle_family_projection's coefficients; their entries are the sector
+    entries of decompose's coefficients, which the fit returns bitwise.
+    spread = sqrt(dim) ||sigma - sigma'||_F for sigma' the program's
+    projection, materialize of decompose's parameters, bounds how far the
+    program's distance lies from this one besides the rounding of the
+    norms; it is 0 in the Z frame, whose sigma the program's transforms
+    make here too."""
+    dim = 1 << n
     if frame == "Z":
         diff, entries = oracle_z_projection(rho, n)
+        spread = 0.0
     else:
-        coeffs, diff = model._project(rho, n, frame)
-        entries = model._sector_entries(coeffs, n)
-    return entries, math.sqrt(len(rho)) * np.linalg.norm(diff)
+        coeffs, _ = oracle_family_projection(rho, n, frame)
+        sigma = oracle_family_sum(XStateParams(n, coeffs[:dim], coeffs[dim:], frame))
+        diff = rho - sigma
+        q, _ = decompose(rho, n, frame)
+        entries = model._sector_entries(np.concatenate([q.d, q.a]), n)
+        spread = math.sqrt(dim) * np.linalg.norm(sigma - materialize(q))
+    return entries, math.sqrt(dim) * np.linalg.norm(diff), spread
+
+
+def fit_is_rounding_dependent(distance, spread, n):
+    """Whether a fit decision at this oracle distance may go either way in
+    the program: within spread (oracle_fit_distance) plus the rounding of
+    the two norms, each to a relative (4**n + 16) 2**-52 (see
+    model._screen_bound), of SECTOR_FIT_TOL."""
+    rounding = 2 * (4 ** n + 16) * np.finfo(float).eps * SECTOR_FIT_TOL
+    return abs(distance - SECTOR_FIT_TOL) <= spread + rounding
 
 
 def oracle_fit_sectors(rho, n):
-    """The sector resolver by the one fit rule, without its row screens:
-    the sector entries of the first frame, in the order Z, X, Y, whose
-    projection lies within SECTOR_FIT_TOL (oracle_fit_distance), else
-    None."""
+    """(entries, settled): the sector resolver by the one fit rule, without
+    its row screens: the sector entries of the first frame, in the order
+    Z, X, Y, whose projection lies within SECTOR_FIT_TOL
+    (oracle_fit_distance), else None; settled is False when the decision
+    of one of the frames tried may go either way in the program
+    (fit_is_rounding_dependent)."""
+    settled = True
     for frame in FRAMES:
-        entries, distance = oracle_fit_distance(rho, n, frame)
+        entries, distance, spread = oracle_fit_distance(rho, n, frame)
+        settled = settled and not fit_is_rounding_dependent(distance, spread, n)
         if distance <= SECTOR_FIT_TOL:
+            return entries, settled
+    return None, settled
+
+
+def unscreened_fit_sectors(rho, n):
+    """The program's sector fit without its row screens: model._fit in the
+    frames Z, X, Y, the first that fits, else None."""
+    for frame in FRAMES:
+        if (entries := model._fit(rho, n, frame)) is not None:
             return entries
     return None
 

@@ -480,7 +480,7 @@ def test_decompose_returns_python_floats(rng, frame):
         rho = materialize(random_valid_x_params(rng, n, frame))
         q, _ = decompose(rho, n, frame)
         assert all(type(v) is float for v in q.d + q.a)
-        coeffs = model._project(rho, n, frame)[0]
+        coeffs = model._project(rho, n, frame, model._peak)[0]
         assert np.array_equal(q.d + q.a, coeffs)
 
 
@@ -544,7 +544,7 @@ def test_xy_frame_projection_matches_dense_oracle(n, seed, frame, real, count):
     # most 2n + 8: at most 45 in all
     tol = 2 * 45 * np.finfo(float).eps * math.sqrt(2)
     want_coeffs, want_res = oracle_family_projection(rho, n, frame)
-    coeffs, _ = model._project(rho, n, frame)
+    coeffs, _ = model._project(rho, n, frame, model._peak)
     assert coeffs.shape == want_coeffs.shape and coeffs.dtype == float
     assert np.max(np.abs(coeffs - want_coeffs), initial=0.0) <= tol
     residual = family_residual(rho, n, frame)
@@ -554,23 +554,40 @@ def test_xy_frame_projection_matches_dense_oracle(n, seed, frame, real, count):
         assert np.array_equal(q.d + q.a, coeffs) and res == residual
 
 
-@pytest.mark.parametrize("frame", ["X", "Y"])
-def test_xy_frame_projection_makes_one_dense_temporary(rng, frame):
-    """decompose and negativity of an n = 10 X- or Y-frame state: the
-    gathered difference is the only temporary of the input's size; the
-    rest, O(2**(3n/2)) index tables and sums and strips of rows, take
-    about 2.3 MiB against the input's 16 MiB."""
-    n = 10
-    rho = materialize(random_valid_x_params(rng, n, frame))
-    for measure in (lambda: decompose(rho, n, frame), lambda: negativity(rho, [1], n)):
-        measure()         # the per-n tables, built once
+def _dense_measure_peaks(rho, n, frame):
+    """The traced peaks of decompose, negativity and family_residual of
+    rho, each after a first call that builds the per-n tables."""
+    peaks = []
+    for measure in (lambda: decompose(rho, n, frame), lambda: negativity(rho, [1], n),
+                    lambda: family_residual(rho, n, frame)):
+        measure()
         tracemalloc.start()
         try:
             measure()
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak <= rho.nbytes * 5 // 4
+    return peaks
+
+
+@pytest.mark.parametrize("frame", ["X", "Y"])
+def test_xy_frame_projection_makes_one_dense_temporary(rng, frame):
+    """decompose, negativity and family_residual of an n = 10 X- or
+    Y-frame state: the gather is the only temporary of the input's size;
+    the rest, O(2**(3n/2)) sums and seeds and strips of rows, take about
+    2 MiB against the input's 16 MiB."""
+    n = 10
+    rho = materialize(random_valid_x_params(rng, n, frame))
+    assert max(_dense_measure_peaks(rho, n, frame)) <= rho.nbytes * 5 // 4
+
+
+def test_z_frame_projection_makes_no_dense_temporary(rng):
+    """decompose, negativity and family_residual of an n = 10 Z-frame
+    state read it a strip of rows at a time, with no copy: strips and
+    O(2**n) X entries, far below a quarter of the input's 16 MiB."""
+    n = 10
+    rho = materialize(random_valid_x_params(rng, n, "Z"))
+    assert max(_dense_measure_peaks(rho, n, "Z")) <= rho.nbytes // 4
 
 
 def test_z_frame_x_shaped_round_trip_takes_no_dense_transform(rng):
@@ -644,7 +661,7 @@ def test_projection_keeps_center_symmetry_bitwise(rng, frame):
     for n in range(2, 9):
         dim = 1 << n
         rho = random_density(rng, dim) + 0.1 * rng.normal(size=(dim, dim))
-        coeffs = model._project(rho, n, frame)[0]
+        coeffs = model._project(rho, n, frame, model._peak)[0]
         p = XStateParams(n, coeffs[:dim], coeffs[dim:], frame)
         sigma = materialize(p)
         if frame != "Z" and n <= 6:
