@@ -135,16 +135,15 @@ def lines(opset: OperatorSet) -> LineSet:
         raise ValueError("elements must be distinct non-identity operators "
                          "closed under multiplication")
     keep = j < k
-    triples = np.stack([i[keep], j[keep], k[keep]], axis=1)
-    return LineSet(tuple(map(tuple, triples.tolist())))
+    return LineSet(tuple(zip(i[keep].tolist(), j[keep].tolist(), k[keep].tolist())))
 
 
 def verify_design(opset: OperatorSet, lineset: LineSet | None = None) -> DesignReport:
     """Check the 2-(v, 3, 1) property exhaustively over all point pairs."""
     ls = lines(opset) if lineset is None else lineset
     v = len(opset.elements)
-    triples = np.array(ls.lines, dtype=np.int64).reshape(-1, 3)
-    i, j, k = triples.T
+    triples = np.array(tuple(zip(*ls.lines)), dtype=np.int64).reshape(3, -1)  # columns i, j, k
+    i, j, k = triples
     cover = np.bincount(np.concatenate([i * v + j, i * v + k, j * v + k]), minlength=v * v)
     per_point = np.bincount(triples.ravel(), minlength=v)
     a, b = np.triu_indices(v, 1)

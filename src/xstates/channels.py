@@ -51,7 +51,7 @@ def _check_strengths(strengths) -> None:
 
 
 def _check_increasing(strengths) -> None:
-    if any(b <= a for a, b in zip(strengths, strengths[1:])):
+    if any(not b > a for a, b in zip(strengths, strengths[1:])):  # NaN fails too
         raise ValueError("strength grid must be strictly increasing")
 
 

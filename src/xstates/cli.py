@@ -18,7 +18,7 @@ from .linalg import (ConvergenceError, ToleranceError, _checked_keep, json_text,
 from .model import (NAMED_EXAMPLES, XStateParams, bell_diagonal, entry_table,
                     ghz_params, materialize, named_example, params_from_json,
                     params_to_json, validate, werner)
-from .pauli import FRAMES
+from .pauli import FRAMES, require_qubit_count
 from .witness import make_witness, witness_report
 
 
@@ -109,6 +109,7 @@ def _cmd_validate(args) -> tuple[str, int]:
 def _cmd_algebra(args) -> tuple[str, int]:
     if args.n is None:
         raise CliError("algebra requires --n")
+    require_qubit_count(args.n, high=algebra.MAX_GEOMETRY_QUBITS)  # before any work
     opset = algebra.generate_set(args.n, args.frame)
     lineset = algebra.lines(opset)
     central = algebra.center(opset)

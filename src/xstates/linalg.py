@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .pauli import MAX_DENSE_QUBITS, require_qubit_count
+from .pauli import MAX_DENSE_QUBITS, is_integer, require_qubit_count
 
 MAX_DIM = 1 << MAX_DENSE_QUBITS
 
@@ -198,11 +198,12 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
 
 
 def _checked_keep(keep, n: int) -> set[int]:
-    """The qubits (1-based) that partial_trace keeps, as a set: a nonempty
-    proper subset of 1..n, or ValueError."""
-    keep_set = set(keep)
-    if not keep_set or not keep_set <= set(range(1, n + 1)):
+    """The qubits (1-based) that partial_trace keeps, as a set of ints: a
+    nonempty proper subset of 1..n, or ValueError."""
+    keep = list(keep)
+    if not keep or not all(map(is_integer, keep)) or not set(keep) <= set(range(1, n + 1)):
         raise ValueError(f"keep set must be a nonempty subset of 1..{n}")
+    keep_set = set(map(int, keep))
     if keep_set == set(range(1, n + 1)):
         raise ValueError("keep set must be a proper subset")
     return keep_set
@@ -226,12 +227,12 @@ def partial_trace(rho: np.ndarray, keep: "set[int] | list[int] | tuple[int, ...]
 
 
 def _checked_qubits(qubits, n: int) -> list:
-    """The listed qubits (1-based) as a list, in their order and with
-    repeats, checked to lie in 1..n."""
+    """The listed qubits (1-based) as a list of ints, in their order and
+    with repeats, checked to be integers (is_integer) in 1..n."""
     qubit_list = list(qubits)
-    if not set(qubit_list) <= set(range(1, n + 1)):
+    if not all(map(is_integer, qubit_list)) or not set(qubit_list) <= set(range(1, n + 1)):
         raise ValueError(f"qubit subset must lie in 1..{n}")
-    return qubit_list
+    return list(map(int, qubit_list))
 
 
 def partial_transpose(rho: np.ndarray, subset: "set[int] | list[int] | tuple[int, ...]",

@@ -24,10 +24,15 @@ Index encodings used throughout the package:
   (e.g. i=2, n=2 gives Z on qubit 2 only).
 * ``xy_product(i, n)`` -- X/Y per bit of ``i``: bit j-1 set puts Y on qubit j.
 
+Phase aside, a string is the GF(2) vector (x_mask, z_mask); ``_BITS`` is
+the one table of a qubit's axis as its (x, z) bit pair.
+
 Axis frames are uniform single-qubit relabelings of the Pauli axes by a
 signed permutation with determinant +1 (a proper rotation), applied to every
 qubit at once.  They relabel which commuting family (Z_iZ_j, X_iX_j or
-Y_iY_j products) characterizes an X-state family.
+Y_iY_j products) characterizes an X-state family.  ``AxisFrame.apply``
+moves the whole masks of a string's X, Y and Z qubits (``x & ~z``, ``x & z``,
+``z & ~x``) to their images' bits; a flipped axis adds its popcount of signs.
 """
 
 from __future__ import annotations
@@ -46,11 +51,17 @@ MAX_QUBITS = 16       # masks must fit comfortably in one machine word
 MAX_DENSE_QUBITS = 12  # every dense operator and state: at most 4096 x 4096
 
 
+def is_integer(value) -> bool:
+    """True for an Integral that is not a bool, so numpy integers pass and
+    True, 2.0 and "1" do not: the one integer rule of every count, index,
+    mask and phase gate."""
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
 def require_qubit_count(n, low: int = 1, high: int = MAX_DENSE_QUBITS) -> None:
-    """Raise ValueError unless n is an integer, not a bool, in low..high: the
+    """Raise ValueError unless n is an integer (is_integer) in low..high: the
     one qubit-count gate, which every entry point runs before any 1 << n."""
-    if (type(n) is not int and (isinstance(n, bool) or not isinstance(n, Integral))
-            or not low <= n <= high):
+    if not is_integer(n) or not low <= n <= high:
         raise ValueError(f"qubit count must be an integer in {low}..{high}, got {n!r}")
 
 
@@ -63,6 +74,10 @@ def require_frame(frame) -> None:
 
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PREFIX_PHASE = {v: k for k, v in _PHASE_PREFIX.items()}
+
+# axis -> (x, z) bit pair, and back: the only statement of that rule
+_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_AXIS = {bits: axis for axis, bits in _BITS.items()}
 
 _LABEL_RE = re.compile(r"^([+-]i?)(I|(?:[XYZ]\d+)+)$")
 
@@ -88,11 +103,15 @@ class PauliString:
 
     def __post_init__(self):
         require_qubit_count(self.n, high=MAX_QUBITS)
-        full = (1 << self.n) - 1
-        if not 0 <= self.x_mask <= full or not 0 <= self.z_mask <= full:
+        n, x, z, phase = self.n, self.x_mask, self.z_mask, self.phase
+        full = (1 << n) - 1
+        if not (is_integer(x) and is_integer(z) and 0 <= x <= full and 0 <= z <= full):
             raise ValueError("mask out of range for qubit count")
-        if self.phase not in (0, 1, 2, 3):
+        if not is_integer(phase) or not 0 <= phase <= 3:
             raise ValueError("phase exponent must be in 0..3")
+        if not type(n) is type(x) is type(z) is type(phase) is int:  # store numpy ints as int
+            for name in ("n", "x_mask", "z_mask", "phase"):
+                object.__setattr__(self, name, int(getattr(self, name)))
 
     # ---- structure ----
     @classmethod
@@ -104,12 +123,11 @@ class PauliString:
         """The named Pauli ``axis`` on ``qubit`` (1-based), identity elsewhere."""
         if axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}")
-        if not 1 <= qubit <= n:
+        require_qubit_count(n, high=MAX_QUBITS)
+        if not is_integer(qubit) or not 1 <= qubit <= n:
             raise ValueError("qubit index out of range")
-        bit = 1 << (qubit - 1)
-        x = bit if axis in ("X", "Y") else 0
-        z = bit if axis in ("Z", "Y") else 0
-        return cls(n, x, z, 1 if axis == "Y" else 0)
+        x, z = _BITS[axis]
+        return cls(n, x << (qubit - 1), z << (qubit - 1), x & z)
 
     @property
     def y_mask(self) -> int:
@@ -122,10 +140,8 @@ class PauliString:
 
     def axis_on(self, qubit: int) -> str:
         """Named single-qubit factor on ``qubit`` (1-based): 'I', 'X', 'Y' or 'Z'."""
-        bit = 1 << (qubit - 1)
-        x, z = bool(self.x_mask & bit), bool(self.z_mask & bit)
-        return {(False, False): "I", (True, False): "X",
-                (True, True): "Y", (False, True): "Z"}[(x, z)]
+        shift = qubit - 1
+        return _AXIS[(self.x_mask >> shift) & 1, (self.z_mask >> shift) & 1]
 
     @property
     def weight(self) -> int:
@@ -170,8 +186,8 @@ class PauliString:
     # ---- text form ----
     def label(self) -> str:
         """Canonical text form, e.g. '+X1Y2Z3' or '-iZ1Z2'; identity is '+I'."""
-        parts = [f"{self.axis_on(j)}{j}" for j in range(1, self.n + 1)
-                 if self.axis_on(j) != "I"]
+        axes = (self.axis_on(j) for j in range(1, self.n + 1))
+        parts = [f"{axis}{j}" for j, axis in enumerate(axes, 1) if axis != "I"]
         return _PHASE_PREFIX[self.named_phase] + ("".join(parts) or "I")
 
     @classmethod
@@ -197,11 +213,8 @@ class PauliString:
             raise ValueError(f"label {text!r} exceeds qubit count {n}")
         x = z = 0
         for qubit, axis in factors.items():
-            bit = 1 << (qubit - 1)
-            if axis in ("X", "Y"):
-                x |= bit
-            if axis in ("Z", "Y"):
-                z |= bit
+            x |= _BITS[axis][0] << (qubit - 1)
+            z |= _BITS[axis][1] << (qubit - 1)
         phase = (named_phase + (x & z).bit_count()) % 4
         return cls(n, x, z, phase)
 
@@ -212,7 +225,7 @@ class PauliString:
 def z_product(index: int, n: int) -> PauliString:
     """Product over qubits of I (bit clear) or Z (bit set) per bits of ``index``."""
     require_qubit_count(n, high=MAX_QUBITS)
-    if not 0 <= index < (1 << n):
+    if not is_integer(index) or not 0 <= index < (1 << n):
         raise ValueError(f"index must be in 0..{(1 << n) - 1}")
     return PauliString(n, 0, index, 0)
 
@@ -224,10 +237,9 @@ def xy_product(index: int, n: int) -> PauliString:
     equals the literal tensor product of X/Y matrices.
     """
     require_qubit_count(n, high=MAX_QUBITS)
-    if not 0 <= index < (1 << n):
+    if not is_integer(index) or not 0 <= index < (1 << n):
         raise ValueError(f"index must be in 0..{(1 << n) - 1}")
-    full = (1 << n) - 1
-    return PauliString(n, full, index, index.bit_count() % 4)
+    return PauliString(n, (1 << n) - 1, index, int(index).bit_count() % 4)
 
 
 @dataclass(frozen=True)
@@ -253,7 +265,7 @@ class AxisFrame:
             raise ValueError("signed axis permutation must be a proper rotation")
 
     def image(self, axis: str) -> tuple[str, int]:
-        return {"X": self.x, "Y": self.y, "Z": self.z}[axis]
+        return (self.x, self.y, self.z)[AXES.index(axis)]
 
     def rotation(self) -> np.ndarray:
         """The 3x3 signed permutation acting on Bloch vectors (columns X,Y,Z)."""
@@ -278,20 +290,12 @@ class AxisFrame:
 
     def apply(self, p: PauliString) -> PauliString:
         """Relabel every single-qubit factor; sign flips accumulate into phase."""
-        x = z = 0
-        flips = 0
-        for j in range(1, p.n + 1):
-            axis = p.axis_on(j)
-            if axis == "I":
-                continue
-            new_axis, sign = self.image(axis)
-            bit = 1 << (j - 1)
-            if new_axis in ("X", "Y"):
-                x |= bit
-            if new_axis in ("Z", "Y"):
-                z |= bit
-            if sign < 0:
-                flips += 1
+        x = z = flips = 0
+        for mask, (axis, sign) in zip((p.x_mask & ~p.z_mask, p.y_mask, p.z_mask & ~p.x_mask),
+                                      (self.x, self.y, self.z)):
+            x |= mask * _BITS[axis][0]
+            z |= mask * _BITS[axis][1]
+            flips += mask.bit_count() if sign < 0 else 0
         phase = (p.named_phase + (x & z).bit_count() + 2 * flips) % 4
         return PauliString(p.n, x, z, phase)
 

@@ -36,6 +36,48 @@ def oracle_pauli_matrix(p: PauliString) -> np.ndarray:
     return (1j ** p.named_phase) * kron_chain(mats)
 
 
+def oracle_axis_on(p: PauliString, qubit: int) -> str:
+    """The named factor on ``qubit``: one bit test per mask, a literal table."""
+    bit = 1 << (qubit - 1)
+    x, z = bool(p.x_mask & bit), bool(p.z_mask & bit)
+    return {(False, False): "I", (True, False): "X",
+            (True, True): "Y", (False, True): "Z"}[(x, z)]
+
+
+def oracle_single(axis: str, qubit: int, n: int) -> PauliString:
+    bit = 1 << (qubit - 1)
+    x = bit if axis in ("X", "Y") else 0
+    z = bit if axis in ("Z", "Y") else 0
+    return PauliString(n, x, z, 1 if axis == "Y" else 0)
+
+
+def oracle_label(p: PauliString) -> str:
+    parts = [f"{oracle_axis_on(p, j)}{j}" for j in range(1, p.n + 1)
+             if oracle_axis_on(p, j) != "I"]
+    return {0: "+", 1: "+i", 2: "-", 3: "-i"}[p.named_phase] + ("".join(parts) or "I")
+
+
+def oracle_apply_frame(frame, p: PauliString) -> PauliString:
+    """AxisFrame.apply qubit by qubit: relabel each factor, set its image's
+    bits and count its sign flip."""
+    x = z = 0
+    flips = 0
+    for j in range(1, p.n + 1):
+        axis = oracle_axis_on(p, j)
+        if axis == "I":
+            continue
+        new_axis, sign = {"X": frame.x, "Y": frame.y, "Z": frame.z}[axis]
+        bit = 1 << (j - 1)
+        if new_axis in ("X", "Y"):
+            x |= bit
+        if new_axis in ("Z", "Y"):
+            z |= bit
+        if sign < 0:
+            flips += 1
+    phase = (p.named_phase + (x & z).bit_count() + 2 * flips) % 4
+    return PauliString(p.n, x, z, phase)
+
+
 def oracle_family_operators(n, frame):
     """The frame's 2**(n+1) family operators in parameter order, d then a
     (the identity first), as dense matrices from the named factors, one at

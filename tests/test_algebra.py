@@ -16,8 +16,9 @@ from xstates import (FRAME_Z, LineSet, OperatorSet, PauliString, algebra,
                      sector_decomposition, verify_design)
 from xstates.cli import run
 
-ALGEBRA_DIGESTS = json.loads(
-    (pathlib.Path(__file__).parent / "golden" / "algebra_digests.json").read_text())
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+ALGEBRA_DIGESTS = json.loads((GOLDEN / "algebra_digests.json").read_text())
+INCIDENCE_DIGESTS = json.loads((GOLDEN / "incidence_digests.json").read_text())
 
 
 def expected_line_count(n):
@@ -164,14 +165,34 @@ def test_algebra_command_enumerates_lines_once():
     assert spy.call_count == 1
 
 
-def test_algebra_output_digests():
-    # `algebra --n N --frame F` stdout for N = 1..8 in the Z, X and Y frames
+def stdout_digests(argvs):
     got = {}
-    for argv in ALGEBRA_DIGESTS:
+    for argv in argvs:
         out = io.StringIO()
         assert run(argv.split(), stdout=out) == 0
         got[argv] = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert got == ALGEBRA_DIGESTS
+    return got
+
+
+def test_algebra_output_digests():
+    # `algebra --n N --frame F` stdout for N = 1..8 in the Z, X and Y frames
+    assert stdout_digests(ALGEBRA_DIGESTS) == ALGEBRA_DIGESTS
+
+
+def test_incidence_output_digests():
+    # `incidence --n N --format dot|json` stdout for N = 1..8
+    assert stdout_digests(INCIDENCE_DIGESTS) == INCIDENCE_DIGESTS
+
+
+# the geometry cap is checked before generate_set builds 2**(n+1) - 1 elements
+@pytest.mark.parametrize("n", ["0", "9", "12"])
+def test_algebra_rejects_n_past_the_geometry_cap_before_any_work(monkeypatch, n):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the qubit-count check")
+    monkeypatch.setattr(algebra, "generate_set", no_work)
+    err = io.StringIO()
+    assert run(["algebra", "--n", n], stdout=io.StringIO(), stderr=err) == 1
+    assert err.getvalue() == f"error: qubit count must be an integer in 1..8, got {n}\n"
 
 
 def test_verify_design():

@@ -420,6 +420,14 @@ def test_trajectory_csv():
         Trajectory((0.5, 0.5), None, None, (0.0, 0.0))
 
 
+# NaN compares False both ways, so it must fail "strictly increasing" anywhere
+@pytest.mark.parametrize("strengths", [(float("nan"), 0.5, 1.0), (0.0, float("nan"), 1.0),
+                                       (0.0, 0.5, float("nan"))])
+def test_trajectory_rejects_nan_strengths(strengths):
+    with pytest.raises(ValueError, match="strength grid must be strictly increasing"):
+        Trajectory(strengths, None, (1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
+
+
 # ---- sweeps on the sector entries ------------------------------------------
 
 PRESERVING = {(kind, frame) for kind in KINDS for frame in "ZXY"} - {

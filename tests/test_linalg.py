@@ -12,9 +12,9 @@ from conftest import (SX, SZ, oracle_matrix_to_csv, oracle_matrix_to_json,
 from xstates import (PauliString, PureState, ToleranceError, XStateParams, apply_channel,
                      build_simplex, concurrence, decompose, dicke_state, evaluate_witness,
                      expectation, family_residual, generate_set, ghz_params, ghz_state,
-                     hermitian_eigen, kron, make_witness, matrix_from_json, matrix_to_csv,
-                     matrix_to_json, negativity, partial_trace, partial_transpose,
-                     standard_channel)
+                     hermitian_eigen, kron, make_witness, materialize, matrix_from_json,
+                     matrix_to_csv, matrix_to_json, negativity, partial_trace,
+                     partial_transpose, standard_channel, sweep, xy_product, z_product)
 from xstates.algebra import MAX_GEOMETRY_QUBITS
 from xstates.linalg import (ConvergenceError, as_state, hermitian_eigenvalues,
                             hermiticity_deviation, json_text, matrix_table, matrix_text)
@@ -463,6 +463,45 @@ def test_qubit_count_gate(name, n):
     with pytest.raises(ValueError, match=rf"^qubit count must be an integer in {low}\.\.{high}, "
                                          rf"got {re.escape(repr(n))}$"):
         call(n)
+
+
+GHZ3 = ghz_params(3, "X")
+GHZ3_RHO = materialize(GHZ3)
+
+# each entry point called with one qubit index, mask or phase q
+INDEX_GATES = {
+    "sweep": lambda q: sweep(GHZ3, "amplitude_damping", [q], [0.0, 0.5],
+                             witness_kind="ghz_type"),
+    "apply_channel": lambda q: apply_channel(GHZ3_RHO, standard_channel("amplitude_damping",
+                                                                        0.5), [q], 3),
+    "negativity": lambda q: negativity(GHZ3_RHO, [q], 3),
+    "partial_trace": lambda q: partial_trace(GHZ3_RHO, [q], 3),
+    "partial_transpose": lambda q: partial_transpose(GHZ3_RHO, [q], 3),
+    "PauliString.x_mask": lambda q: PauliString(2, q, 0),
+    "PauliString.z_mask": lambda q: PauliString(2, 0, q),
+    "PauliString.phase": lambda q: PauliString(2, 0, 0, q),
+    "PauliString.single": lambda q: PauliString.single("Y", q, 2),
+    "z_product": lambda q: z_product(q, 2),
+    "xy_product": lambda q: xy_product(q, 2),
+}
+
+
+# an index is an Integral that is not a bool, as a qubit count is: True is not
+# qubit 1, and 2.0 is not qubit 2; a numpy integer is its int
+@pytest.mark.parametrize("name", sorted(INDEX_GATES))
+def test_index_gates_take_integers_only(name):
+    call = INDEX_GATES[name]
+    for bad in (True, np.True_, 2.0, "1"):
+        with pytest.raises(ValueError):
+            call(bad)
+    got, want = call(np.int64(1)), call(1)
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+    if isinstance(got, PauliString):
+        assert all(type(v) is int for v in (got.n, got.x_mask, got.z_mask, got.phase))
+        assert got.weight == want.weight   # int.bit_count on numpy 1.24 too
 
 
 def test_stack_entry_points_reject_wrong_dimensions():

@@ -3,12 +3,21 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import SX, SY, SZ, oracle_pauli_matrix, random_pauli
+from conftest import (SX, SY, SZ, oracle_apply_frame, oracle_axis_on, oracle_label,
+                      oracle_pauli_matrix, oracle_single, random_pauli)
 from xstates import (AXES, FRAME_X, FRAME_Y, FRAME_Z, AxisFrame, PauliString,
                      all_proper_frames, apply_frame, decompose, generate_set, ghz_params,
                      ghz_state, resolve_frame, xy_product, z_product)
-from xstates.pauli import require_frame
+from xstates.pauli import MAX_QUBITS, require_frame
+
+PROPER_FRAMES = all_proper_frames()
+
+# a random string on 1..MAX_QUBITS qubits: its masks and phase
+pauli_strings = st.integers(1, MAX_QUBITS).flatmap(lambda n: st.builds(
+    PauliString, st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1),
+    st.integers(0, 3)))
 
 
 def test_z_product_examples():
@@ -257,3 +266,23 @@ def test_equality_and_proportionality():
     assert p != q
     assert p.proportional_to(q)
     assert not p.proportional_to(PauliString(2, 1, 3, 0))
+
+
+# the whole-mask relabeling against the per-qubit loop, in all 24 frames
+@settings(max_examples=300)
+@given(pauli_strings)
+def test_frame_apply_matches_per_qubit_oracle(p):
+    for frame in PROPER_FRAMES:
+        assert frame.apply(p) == oracle_apply_frame(frame, p)
+
+
+# axis_on, single and the label read the one axis-bit table
+@settings(max_examples=300)
+@given(pauli_strings)
+def test_axis_bits_match_literal_oracles(p):
+    for j in range(1, p.n + 1):
+        assert p.axis_on(j) == oracle_axis_on(p, j)
+        for axis in AXES:
+            assert PauliString.single(axis, j, p.n) == oracle_single(axis, j, p.n)
+    assert p.label() == oracle_label(p)
+    assert PauliString.from_label(p.label(), p.n) == p
