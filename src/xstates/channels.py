@@ -3,20 +3,20 @@
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
+import itertools
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
-from .linalg import _checked_qubits, as_state
-from .model import (_LAYOUTS, XStateParams, _entries, _frame_factors, _peak, _project,
-                    _sector_entries, _table, family_residual)
+from .linalg import _STRIP_BYTES, _checked_qubits, _real_value, as_state
+from .model import (XStateParams, _frame_factors, _peak, _sector_entries, _xor_terms,
+                    family_residual)
 # bound here too, though unused: perfbench's tracer wraps every binding of it
 from .model import materialize  # noqa: F401
 from .pauli import FRAMES, PAULI_MATRICES
-from .witness import (_frame_amplitudes, _sector_value, concurrence, evaluate_witness,
-                      make_witness, yu_eberly)
+from .witness import (Witness, _frame_amplitudes, _sector_value, concurrence, make_witness,
+                      yu_eberly)
 
 COMPLETENESS_TOL = 1e-12
 
@@ -214,38 +214,123 @@ def _channel_family(kind: str, grid: bytes, frame: str
     return family
 
 
-def _mapped_points(p0: XStateParams, superops: np.ndarray, factors: np.ndarray,
-                   qubits: list[int]) -> Iterator[np.ndarray]:
-    """E(rho0) for each channel E of the stack superops (G, 4, 4) on each
-    listed qubit, one point at a time.
+# The 0/1 map of a flattened (vec, (half, bit)) matrix of per-qubit factor
+# columns to its XOR tables (half, r, s): F[r, r ^ s] is at vec position 2 r
+# + (r ^ s) of F's column, and of each half's two factors one keeps the basis
+# bit (s = 0), diagonal, and one flips it (s = 1), anti-diagonal, so the
+# table sums the two, one of them exactly 0 there.  A channel's image S^k F
+# keeps F's shape, as the three channels are phase-covariant.
+_XOR_SUM = np.zeros((4, 4, 2, 2, 2))
+for _h, _r, _s, _b in itertools.product((0, 1), repeat=4):
+    _XOR_SUM[2 * _r + (_r ^ _s), 2 * _h + _b, _h, _r, _s] = 1.0
+_XOR_SUM = _XOR_SUM.reshape(16, 8)
+_XOR_SUM.setflags(write=False)
 
-    vec(rho0) = 2**-n (B_d^(x)n d + B_a^(x)n a), with B = factors.T the
-    per-qubit factors, and E maps the factors of a qubit listed k times to
-    S^k B.  So E(rho0) is model._entries with the tables of those factors,
-    built once for all G channels and only for the layout's blocks, once
-    per distinct run of counts.
+
+def _kron(tables) -> np.ndarray:
+    """The Kronecker product of a sequence of (..., rows, columns) tables,
+    the first one's bits the top ones; leading axes broadcast.  It grows
+    from the right, so its longest axes stay innermost."""
+    t = np.ones((1, 1))
+    for m in reversed(tables):
+        t = m[..., :, None, :, None] * t[..., None, :, None, :]
+        *lead, r, rows, c, columns = t.shape
+        t = t.reshape(*lead, r * rows, c * columns)
+    return t
+
+
+def _factor_points(p0: XStateParams, superops: np.ndarray, qubits: list[int],
+                   w: "Witness | None") -> tuple[np.ndarray, np.ndarray]:
+    """(records, residuals) of the points E(rho0) of an X- or Y-frame state
+    of n >= 2 qubits, for each channel E of the stack superops (G, 4, 4)
+    on each listed qubit, read from per-qubit tables: no (dim, dim) array
+    for n >= 3.
+
+    E maps the factors of a qubit listed k times to S^k F, and keeps the
+    XOR structure of the frame (model._xor_terms): half h's operator of mask
+    s has one term, of coefficient c_h(s), so E(rho0)[r, r ^ s] = 2**-n
+    sum_h c_h(s) prod_q m_hq[r_q, s_q], m_hq the table (_XOR_SUM) of qubit
+    q's mapped factors.  Its family coefficients are coef_h(s) = sum_h' c_h'(s)
+    prod_q tau_q[h, h', s_q], tau_q = tr(F_h^dag M_h') / 2 per flip, with
+    d_0 pinned to 1 as in model._project, and the projection sigma has the
+    same form with the unmapped tables.  So with the qubits split into a top
+    half and the rest, rho - sigma at a fixed top mask, a slab, is a sum of
+    four rank-one terms: the top half's (mapped or unmapped) Kronecker
+    table at that mask times the low half's, weighted per full mask; one
+    matmul (top rows, 4) @ (4, low rows * low masks).  The residual is the
+    peak over the slabs, measured a strip at a time, each strip within
+    linalg._STRIP_BYTES with its right-hand operand: several points' slabs
+    share a strip at small n, and at large n a strip is rows of one slab.
+    The witness value is alpha tr rho - psi^dag rho psi, from the s = 0
+    masks' sum and the |supp psi|**2 entries rho[i, j], each a product of
+    n table entries; Wootters' concurrence at n = 2 takes the 4x4 of the
+    same entries.
     """
-    n, count = p0.n, len(superops)
-    coeffs = np.concatenate([p0.d, p0.a])
-    counts = np.bincount(qubits, minlength=n + 1)[1:].tolist()
-    # S^k B as (batch, vec, (half, bit)), k = 0..the largest count
-    mapped = [factors.T[None]]
-    for _ in range(max(counts)):
-        mapped.append(superops @ mapped[-1])
+    n, count, dim = p0.n, len(superops), 1 << p0.n
+    counts = np.bincount(qubits, minlength=n + 1)[1:]
+    mapped = [np.broadcast_to(_frame_bases(p0.frame)[0].T, (count, 4, 4))]
+    for _ in range(counts.max()):
+        mapped.append(superops @ mapped[-1])               # S^k F, k = 0..the largest count
+    tables = (np.stack(mapped).reshape(-1, count, 16) @ _XOR_SUM).reshape(-1, count, 2, 2, 2)
+    m = tables[counts]                                     # (qubit, G, half, r, s)
+    c = np.concatenate([p0.d, p0.a]).take(_xor_terms(n, p0.frame).index) / dim   # (half, s)
 
-    # each qubit's (batch, half, bit, row, column) factors, for _table
-    qubit_factors = [np.ascontiguousarray(m.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 4, 1, 2))
-                     for m in mapped]
-    # one table stack per distinct run of counts over a block of the layout
-    sizes = _LAYOUTS[n].sizes
-    keys = [tuple(counts[start:start + g]) for start, g in zip(np.cumsum((0, *sizes)), sizes)]
-    tables = {}
-    for key in set(keys):
-        table = _table([qubit_factors[k] for k in key])
-        tables[key] = np.broadcast_to(table, (count, *table.shape[-3:]))
+    # per qubit the four terms' tables, the mapped halves then the unmapped
+    # ones, and their Kronecker tables (G, term, r, s) over the top half of
+    # the qubits and over the rest
+    top = n // 2
+    dh, dl = 1 << top, 1 << (n - top)
+    m4 = np.concatenate([m, np.broadcast_to(tables[0], m.shape)], axis=2)
+    high, low = _kron(m4[:top]), _kron(m4[top:])
 
-    for i in range(count):
-        yield _entries(coeffs, n, [tables[key][i] for key in keys])
+    # prod_q tau_q[h, h', s_q], over each half the sum over its rows of
+    # unmapped conj(F_h) times mapped M_h' over its dimension, and coef
+    # (G, half, s) times 2**-n, as c is; real, as rho is Hermitian
+    tau_high, tau_low = (np.einsum("ghrs,gjrs->ghjs", t[:, 2:].conj(), t[:, :2]) / t.shape[-1]
+                         for t in (high, low))
+    tau = (tau_high[..., :, None] * tau_low[..., None, :]).reshape(count, 2, 2, dim)
+    coef = (tau * c).sum(axis=2).real
+    coef[:, 0, 0] = 1.0 / dim
+
+    # a slab's rows (s_top, r_top) of its terms, and its terms' weights
+    # times the low tables, the operand; c for the mapped, -coef the unmapped
+    left = high.transpose(0, 3, 2, 1).copy()                          # (G, s_top, r_top, 4)
+    right = low[:, None]                                              # (G, 1, 4, r_low, s_low)
+    weights = np.concatenate([np.broadcast_to(c, coef.shape), -coef], axis=1)
+    weights = weights.reshape(count, 4, dh, 1, dl).swapaxes(1, 2).copy()  # (G, s_top, 4, 1, s_low)
+
+    # a strip: rows of slabs, each slab's 4-row operand beside them, in
+    # buffers made once, all within _STRIP_BYTES; powers of two divide dh
+    fit = _STRIP_BYTES // (16 * dl * dl)     # complex rows of a strip, >= 8 for n <= 12
+    rows = min(dh, 1 << ((fit - 4).bit_length() - 1))
+    slabs = fit // (rows + 4)
+    per, points = min(dh, 1 << (slabs.bit_length() - 1)), max(1, slabs // dh)
+    operand = np.empty((points, per, 4, dl, dl), complex)
+    part = np.empty((points, per, rows, dl * dl), complex)
+    residuals = np.zeros(count)
+    for g in range(0, count, points):
+        at = slice(g, g + points)
+        k = min(points, count - g)
+        for s in range(0, dh, per):
+            np.multiply(weights[at, s:s + per], right[at], out=operand[:k])
+            for r in range(0, dh, rows):
+                np.matmul(left[at, s:s + per, r:r + rows],
+                          operand[:k].reshape(k, per, 4, dl * dl), out=part[:k])
+                residuals[at] = np.maximum(residuals[at], _peak(part[:k]))
+
+    # rho[i, j] (P, P, G) over the support of the witness state, or all of
+    # the 4x4 at n = 2, each a product of n table entries
+    support = np.arange(dim) if w is None else w.psi.amplitudes.nonzero()[0]
+    i, s = support[:, None], support[:, None] ^ support
+    bits = np.arange(n - 1, -1, -1)
+    rho = m[np.arange(n), :, :, i[..., None] >> bits & 1, s[..., None] >> bits & 1]
+    rho = (rho.prod(axis=2) * c.T[s, None]).sum(axis=-1)
+    if w is None:       # Wootters' formula
+        return np.array([concurrence(r) for r in rho.transpose(2, 0, 1)]), residuals
+    phi = w.psi.amplitudes[support]
+    overlap = phi.conj() @ (rho * phi[None, :, None]).sum(axis=1)
+    trace = (m[..., 0].sum(axis=-1).prod(axis=0) * c[:, 0]).sum(axis=-1)    # the s = 0 column
+    return _real_value(w.alpha * trace - overlap), residuals
 
 
 def x_form_residual(rho: np.ndarray, frame: str, n: int) -> "float | np.ndarray":
@@ -307,13 +392,13 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     together from the state's Z-frame sector entries, in O(n * 2**n) each:
     concurrence by yu_eberly, the witness value by the parameter route of
     evaluate_witness, and the residual is exactly 0.0.  The other
-    strengths (amplitude damping off the Z frame) take the channel-mapped
-    factors of _mapped_points: each point's dense E(rho0) is the family
-    transform with each listed qubit's factors mapped by its superoperator,
-    a row of the stack, and the record is read from that one matrix (the
-    dense witness, or Wootters' concurrence).  The residual is that
-    matrix's own family_residual, from its projection (model._project),
-    ungated as the measures' fits are.  No dense initial state is built.
+    strengths (amplitude damping off the Z frame) are the dense points,
+    read together by _factor_points from per-qubit tables of the factors
+    mapped by their row of the stack: the residual max |rho - sigma| from
+    rank-four slabs a strip at a time, the witness value from the trace and
+    the |supp psi|**2 entries the witness meets, Wootters' concurrence from
+    the 4x4 at n = 2.  For n >= 3 no (dim, dim) array is built, neither the
+    initial state nor any point.
     """
     n, frame = p0.n, p0.frame
     if witness_kind is None and n != 2:
@@ -333,12 +418,9 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
         diag, anti = _sector_step(entries0, pop, coh, qubit_list, n)
         values[preserving] = (yu_eberly(diag, anti) if w is None else
                               _sector_value(w, _frame_amplitudes(w.psi, frame), diag, anti))
-    dense = np.flatnonzero(~preserving)
-    if dense.size:
-        points = _mapped_points(p0, superops[dense], _frame_bases(frame)[0], qubit_list)
-        for g, rho in zip(dense, points):
-            values[g] = concurrence(rho) if w is None else evaluate_witness(w, rho)[0]
-            residuals[g] = _project(rho, n, frame, _peak)[1]
+    dense = ~preserving
+    if dense.any():
+        values[dense], residuals[dense] = _factor_points(p0, superops[dense], qubit_list, w)
     records = tuple(values.tolist())
     return Trajectory(strengths, records if w is None else None,
                       records if w is not None else None, tuple(residuals.tolist()))

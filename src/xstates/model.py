@@ -24,13 +24,12 @@ sectors on {b, ~b}.  Its X entries rho[b, b] and rho[b, ~b] are the same sum
 with 2x1 per-qubit factors, the Z-frame factors at the X positions:
 [[1, 1], [1, -1]] for d and [[1, -i], [1, i]] for a.
 
-So three transforms are one operation: the sector transform _x_entries
-and its adjoint _sector_coefficients, and _entries, the dense transform of
-any per-qubit factors.  One builder, _table, makes the Kronecker product
-of a sequence of per-qubit factors over a block of up to _BLOCK qubits,
-and one loop, _block_loop, applies a table per block.  The sector
-factors' tables are built once, for every block size; they serve every n
-and any stack.
+So two transforms are one operation: the sector transform _x_entries and
+its adjoint _sector_coefficients.  One builder, _table, makes the
+Kronecker product of a sequence of per-qubit factors over a block of up to
+_BLOCK qubits, and one loop, _block_loop, applies a table per block.  The
+sector factors' tables are built once, for every block size; they serve
+every n and any stack.
 
 In the X and Y frames F(Z) is +-X or +-Y, so every family operator has
 one nonzero per row, at column r ^ s for its flip mask s, and each half
@@ -46,9 +45,13 @@ distinct entries (entry_table), which the CLI's dumps are written from.
 
 A channel E applied to listed qubits maps each listed qubit's factor
 columns by its 4x4 superoperator S (S^k for a qubit listed k times), so
-vec(E(rho)) is the same sum with factors S^k B there and B elsewhere:
-_entries takes the per-block tables of those factors (channels.sweep
-builds them once per sweep), and E(rho) needs no dense rho.
+vec(E(rho)) is the same sum with factors S^k B there and B elsewhere.  The
+standard channels are phase-covariant: S^k keeps a diagonal factor
+diagonal and an anti-diagonal one anti-diagonal.  So in the X and Y
+frames E(rho) keeps the XOR structure, one term per half and mask, each a
+product of per-qubit table entries, and channels.sweep reads a point's
+residual and witness value from those tables (channels._factor_points)
+with neither rho nor E(rho) built.
 """
 
 from __future__ import annotations
@@ -148,22 +151,19 @@ def _table(per_qubit) -> np.ndarray:
     """The Kronecker products of per-qubit factors over one block.
 
     per_qubit holds, for each qubit of the block from the left, its
-    (..., half, bit, row, column) factors, d then a; leading axes
-    broadcast, so a stack of channels gives a stack of tables.  The table
-    has shape (..., 2, 2**g, rows * columns) for g qubits: [h, c] is half
-    h's product of index c, flattened in (row bits, column bits) order.
-    Bit k-1 of c picks the factor of the k-th qubit.  The product grows
-    from the right, so its longest axes stay innermost.
+    (half, bit, row, column) factors, d then a.  The table has shape (2,
+    2**g, rows * columns) for g qubits: [h, c] is half h's product of index
+    c, flattened in (row bits, column bits) order.  Bit k-1 of c picks the
+    factor of the k-th qubit.  The product grows from the right, so its
+    longest axes stay innermost.
     """
     table = np.ones((2, 1, 1, 1))          # (half, index, rows, columns)
     for qubit in reversed(per_qubit):
         # the next qubit is the leftmost factor and the lowest bit of c
-        table = (table[..., :, None, None, :, None, :]
-                 * qubit[..., :, None, :, :, None, :, None])
-        half, index, bit, row, rows, column, columns = table.shape[-7:]
-        table = table.reshape(*table.shape[:-7], half, index * bit, row * rows,
-                              column * columns)
-    return table.reshape(*table.shape[:-2], -1)
+        table = table[:, :, None, None, :, None, :] * qubit[:, None, :, :, None, :, None]
+        half, index, bit, row, rows, column, columns = table.shape
+        table = table.reshape(half, index * bit, row * rows, column * columns)
+    return table.reshape(2, table.shape[1], -1)
 
 
 def _frame_tables(per_qubit) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -197,26 +197,12 @@ _SECTORS = _frame_tables(np.stack([f[:, [0, 1], columns, None] for f, columns in
                                     zip(_frame_factors(FRAMES["Z"]), ([0, 1], [1, 0]))]))
 
 
-class _Layout(NamedTuple):
-    """How n qubits split into blocks, and the block axes of a dense matrix."""
-
-    sizes: tuple[int, ...]      # qubits per block, from qubit 1 (the top row bit) on
-    pairs: tuple[int, ...]      # (batch, rows 1, cols 1, ..., rows m, cols m)
-    to_matrix: tuple[int, ...]  # axis order from the pairs to (batch, rows, cols)
-
-
-def _layout(n: int) -> _Layout:
-    sizes = tuple(min(_BLOCK, n - q) for q in range(0, n, _BLOCK))
-    m = len(sizes)
-    return _Layout(sizes, (-1, *(1 << g for g in sizes for _ in (0, 1))),
-                   (0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2)))
-
-
-_LAYOUTS = {n: _layout(n) for n in range(1, MAX_DENSE_QUBITS + 1)}
-# per n, the sector tables of the blocks, from block 1, and their adjoints, from block m
-_SECTOR_TABLES = {n: ([_SECTORS[0][g] for g in layout.sizes],
-                      [_SECTORS[1][g] for g in layout.sizes[::-1]])
-                  for n, layout in _LAYOUTS.items()}
+# per n, the sector tables of its blocks of up to _BLOCK qubits, from block
+# 1 (qubit 1 on), and their adjoints, from block m
+_SECTOR_TABLES = {}
+for _n in range(1, MAX_DENSE_QUBITS + 1):
+    _sizes = [min(_BLOCK, _n - q) for q in range(0, _n, _BLOCK)]
+    _SECTOR_TABLES[_n] = [_SECTORS[0][g] for g in _sizes], [_SECTORS[1][g] for g in _sizes[::-1]]
 
 
 def _block_loop(t: np.ndarray, tables) -> np.ndarray:
@@ -233,24 +219,6 @@ def _block_loop(t: np.ndarray, tables) -> np.ndarray:
         # (rows so far, half, R, k) -> (rows so far, block's image, half, R)
         t = (t.reshape(-1, 2, t.shape[-1] // k, k) @ table).transpose(0, 3, 1, 2)
     return t
-
-
-def _entries(coeffs: np.ndarray, n: int, blocks) -> np.ndarray:
-    """2**-n * sum_k coeffs[..., k] * P_k over the operators P_k whose
-    per-qubit factors the tables give: blocks holds one _table per block
-    of the layout, of any factors (channels.sweep's channel-mapped ones).
-
-    coeffs (..., 2**(n+1)) holds d then a; the result is (..., dim, dim).
-    The per-half factors act on blocks 1..m-1, lowest parameter bits first,
-    whose images are the top row and column bits; block m takes both halves
-    in one matmul, which also sums them.
-    """
-    layout = _LAYOUTS[n]
-    *inner, last = blocks
-    t = _block_loop(coeffs.reshape(-1, 2, 1 << n) / (1 << n), inner)
-    t = t.reshape(-1, last.shape[-3] * last.shape[-2]) @ last.reshape(-1, last.shape[-1])
-    t = t.reshape(layout.pairs).transpose(layout.to_matrix)
-    return t.reshape(*coeffs.shape[:-1], 1 << n, 1 << n)
 
 
 def _checked(coeffs: np.ndarray) -> np.ndarray:

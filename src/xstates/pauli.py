@@ -139,8 +139,14 @@ class PauliString:
         return (self.phase - self.y_mask.bit_count()) % 4
 
     def axis_on(self, qubit: int) -> str:
-        """Named single-qubit factor on ``qubit`` (1-based): 'I', 'X', 'Y' or 'Z'."""
-        shift = qubit - 1
+        """Named single-qubit factor on ``qubit``, an integer in 1..n: 'I',
+        'X', 'Y' or 'Z'."""
+        if not is_integer(qubit) or not 1 <= qubit <= self.n:
+            raise ValueError("qubit index out of range")
+        return self._axis(int(qubit) - 1)
+
+    def _axis(self, shift: int) -> str:
+        """The named factor on mask bit ``shift``, unchecked."""
         return _AXIS[(self.x_mask >> shift) & 1, (self.z_mask >> shift) & 1]
 
     @property
@@ -179,14 +185,14 @@ class PauliString:
         """Dense matrix with qubit 1 as the leftmost (most significant) factor."""
         if self.n > MAX_DENSE_QUBITS:
             raise ValueError(f"dense realization limited to n <= {MAX_DENSE_QUBITS}")
-        factors = (PAULI_MATRICES[self.axis_on(j)] for j in range(1, self.n + 1))
+        factors = (PAULI_MATRICES[self._axis(j)] for j in range(self.n))
         # the phase enters as a 1x1 first factor, saving a pass over the result
         return functools.reduce(np.kron, factors, np.array([[1j ** self.named_phase]]))
 
     # ---- text form ----
     def label(self) -> str:
         """Canonical text form, e.g. '+X1Y2Z3' or '-iZ1Z2'; identity is '+I'."""
-        axes = (self.axis_on(j) for j in range(1, self.n + 1))
+        axes = (self._axis(j) for j in range(self.n))
         parts = [f"{axis}{j}" for j, axis in enumerate(axes, 1) if axis != "I"]
         return _PHASE_PREFIX[self.named_phase] + ("".join(parts) or "I")
 

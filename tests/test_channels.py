@@ -1,6 +1,6 @@
 import collections
 import itertools
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,7 +233,7 @@ def test_sweep_witness_mode():
 def _forbid_work(monkeypatch, check):
     def no_work(*args, **kwargs):
         raise AssertionError(f"work started before the {check} check")
-    for name in ("make_witness", "_table", "_entries", "standard_channel", "_kraus_stack",
+    for name in ("make_witness", "_factor_points", "standard_channel", "_kraus_stack",
                  "_sector_entries"):
         monkeypatch.setattr(channels, name, no_work)
 
@@ -276,10 +276,9 @@ def test_sweep_of_an_empty_grid_is_empty():
 
 # the sweep builds no Channel: a dense point, here amplitude damping off the Z
 # frame at every strength > 0, maps the factors by its row of the checked
-# stack, whose tables are built once for all dense points: one per distinct
-# block of listed counts, here (1, 0, 1).  Each dense point is projected once
-# for its residual (model._project, not through family_residual).  No dense
-# initial state is built and nothing is contracted.
+# stack, and all dense points are read in one _factor_points call from
+# per-qubit tables.  No dense initial state is built, nothing is contracted
+# and no dense point is projected through family_residual.
 @pytest.mark.parametrize("frame,kind,dense", [("Z", "amplitude_damping", 0),
                                               ("X", "amplitude_damping", 1),
                                               ("Y", "depolarizing", 0)])
@@ -296,22 +295,20 @@ def test_sweep_builds_and_checks_one_kraus_stack(monkeypatch, frame, kind, dense
     monkeypatch.setattr(channels, "_check_completeness",
                         counted("completeness", channels._check_completeness))
     monkeypatch.setattr(Channel, "__post_init__", counted("channel", Channel.__post_init__))
-    monkeypatch.setattr(channels, "_table", counted("table", channels._table))
-    monkeypatch.setattr(channels, "_entries", counted("entries", channels._entries))
+    monkeypatch.setattr(channels, "_factor_points",
+                        counted("points", channels._factor_points))
     for module, name in ((channels, "_contract"), (channels, "family_residual"),
                          (model, "family_residual"), (model, "materialize")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     traj = sweep(ghz_params(3, frame), kind, [1, 3], strength_grid(0.0, 1.0, count),
                  witness_kind="ghz_type")
     assert len(traj.witness) == count
-    assert calls == collections.Counter(kraus=1, completeness=1, table=dense,
-                                        entries=dense * (count - 1))
+    assert calls == collections.Counter(kraus=1, completeness=1, points=dense)
     # the same (kind, grid, frame) again: the family is cached, the points are not
     again = sweep(ghz_params(3, frame), kind, [1, 3], strength_grid(0.0, 1.0, count),
                   witness_kind="ghz_type")
     assert again == traj
-    assert calls == collections.Counter(kraus=1, completeness=1, table=2 * dense,
-                                        entries=2 * dense * (count - 1))
+    assert calls == collections.Counter(kraus=1, completeness=1, points=2 * dense)
 
 
 def _trajectory_bits(traj):
@@ -433,7 +430,8 @@ def test_trajectory_rejects_nan_strengths(strengths):
 PRESERVING = {(kind, frame) for kind in KINDS for frame in "ZXY"} - {
     ("amplitude_damping", "X"), ("amplitude_damping", "Y")}
 WITNESS_KINDS = {2: (None, "ghz_type"), 3: ("ghz_type", "w_type"),
-                 4: ("ghz_type", "dicke_2_4"), 5: ("ghz_type",), 6: ("ghz_type",)}
+                 4: ("ghz_type", "dicke_2_4"), 5: ("ghz_type",), 6: ("ghz_type",),
+                 7: ("ghz_type",), 8: ("ghz_type",)}
 
 
 def _dense_sweep(p0, kind, qubits, grid, witness_kind=None):
@@ -501,8 +499,8 @@ def test_sector_step_matches_dense_oracle(case):
 
 
 @st.composite
-def sweep_cases(draw):
-    n = draw(st.integers(2, 6))
+def sweep_cases(draw, max_n=6):
+    n = draw(st.integers(2, max_n))
     frame = draw(st.sampled_from("ZXY"))
     witness_kind = draw(st.sampled_from(WITNESS_KINDS[n]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -533,8 +531,9 @@ def test_sweep_matches_dense_sweep(case):
             assert abs(r - dense_r) <= 1e-12
 
 
-# n = 8 has two blocks of the layout, n = 9 three (4, 4, 1); the lists
-# repeat qubits within a block and across blocks, or list none
+# the dense points split their qubits into a top half and the rest, (4, 5)
+# at n = 9; the lists repeat qubits within a half and across the halves, or
+# list none
 @pytest.mark.parametrize("frame", ["X", "Y"])
 @pytest.mark.parametrize("n,witness_kind", [(2, None), (3, "ghz_type"), (4, "dicke_2_4"),
                                             (6, "ghz_type"), (8, "ghz_type"), (9, "ghz_type")])
@@ -551,56 +550,70 @@ def test_amplitude_damping_off_the_z_frame_stays_dense(rng, frame, n, witness_ki
             assert min(residuals) > 0.0
 
 
-@st.composite
-def mapped_cases(draw):
-    n = draw(st.integers(1, 6))
-    frame = draw(st.sampled_from("ZXY"))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    p = random_valid_x_params(rng, n, frame)
-    kind = draw(st.sampled_from(KINDS))
-    strengths = sorted(set(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))))
-    qubits = draw(st.lists(st.integers(1, n), min_size=0, max_size=2 * n))
-    return p, kind, strengths, qubits
-
-
-# every frame and kind, family-preserving or not: E(rho0) from the mapped
-# factors, against the dense oracle
-@settings(max_examples=100)
-@given(mapped_cases())
-def test_mapped_points_match_dense_oracle(case):
-    p, kind, strengths, qubits = case
-    factors, _ = channels._frame_bases(p.frame)
-    superops = channels._superoperator(channels._kraus_stack(kind, strengths))
-    points = list(channels._mapped_points(p, superops, factors, qubits))
-    assert len(points) == len(strengths)
-    rho0 = materialize(p)
-    for s, rho in zip(strengths, points):
-        want = apply_channel(rho0, standard_channel(kind, s), qubits, p.n)
-        assert np.max(np.abs(rho - want)) <= 1e-12
-
-
-# every frame and kind: a dense point's residual is family_residual of that
-# point's own state, bit for bit, and within 1e-12 of the dense oracle's.
-# A sweep needs n >= 2 (concurrence at n = 2, a witness from n = 2 on).
-@settings(max_examples=100)
-@given(sweep_cases())
-def test_dense_point_residual_is_the_family_residual_of_its_state(case):
+# every frame and kind, n = 2..8: each point of the sweep against the dense
+# oracle state apply_channel(materialize(p)), a dense point's residual and
+# record read from its per-qubit tables (channels._factor_points) against
+# decompose, evaluate_witness (a support of 2, 3 or 6 entries) and
+# concurrence of that state; a family-preserving point's residual is 0.0
+@settings(max_examples=150)
+@given(sweep_cases(max_n=8))
+def test_dense_points_match_the_dense_oracle(case):
     p, kind, qubits, grid, witness_kind = case
     n, frame = p.n, p.frame
-    states, mapped_points = [], channels._mapped_points
-
-    def recorded(*args):
-        for rho in mapped_points(*args):
-            states.append(rho)
-            yield rho
-    with mock.patch.object(channels, "_mapped_points", recorded):
-        traj = sweep(p, kind, qubits, grid, witness_kind)
-    dense = [g for g, s in enumerate(grid) if not _preserves(kind, s, frame)]
-    assert len(states) == len(dense)
+    traj = sweep(p, kind, qubits, grid, witness_kind)
+    got = traj.concurrence if witness_kind is None else traj.witness
+    w = make_witness(witness_kind, n) if witness_kind is not None else None
     rho0 = materialize(p)
-    for g, rho in zip(dense, states):
-        residual = traj.x_residual[g]
-        assert (np.float64(residual).tobytes()
-                == np.float64(model.family_residual(rho, n, frame)).tobytes())
-        want = apply_channel(rho0, standard_channel(kind, grid[g]), qubits, n)
-        assert abs(residual - decompose(want, n, frame)[1]) <= 1e-12
+    for s, record, residual in zip(grid, got, traj.x_residual):
+        rho = apply_channel(rho0, standard_channel(kind, s), qubits, n)
+        want = concurrence(rho) if w is None else evaluate_witness(w, rho)[0]
+        assert abs(record - want) <= 1e-12
+        if _preserves(kind, s, frame):
+            assert residual == 0.0
+        else:
+            assert abs(residual - decompose(rho, n, frame)[1]) <= 1e-12
+
+
+# the points are read from O(2**n) tables and strips of linalg._STRIP_BYTES:
+# no (dim, dim) complex array, 16 MiB at n = 10, is ever allocated
+def test_dense_sweep_builds_no_dense_array():
+    p = ghz_params(10, "X")
+    sweep(p, "amplitude_damping", range(1, 11), (0.0, 0.5, 1.0), "ghz_type")
+    channels._channel_family.cache_clear()
+    tracemalloc.start()
+    try:
+        traj = sweep(p, "amplitude_damping", range(1, 11), (0.0, 0.5, 1.0), "ghz_type")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert min(traj.x_residual[1:]) > 0.0
+    assert peak < 16 * (1 << 20)
+
+
+# a strip of 8 complex rows of a slab (16 * dl**2 bytes each, dl = 8 at n = 6
+# and 16 at n = 7) holds half a slab's rows beside its operand, and one of
+# 256 rows two points' slabs: the points are the dense oracle's either way
+@pytest.mark.parametrize("strip_rows", [8, 256])
+@pytest.mark.parametrize("n", [6, 7])
+def test_dense_points_in_any_strip_size(monkeypatch, rng, strip_rows, n):
+    monkeypatch.setattr(channels, "_STRIP_BYTES", strip_rows * 16 * (1 << 2 * (n - n // 2)))
+    grid = strength_grid(0.0, 1.0, 6)
+    for frame in "XY":
+        p = random_valid_x_params(rng, n, frame)
+        traj = sweep(p, "amplitude_damping", [n, 1, 2, n], grid, "ghz_type")
+        records, residuals = _dense_sweep(p, "amplitude_damping", [n, 1, 2, n], grid, "ghz_type")
+        assert np.max(np.abs(np.subtract(traj.witness, records))) <= 1e-12
+        assert np.max(np.abs(np.subtract(traj.x_residual, residuals))) <= 1e-12
+
+
+# the tables of _factor_points take each qubit's mapped factors to stay
+# diagonal or anti-diagonal: every channel's superoperator maps the
+# diagonal (|0><0|, |1><1|) and the off-diagonal (|0><1|, |1><0|) matrix
+# units into their own spans, with exact zeros between them
+@pytest.mark.parametrize("kind", KINDS)
+def test_channels_are_phase_covariant(rng, kind):
+    superops = channels._superoperator(channels._kraus_stack(
+        kind, np.concatenate([np.linspace(0.0, 1.0, 21), rng.random(40)])))
+    diagonal, off = [0, 3], [1, 2]
+    assert not superops[:, diagonal][:, :, off].any()
+    assert not superops[:, off][:, :, diagonal].any()

@@ -481,6 +481,7 @@ INDEX_GATES = {
     "PauliString.z_mask": lambda q: PauliString(2, 0, q),
     "PauliString.phase": lambda q: PauliString(2, 0, 0, q),
     "PauliString.single": lambda q: PauliString.single("Y", q, 2),
+    "PauliString.axis_on": lambda q: PauliString(2, 1, 2).axis_on(q),
     "z_product": lambda q: z_product(q, 2),
     "xy_product": lambda q: xy_product(q, 2),
 }

@@ -286,3 +286,14 @@ def test_axis_bits_match_literal_oracles(p):
             assert PauliString.single(axis, j, p.n) == oracle_single(axis, j, p.n)
     assert p.label() == oracle_label(p)
     assert PauliString.from_label(p.label(), p.n) == p
+
+
+# axis_on takes the index rule of PauliString.single: 0 and n + 1 are no
+# qubit of the string (they were a negative shift and a bit past the masks)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_axis_on_rejects_qubits_outside_1_to_n(n):
+    p = PauliString(n, (1 << n) - 1, 1)
+    for bad in (0, n + 1, -1, 17):
+        with pytest.raises(ValueError, match="qubit index out of range"):
+            p.axis_on(bad)
+    assert [p.axis_on(j) for j in range(1, n + 1)] == ["Y"] + ["X"] * (n - 1)
