@@ -239,6 +239,24 @@ def _kron(tables) -> np.ndarray:
     return t
 
 
+def _point_tables(p0: XStateParams, superops: np.ndarray, qubits: list[int]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The XOR tables of the points E(rho0) of an n-qubit state, E each
+    channel of the stack superops (G, 4, 4) on each listed qubit: m
+    (qubit, G, half, r, s) of each qubit's mapped factors S^k F (_XOR_SUM),
+    k the times it is listed, the unmapped tables (G, half, r, s), and the
+    coefficients c (half, s) times 2**-n, so that E(rho0)[r, r ^ s] =
+    sum_h c[h, s] prod_q m[q, :, h, r_q, s_q]."""
+    n, count = p0.n, len(superops)
+    counts = np.bincount(qubits, minlength=n + 1)[1:]
+    mapped = [np.broadcast_to(_frame_bases(p0.frame)[0].T, (count, 4, 4))]
+    for _ in range(counts.max()):
+        mapped.append(superops @ mapped[-1])               # S^k F, k = 0..the largest count
+    tables = (np.stack(mapped).reshape(-1, count, 16) @ _XOR_SUM).reshape(-1, count, 2, 2, 2)
+    c = np.concatenate([p0.d, p0.a]).take(_xor_terms(n, p0.frame).index) / (1 << n)
+    return tables[counts], tables[0], c
+
+
 def _factor_points(p0: XStateParams, superops: np.ndarray, qubits: list[int],
                    w: "Witness | None") -> tuple[np.ndarray, np.ndarray]:
     """(records, residuals) of the points E(rho0) of an X- or Y-frame state
@@ -267,20 +285,14 @@ def _factor_points(p0: XStateParams, superops: np.ndarray, qubits: list[int],
     same entries.
     """
     n, count, dim = p0.n, len(superops), 1 << p0.n
-    counts = np.bincount(qubits, minlength=n + 1)[1:]
-    mapped = [np.broadcast_to(_frame_bases(p0.frame)[0].T, (count, 4, 4))]
-    for _ in range(counts.max()):
-        mapped.append(superops @ mapped[-1])               # S^k F, k = 0..the largest count
-    tables = (np.stack(mapped).reshape(-1, count, 16) @ _XOR_SUM).reshape(-1, count, 2, 2, 2)
-    m = tables[counts]                                     # (qubit, G, half, r, s)
-    c = np.concatenate([p0.d, p0.a]).take(_xor_terms(n, p0.frame).index) / dim   # (half, s)
+    m, unmapped, c = _point_tables(p0, superops, qubits)
 
     # per qubit the four terms' tables, the mapped halves then the unmapped
     # ones, and their Kronecker tables (G, term, r, s) over the top half of
     # the qubits and over the rest
     top = n // 2
     dh, dl = 1 << top, 1 << (n - top)
-    m4 = np.concatenate([m, np.broadcast_to(tables[0], m.shape)], axis=2)
+    m4 = np.concatenate([m, np.broadcast_to(unmapped, m.shape)], axis=2)
     high, low = _kron(m4[:top]), _kron(m4[top:])
 
     # prod_q tau_q[h, h', s_q], over each half the sum over its rows of

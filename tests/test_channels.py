@@ -1,6 +1,7 @@
 import collections
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -548,6 +549,74 @@ def test_amplitude_damping_off_the_z_frame_stays_dense(rng, frame, n, witness_ki
         assert np.max(np.abs(np.subtract(traj.x_residual, residuals))) <= 1e-12
         if qubits:
             assert min(residuals) > 0.0
+
+
+def _table_states(p, superops, qubits):
+    """Each point E(rho0) of the stack superops as a dense matrix, built
+    from the XOR tables that channels._factor_points reads."""
+    m, _, c = channels._point_tables(p, superops, qubits)
+    t = channels._kron(list(m))                        # (G, half, r, s)
+    r = np.arange(1 << p.n)[:, None]
+    rho = np.zeros((len(superops), 1 << p.n, 1 << p.n), complex)
+    rho[:, r, r ^ r.T] = (t * c[:, None, :]).sum(axis=1)
+    return rho
+
+
+@st.composite
+def mapped_cases(draw):
+    n = draw(st.integers(1, 6))
+    frame = draw(st.sampled_from("XY"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_valid_x_params(rng, n, frame)
+    kind = draw(st.sampled_from(KINDS))
+    strengths = sorted(set(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))))
+    qubits = draw(st.lists(st.integers(1, n), min_size=0, max_size=2 * n))
+    return p, kind, strengths, qubits
+
+
+# the X and Y frames, every kind, family-preserving or not: E(rho0) from the
+# tables of the mapped factors, against the dense oracle (the Z frame's
+# points are the sector step's, test_sector_step_matches_dense_oracle)
+@settings(max_examples=100)
+@given(mapped_cases())
+def test_mapped_points_match_dense_oracle(case):
+    p, kind, strengths, qubits = case
+    superops = channels._superoperator(channels._kraus_stack(kind, np.array(strengths)))
+    points = _table_states(p, superops, qubits)
+    assert len(points) == len(strengths)
+    rho0 = materialize(p)
+    for s, rho in zip(strengths, points):
+        want = apply_channel(rho0, standard_channel(kind, s), qubits, p.n)
+        assert np.max(np.abs(rho - want)) <= 1e-12
+
+
+# every frame and kind: the sweep reads its dense points in one
+# _factor_points call, and each one's residual is family_residual of that
+# point's state, built from the same tables, and of the dense oracle's,
+# within 1e-12.  A sweep needs n >= 2 (concurrence at n = 2, a witness from
+# n = 2 on).
+@settings(max_examples=100)
+@given(sweep_cases())
+def test_dense_point_residual_is_the_family_residual_of_its_state(case):
+    p, kind, qubits, grid, witness_kind = case
+    n, frame = p.n, p.frame
+    calls, factor_points = [], channels._factor_points
+
+    def recorded(p0, superops, qubit_list, w):
+        calls.append((superops, qubit_list))
+        return factor_points(p0, superops, qubit_list, w)
+    with mock.patch.object(channels, "_factor_points", recorded):
+        traj = sweep(p, kind, qubits, grid, witness_kind)
+    dense = [g for g, s in enumerate(grid) if not _preserves(kind, s, frame)]
+    assert len(calls) == (1 if dense else 0)
+    states = [rho for call in calls for rho in _table_states(p, *call)]
+    assert len(states) == len(dense)
+    rho0 = materialize(p)
+    for g, rho in zip(dense, states):
+        residual = traj.x_residual[g]
+        assert abs(residual - model.family_residual(rho, n, frame)) <= 1e-12
+        want = apply_channel(rho0, standard_channel(kind, grid[g]), qubits, n)
+        assert abs(residual - decompose(want, n, frame)[1]) <= 1e-12
 
 
 # every frame and kind, n = 2..8: each point of the sweep against the dense
