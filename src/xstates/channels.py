@@ -10,8 +10,8 @@ from numbers import Integral
 import numpy as np
 
 from .linalg import _STRIP_BYTES, _checked_qubits, _real_value, as_state
-from .model import (XStateParams, _frame_factors, _peak, _sector_entries, _xor_terms,
-                    family_residual)
+from .model import (_BLOCK, XStateParams, _frame_factors, _peak, _sector_entries,
+                    _xor_terms, family_residual)
 # bound here too, though unused: perfbench's tracer wraps every binding of it
 from .model import materialize  # noqa: F401
 from .pauli import FRAMES, PAULI_MATRICES
@@ -160,26 +160,29 @@ def _preserves_family(superop: np.ndarray, factors: np.ndarray) -> "bool | np.nd
     return ~(t[..., :2, 2:].any(axis=(-2, -1)) | t[..., 2:, :2].any(axis=(-2, -1)))
 
 
-def _sector_step(entries, pop: np.ndarray, coh: np.ndarray, qubits,
-                 n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z-frame sector entries (diag, anti) after a family-preserving channel
-    on each listed qubit in turn, O(2**n) per qubit.  pop and coh are the
-    channel's (..., 1, 2, 2) population and coherence blocks, as
-    _channel_family gives them; a stack of P channels gives one (diag,
-    anti) per channel, as arrays (P, 2**n).
+def _sector_step(entries, tables) -> tuple[np.ndarray, np.ndarray]:
+    """Z-frame sector entries (diag, anti), two arrays (2**n,), after a
+    family-preserving channel on listed qubits at P strengths, as arrays
+    (P, 2**n): tables holds _step_tables' population and coherence tables,
+    one (P, 2**g, 2**g) per block of g qubits, qubit 1's block first.
 
-    In the matrix-unit basis the channel acts on qubit q's basis bit of
-    diag by its 2x2 population block and on that of anti by its 2x2
-    coherence block.  In the Z frame these are entries of the superoperator
-    itself, so a population or coherence the channel cannot reach stays
-    exactly 0, as in the dense matrix.
+    The basis index has qubit 1's bit on top.  Each block's table maps the
+    top g bits of the index and the matmul moves their image to the bottom,
+    so the bits rotate one block at a time and are back in place after the
+    last block: one batched matmul (P, 2**n / 2**g, 2**g) @ (P, 2**g, 2**g)
+    per block and half, with each table stored transposed.  In the Z frame
+    the 2x2 blocks are entries of the superoperator itself, and a table
+    entry is a product of them, so a population or coherence the channel
+    cannot reach stays exactly 0, as in the dense matrix.
     """
-    batch = pop.shape[:-3]
-    diag, anti = (np.broadcast_to(e, batch + e.shape) for e in entries)
-    for q in qubits:
-        diag = (pop @ diag.reshape(*batch, 1 << (q - 1), 2, -1)).reshape(*batch, -1)
-        anti = (coh @ anti.reshape(*batch, 1 << (q - 1), 2, -1)).reshape(*batch, -1)
-    return diag, anti
+    dim = entries[0].shape[-1]
+    stepped = []
+    for t, half in zip(entries, tables):
+        for table in half:
+            k = table.shape[-1]
+            t = (t.reshape(-1, k, dim // k).swapaxes(1, 2) @ table).reshape(len(table), dim)
+        stepped.append(t)
+    return stepped[0], stepped[1]
 
 
 # The (kind, grid, frame) families one process keeps: a decoherence study
@@ -194,8 +197,9 @@ def _channel_family(kind: str, grid: bytes, frame: str
     """The named channel at each of G checked strengths, given as their
     float64 bits (ndarray.tobytes), seen from the frame: its (G, 4, 4)
     superoperators, the (G,) mask of strengths where it preserves the
-    frame's family (_preserves_family), and the (P, 1, 2, 2) population
-    and coherence blocks of _sector_step at the P preserving strengths.
+    frame's family (_preserves_family), and the (P, 2, 2) population and
+    coherence blocks at the P preserving strengths, the factors of
+    _step_tables.
 
     The Kraus operators are built and checked for completeness once, as one
     (G, K, 2, 2) stack.  Keyed on the grid's bits, so -0.0 and 0.0 are two
@@ -208,7 +212,7 @@ def _channel_family(kind: str, grid: bytes, frame: str
     factors, units = _frame_bases(frame)
     preserving = _preserves_family(superops, factors)
     r = units.conj() @ superops[preserving] @ units.T
-    family = superops, preserving, r[..., None, :2, :2].real, r[..., None, 2:, 2:]
+    family = superops, preserving, r[..., :2, :2].real, r[..., 2:, 2:]
     for a in family:
         a.setflags(write=False)
     return family
@@ -237,6 +241,52 @@ def _kron(tables) -> np.ndarray:
         *lead, r, rows, c, columns = t.shape
         t = t.reshape(*lead, r * rows, c * columns)
     return t
+
+
+# The (kind, grid, frame, counts) step tables one process keeps, beside the
+# families they are built from: one per qubit list of a scan's sweeps.  An
+# entry holds P * sum_blocks 4**g population and coherence entries, 24 bytes
+# each, for the P preserving strengths of a grid: 6 KiB per strength at
+# n = 4, 12 KiB at n = 8, 18 KiB at n = 12.
+_STEP_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_STEP_CACHE_SIZE)
+def _step_tables(kind: str, grid: bytes, frame: str, counts: tuple[int, ...]
+                 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The population and coherence tables of _sector_step for the channel
+    family of (kind, grid, frame) on qubits listed counts[q - 1] times each.
+
+    Per half and per block of up to model._BLOCK qubits, qubit 1's block
+    first, one (P, 2**g, 2**g) table: the Kronecker product over the
+    block's qubits of the k-th power of the family's 2x2 block, k the
+    qubit's count (the identity for an unlisted qubit), stored transposed.
+    Read-only, as every caller shares them.
+    """
+    _, _, pop, coh = _channel_family(kind, grid, frame)
+    tables = []
+    for blocks in (pop, coh):
+        powers = [np.broadcast_to(np.eye(2, dtype=blocks.dtype), blocks.shape)]
+        for _ in range(max(counts)):
+            powers.append(blocks @ powers[-1])
+        factors = [powers[k].swapaxes(-1, -2) for k in counts]
+        tables.append(tuple(_kron(factors[q:q + _BLOCK]) for q in range(0, len(counts), _BLOCK)))
+    for table in tables[0] + tables[1]:
+        table.setflags(write=False)
+    return tables[0], tables[1]
+
+
+@functools.lru_cache(maxsize=_FAMILY_CACHE_SIZE)
+def _sweep_witness(kind: str, n: int, frame: str) -> tuple[Witness, np.ndarray]:
+    """make_witness(kind, n) and its amplitudes in the frame
+    (witness._frame_amplitudes), made once per (kind, n, frame) in a
+    process and read-only; sweep reads them and returns neither.  An entry
+    holds 2 * 2**n complex amplitudes."""
+    w = make_witness(kind, n)
+    phi = _frame_amplitudes(w.psi, frame)
+    for a in (w.psi.amplitudes, phi):
+        a.setflags(write=False)
+    return w, phi
 
 
 def _point_tables(p0: XStateParams, superops: np.ndarray, qubits: list[int]
@@ -400,10 +450,16 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     (G, 4, 4) superoperators over the G strengths, from one Kraus stack
     checked for completeness, the mask of strengths where the channel
     preserves the frame's family (_preserves_family), and those strengths'
-    population and coherence blocks.  The preserving strengths are computed
-    together from the state's Z-frame sector entries, in O(n * 2**n) each:
-    concurrence by yu_eberly, the witness value by the parameter route of
-    evaluate_witness, and the residual is exactly 0.0.  The other
+    population and coherence blocks.  The preserving strengths are stepped
+    together from the state's Z-frame sector entries by _sector_step: one
+    batched matmul per half and per block of up to four qubits, with the
+    Kronecker tables of those blocks that _step_tables builds once per
+    (kind, grid, frame, times each qubit is listed) and keeps, bounded and
+    read-only, beside the families.  Their records are concurrence by
+    yu_eberly or the witness value by the parameter route of
+    evaluate_witness, the witness and its amplitudes in the frame made once
+    per (kind, n, frame) (_sweep_witness), and the residual is exactly
+    0.0.  The other
     strengths (amplitude damping off the Z frame) are the dense points,
     read together by _factor_points from per-qubit tables of the factors
     mapped by their row of the stack: the residual max |rho - sigma| from
@@ -420,16 +476,17 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     strengths = tuple(float(s) for s in grid)
     _check_strengths(strengths)
     _check_increasing(strengths)
-    superops, preserving, pop, coh = _channel_family(
-        kind, np.asarray(strengths, dtype=float).tobytes(), frame)
-    w = make_witness(witness_kind, n) if witness_kind is not None else None
+    grid_bits = np.asarray(strengths, dtype=float).tobytes()
+    superops, preserving, _, _ = _channel_family(kind, grid_bits, frame)
+    w, phi = _sweep_witness(witness_kind, n, frame) if witness_kind is not None else (None, None)
     values = np.empty(len(strengths))
     residuals = np.zeros(len(strengths))
     if preserving.any():
-        entries0 = _sector_entries(np.concatenate([p0.d, p0.a]), n)
-        diag, anti = _sector_step(entries0, pop, coh, qubit_list, n)
+        counts = tuple(qubit_list.count(q) for q in range(1, n + 1))
+        diag, anti = _sector_step(_sector_entries(np.concatenate([p0.d, p0.a]), n),
+                                  _step_tables(kind, grid_bits, frame, counts))
         values[preserving] = (yu_eberly(diag, anti) if w is None else
-                              _sector_value(w, _frame_amplitudes(w.psi, frame), diag, anti))
+                              _sector_value(w, phi, diag, anti))
     dense = ~preserving
     if dense.any():
         values[dense], residuals[dense] = _factor_points(p0, superops[dense], qubit_list, w)

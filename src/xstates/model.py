@@ -29,7 +29,10 @@ its adjoint _sector_coefficients.  One builder, _table, makes the
 Kronecker product of a sequence of per-qubit factors over a block of up to
 _BLOCK qubits, and one loop, _block_loop, applies a table per block.  The
 sector factors' tables are built once, for every block size; they serve
-every n and any stack.
+every n and any stack.  A family-preserving channel maps the sector
+entries by the same split (channels._sector_step): per block one table,
+the Kronecker product of its qubits' 2x2 population or coherence blocks,
+and one matmul over a leading axis of channel strengths.
 
 In the X and Y frames F(Z) is +-X or +-Y, so every family operator has
 one nonzero per row, at column r ^ s for its flip mask s, and each half

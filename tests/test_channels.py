@@ -21,9 +21,10 @@ KINDS = ("amplitude_damping", "phase_damping", "depolarizing")
 
 @pytest.fixture(autouse=True)
 def cold_channel_families():
-    """Each test starts with no channel family cached, so the builds it
-    counts or forbids are its own."""
-    channels._channel_family.cache_clear()
+    """Each test starts with no channel family, step table or sweep witness
+    cached, so the builds it counts or forbids are its own."""
+    for cache in (channels._channel_family, channels._step_tables, channels._sweep_witness):
+        cache.cache_clear()
 
 
 def test_kraus_completeness():
@@ -319,7 +320,9 @@ def _trajectory_bits(traj):
 
 # a cached family gives the bits of a fresh build: Werner and GHZ states,
 # every kind and frame (X/Y amplitude damping on the dense points), and a
-# grid that starts at -0.0
+# grid that starts at -0.0.  Every grid starts at a preserving strength, so
+# the cold sweep builds the step tables, from the family just cached (a
+# hit), and the warm one finds both.
 @pytest.mark.parametrize("grid", [strength_grid(0.0, 1.0, 11), (-0.0, 0.25, 0.5, 1.0)])
 @pytest.mark.parametrize("kind", KINDS)
 def test_cached_channel_family_gives_the_bits_of_a_fresh_build(kind, grid):
@@ -327,9 +330,11 @@ def test_cached_channel_family_gives_the_bits_of_a_fresh_build(kind, grid):
         (ghz_params(3, frame), [1, 3, 1], "ghz_type") for frame in "ZXY"]
     for p, qubits, witness_kind in cases:
         channels._channel_family.cache_clear()
+        channels._step_tables.cache_clear()
         cold = sweep(p, kind, qubits, grid, witness_kind)
         warm = sweep(p, kind, qubits, grid, witness_kind)
-        assert channels._channel_family.cache_info()[:2] == (1, 1)     # (hits, misses)
+        assert channels._channel_family.cache_info()[:2] == (2, 1)     # (hits, misses)
+        assert channels._step_tables.cache_info()[:2] == (1, 1)
         assert _trajectory_bits(warm) == _trajectory_bits(cold)
 
 
@@ -337,7 +342,10 @@ def test_cached_channel_family_gives_the_bits_of_a_fresh_build(kind, grid):
 def test_signed_zero_grids_are_separate_channel_families():
     for start in (-0.0, 0.0, -0.0):
         sweep(ghz_params(2), "amplitude_damping", [1], (start, 0.5))
+    # each step table build reads its family once more
     info = channels._channel_family.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
+    info = channels._step_tables.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
 
 
@@ -351,13 +359,85 @@ def test_channel_family_cache_is_bounded():
 def test_cached_channel_family_is_read_only():
     sweep(ghz_params(3, "X"), "amplitude_damping", [1], (0.0, 0.5, 1.0),
           witness_kind="ghz_type")
+    hits = channels._channel_family.cache_info().hits
     family = channels._channel_family("amplitude_damping",
                                       np.array([0.0, 0.5, 1.0]).tobytes(), "X")
-    assert channels._channel_family.cache_info().hits == 1
-    assert [a.shape for a in family] == [(3, 4, 4), (3,), (1, 1, 2, 2), (1, 1, 2, 2)]
+    assert channels._channel_family.cache_info().hits == hits + 1
+    assert [a.shape for a in family] == [(3, 4, 4), (3,), (1, 2, 2), (1, 2, 2)]
     for a in family:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+# a cached step table gives the bits of a fresh build, on one block, on the
+# uneven blocks (4, 1) and (4, 4, 1), and with repeated and unlisted qubits
+@pytest.mark.parametrize("kind,frame", [("amplitude_damping", "Z"), ("phase_damping", "X"),
+                                        ("depolarizing", "Y")])
+@pytest.mark.parametrize("counts", [(1, 0, 2), (2, 1, 0, 0, 3), (1,) * 9])
+def test_cached_step_tables_give_the_bits_of_a_fresh_build(kind, frame, counts):
+    grid = np.linspace(0.0, 1.0, 11).tobytes()
+    cold = channels._step_tables(kind, grid, frame, counts)
+    warm = channels._step_tables(kind, grid, frame, counts)
+    fresh = channels._step_tables.__wrapped__(kind, grid, frame, counts)
+    assert channels._step_tables.cache_info()[:2] == (1, 1)
+    assert warm is cold
+    sizes = [min(4, len(counts) - q) for q in range(0, len(counts), 4)]
+    for half, dtype in zip(range(2), (float, complex)):
+        assert [t.shape for t in cold[half]] == [(11, 1 << g, 1 << g) for g in sizes]
+        assert all(t.dtype == dtype for t in cold[half])
+        assert [t.tobytes() for t in cold[half]] == [t.tobytes() for t in fresh[half]]
+
+
+def test_step_table_cache_is_bounded():
+    size = channels._STEP_CACHE_SIZE
+    for k in range(1, size + 4):     # a qubit listed k times: counts (k, 0)
+        sweep(ghz_params(2), "depolarizing", [1] * k, (0.0, 0.5))
+    assert channels._step_tables.cache_info().currsize == size
+    assert channels._channel_family.cache_info().misses == 1
+
+
+def test_cached_step_tables_are_read_only():
+    sweep(ghz_params(9), "phase_damping", [1, 9, 1, 5, 9], (0.0, 0.5, 1.0), "ghz_type")
+    tables = channels._step_tables("phase_damping", np.array([0.0, 0.5, 1.0]).tobytes(), "Z",
+                                   (2, 0, 0, 0, 1, 0, 0, 0, 2))
+    assert channels._step_tables.cache_info()[:2] == (1, 1)
+    for half in tables:
+        assert [t.shape for t in half] == [(3, 16, 16), (3, 16, 16), (3, 2, 2)]
+        for t in half:
+            with pytest.raises(ValueError, match="read-only"):
+                t[...] = 0
+
+
+# the witness and its frame amplitudes are made once per (kind, n, frame),
+# read-only, and make_witness still gives each caller a fresh witness
+def test_sweep_witness_is_made_once_and_read_only(monkeypatch):
+    made = []
+    monkeypatch.setattr(channels, "make_witness",
+                        lambda kind, n: made.append((kind, n)) or make_witness(kind, n))
+    for frame in ("Z", "X", "Z"):
+        for _ in range(2):
+            sweep(ghz_params(4, frame), "phase_damping", [1, 4], (0.0, 0.5), "dicke_2_4")
+    assert made == [("dicke_2_4", 4)] * 2
+    w, phi = channels._sweep_witness("dicke_2_4", 4, "X")
+    for a in (w.psi.amplitudes, phi):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert make_witness("dicke_2_4", 4).psi.amplitudes.flags.writeable
+
+
+# one process, the same sweep twice: the second, served from every cache,
+# writes the bytes of the first (Werner concurrence, GHZ witnesses in the Z
+# frame on two and three blocks, and an X-frame sweep with dense points)
+@pytest.mark.parametrize("p,kind,qubits,witness_kind", [
+    (model.werner(0.6), "amplitude_damping", [1, 2], None),
+    (ghz_params(8), "amplitude_damping", [*range(1, 9)], "ghz_type"),
+    (ghz_params(9), "phase_damping", [1, 9, 1, 5, 9], "ghz_type"),
+    (ghz_params(6, "X"), "amplitude_damping", [6, 1, 6], "ghz_type")])
+def test_a_second_identical_sweep_writes_the_same_bytes(p, kind, qubits, witness_kind):
+    grid = strength_grid(0.0, 1.0, 11)
+    first = sweep(p, kind, qubits, grid, witness_kind).to_csv()
+    assert sweep(p, kind, qubits, grid, witness_kind).to_csv() == first
+    assert channels._step_tables.cache_info()[:2] == (1, 1)
 
 
 def test_unknown_channel_kind_raises_on_every_sweep():
@@ -466,7 +546,7 @@ def test_family_preserving_pairs(kind, s):
 
 @st.composite
 def sector_step_cases(draw):
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 9))
     frame = draw(st.sampled_from("ZXY"))
     kind = draw(st.sampled_from(sorted(k for k, f in PRESERVING if f == frame)))
     qubits = draw(st.lists(st.integers(1, n), min_size=0, max_size=2 * n))
@@ -477,16 +557,24 @@ def sector_step_cases(draw):
     return p, kind, draw(st.floats(0.0, 1.0)), qubits
 
 
+def _stepped(p, kind, grid, qubits):
+    """The sector entries (P, 2**n) of the sweep's step of p's entries."""
+    counts = tuple(qubits.count(q) for q in range(1, p.n + 1))
+    tables = channels._step_tables(kind, np.array(grid, dtype=float).tobytes(), p.frame,
+                                   counts)
+    return channels._sector_step(_sector_entries(np.concatenate([p.d, p.a]), p.n), tables)
+
+
+# n = 1..9 crosses the block splits 4 | 5 and 8 | 9 of the step tables; the
+# lists are empty, repeat qubits or leave some out
 @settings(max_examples=150)
 @given(sector_step_cases())
 def test_sector_step_matches_dense_oracle(case):
     p, kind, s, qubits = case
     n = p.n
-    _, preserving, pop, coh = channels._channel_family(kind, np.array([s]).tobytes(),
-                                                       p.frame)
+    _, preserving, _, _ = channels._channel_family(kind, np.array([s]).tobytes(), p.frame)
     assert preserving.tolist() == [True]
-    diag, anti = channels._sector_step(_sector_entries(np.concatenate([p.d, p.a]), n),
-                                       pop[0], coh[0], qubits, n)
+    (diag,), (anti,) = _stepped(p, kind, [s], qubits)
     rho = apply_channel(materialize(p), standard_channel(kind, s), qubits, n)
     q, residual = decompose(rho, n, p.frame)
     want_diag, want_anti = _sector_entries(np.concatenate([q.d, q.a]), n)
@@ -497,6 +585,23 @@ def test_sector_step_matches_dense_oracle(case):
         dense_diag, dense_anti = rho.diagonal(), rho[:, ::-1].diagonal()
         assert np.max(np.abs(diag - dense_diag)) <= 1e-12
         assert np.max(np.abs(anti - dense_anti)) <= 1e-12
+
+
+# amplitude damping on every qubit of a Z-frame GHZ state, across one block
+# boundary (n = 5) and two (n = 9): at full strength it gives
+# |0..0><0..0|, and every other entry is unreachable and stays exactly +0.0;
+# at half strength every population is reached, and the coherences other
+# than the two GHZ corners stay exactly +0.0 too
+@pytest.mark.parametrize("n", [5, 9])
+def test_sector_step_keeps_unreachable_entries_zero(n):
+    p = ghz_params(n)
+    diag, anti = _stepped(p, "amplitude_damping", [0.5, 1.0], [*range(1, n + 1)])
+    assert (diag[0] > 0.0).all() and (anti[0, [0, -1]] != 0.0).all()
+    assert diag[1, 0] == 1.0
+    for zeros in (anti[0, 1:-1], diag[1, 1:], anti[1]):
+        assert not zeros.any() and not np.signbit(zeros.view(float)).any()
+    traj = sweep(p, "amplitude_damping", range(1, n + 1), (0.5, 1.0), "ghz_type")
+    assert traj.x_residual == (0.0, 0.0)
 
 
 @st.composite
