@@ -10,8 +10,8 @@ from numbers import Integral
 import numpy as np
 
 from .linalg import _STRIP_BYTES, _checked_qubits, _real_value, as_state
-from .model import (_BLOCK, XStateParams, _frame_factors, _peak, _sector_entries,
-                    _xor_terms, family_residual)
+from .model import (_BLOCK, XStateParams, _frame_factors, _kron, _peak, _powers,
+                    _sector_entries, _xor_terms, family_residual)
 # bound here too, though unused: perfbench's tracer wraps every binding of it
 from .model import materialize  # noqa: F401
 from .pauli import FRAMES, PAULI_MATRICES
@@ -194,19 +194,23 @@ _FAMILY_CACHE_SIZE = 32
 @functools.lru_cache(maxsize=_FAMILY_CACHE_SIZE)
 def _channel_family(kind: str, grid: bytes, frame: str
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The named channel at each of G checked strengths, given as their
-    float64 bits (ndarray.tobytes), seen from the frame: its (G, 4, 4)
+    """The named channel at each of G strengths, given as their float64
+    bits (ndarray.tobytes), seen from the frame: its (G, 4, 4)
     superoperators, the (G,) mask of strengths where it preserves the
     frame's family (_preserves_family), and the (P, 2, 2) population and
     coherence blocks at the P preserving strengths, the factors of
     _step_tables.
 
-    The Kraus operators are built and checked for completeness once, as one
-    (G, K, 2, 2) stack.  Keyed on the grid's bits, so -0.0 and 0.0 are two
-    entries; an unknown kind or an incomplete stack raises and is not
-    cached.  The arrays are read-only: every caller shares them.
+    The grid is checked first (strengths in [0, 1], strictly increasing),
+    then the kind, and the Kraus operators are built and checked for
+    completeness once, as one (G, K, 2, 2) stack.  Keyed on the grid's bits,
+    so -0.0 and 0.0 are two entries; a bad grid or kind, or an incomplete
+    stack, raises and is not cached.  The arrays are read-only.
     """
-    kraus = _kraus_stack(kind, np.frombuffer(grid))
+    strengths = np.frombuffer(grid).tolist()
+    _check_strengths(strengths)
+    _check_increasing(strengths)
+    kraus = _kraus_stack(kind, strengths)
     _check_completeness(kraus)
     superops = _superoperator(kraus)
     factors, units = _frame_bases(frame)
@@ -231,18 +235,6 @@ _XOR_SUM = _XOR_SUM.reshape(16, 8)
 _XOR_SUM.setflags(write=False)
 
 
-def _kron(tables) -> np.ndarray:
-    """The Kronecker product of a sequence of (..., rows, columns) tables,
-    the first one's bits the top ones; leading axes broadcast.  It grows
-    from the right, so its longest axes stay innermost."""
-    t = np.ones((1, 1))
-    for m in reversed(tables):
-        t = m[..., :, None, :, None] * t[..., None, :, None, :]
-        *lead, r, rows, c, columns = t.shape
-        t = t.reshape(*lead, r * rows, c * columns)
-    return t
-
-
 # The (kind, grid, frame, counts) step tables one process keeps, beside the
 # families they are built from: one per qubit list of a scan's sweeps.  An
 # entry holds P * sum_blocks 4**g population and coherence entries, 24 bytes
@@ -258,17 +250,16 @@ def _step_tables(kind: str, grid: bytes, frame: str, counts: tuple[int, ...]
     family of (kind, grid, frame) on qubits listed counts[q - 1] times each.
 
     Per half and per block of up to model._BLOCK qubits, qubit 1's block
-    first, one (P, 2**g, 2**g) table: the Kronecker product over the
-    block's qubits of the k-th power of the family's 2x2 block, k the
-    qubit's count (the identity for an unlisted qubit), stored transposed.
-    Read-only, as every caller shares them.
+    first, one (P, 2**g, 2**g) table: _kron over the block's qubits of the
+    k-th power (_powers) of the family's 2x2 block, k the qubit's count
+    (the identity for an unlisted qubit), stored transposed.  Read-only, as
+    every caller shares them.
     """
     _, _, pop, coh = _channel_family(kind, grid, frame)
     tables = []
     for blocks in (pop, coh):
-        powers = [np.broadcast_to(np.eye(2, dtype=blocks.dtype), blocks.shape)]
-        for _ in range(max(counts)):
-            powers.append(blocks @ powers[-1])
+        powers = _powers(blocks, np.broadcast_to(np.eye(2, dtype=blocks.dtype), blocks.shape),
+                         counts)
         factors = [powers[k].swapaxes(-1, -2) for k in counts]
         tables.append(tuple(_kron(factors[q:q + _BLOCK]) for q in range(0, len(counts), _BLOCK)))
     for table in tables[0] + tables[1]:
@@ -294,17 +285,17 @@ def _point_tables(p0: XStateParams, superops: np.ndarray, qubits: list[int]
     """The XOR tables of the points E(rho0) of an n-qubit state, E each
     channel of the stack superops (G, 4, 4) on each listed qubit: m
     (qubit, G, half, r, s) of each qubit's mapped factors S^k F (_XOR_SUM),
-    k the times it is listed, the unmapped tables (G, half, r, s), and the
-    coefficients c (half, s) times 2**-n, so that E(rho0)[r, r ^ s] =
-    sum_h c[h, s] prod_q m[q, :, h, r_q, s_q]."""
+    k the times it is listed (_powers), the unmapped tables (G, half, r,
+    s), and the coefficients c (half, s) times 2**-n, so that
+    E(rho0)[r, r ^ s] = sum_h c[h, s] prod_q m[q, :, h, r_q, s_q]."""
     n, count = p0.n, len(superops)
-    counts = np.bincount(qubits, minlength=n + 1)[1:]
-    mapped = [np.broadcast_to(_frame_bases(p0.frame)[0].T, (count, 4, 4))]
-    for _ in range(counts.max()):
-        mapped.append(superops @ mapped[-1])               # S^k F, k = 0..the largest count
-    tables = (np.stack(mapped).reshape(-1, count, 16) @ _XOR_SUM).reshape(-1, count, 2, 2, 2)
-    c = np.concatenate([p0.d, p0.a]).take(_xor_terms(n, p0.frame).index) / (1 << n)
-    return tables[counts], tables[0], c
+    counts = np.bincount(qubits, minlength=n + 1)[1:].tolist()
+    mapped = _powers(superops, np.broadcast_to(_frame_bases(p0.frame)[0].T, (count, 4, 4)),
+                     [0, *counts])
+    tables = {k: (f.reshape(count, 16) @ _XOR_SUM).reshape(count, 2, 2, 2)
+              for k, f in mapped.items()}
+    c = p0.coeffs.take(_xor_terms(n, p0.frame).index) / (1 << n)
+    return np.stack([tables[k] for k in counts]), tables[0], c
 
 
 def _factor_points(p0: XStateParams, superops: np.ndarray, qubits: list[int],
@@ -406,7 +397,7 @@ def strength_grid(start: float, stop: float, count: int) -> tuple[float, ...]:
         raise ValueError(f"grid needs an integer count of at least two points, got {count!r}")
     if not stop > start:
         raise ValueError("grid must be strictly increasing")
-    return tuple(float(x) for x in np.linspace(start, stop, count))
+    return tuple(np.linspace(start, stop, count).tolist())
 
 
 @dataclass(frozen=True)
@@ -443,14 +434,13 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     the initial state's frame.  Each grid point starts from the initial
     state; strengths do not accumulate.
 
-    The qubits and the grid are checked (strengths in [0, 1], strictly
-    increasing) on every call, before any other work.  The channel family
-    then comes from _channel_family, which builds it once per (kind, grid,
-    frame) in a process and keeps a bounded number of them, read-only: the
-    (G, 4, 4) superoperators over the G strengths, from one Kraus stack
-    checked for completeness, the mask of strengths where the channel
-    preserves the frame's family (_preserves_family), and those strengths'
-    population and coherence blocks.  The preserving strengths are stepped
+    The qubits are checked on every call, before any other work, and the
+    grid (strengths in [0, 1], strictly increasing) by _channel_family
+    before it builds anything; a bad grid is never cached.  That builds the
+    channel family (superoperators, the mask of strengths where the channel
+    preserves the frame's family, and those strengths' population and
+    coherence blocks) once per (kind, grid, frame) in a process and keeps a
+    bounded number of them, read-only.  The preserving strengths are stepped
     together from the state's Z-frame sector entries by _sector_step: one
     batched matmul per half and per block of up to four qubits, with the
     Kronecker tables of those blocks that _step_tables builds once per
@@ -458,15 +448,14 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     read-only, beside the families.  Their records are concurrence by
     yu_eberly or the witness value by the parameter route of
     evaluate_witness, the witness and its amplitudes in the frame made once
-    per (kind, n, frame) (_sweep_witness), and the residual is exactly
-    0.0.  The other
-    strengths (amplitude damping off the Z frame) are the dense points,
-    read together by _factor_points from per-qubit tables of the factors
-    mapped by their row of the stack: the residual max |rho - sigma| from
-    rank-four slabs a strip at a time, the witness value from the trace and
-    the |supp psi|**2 entries the witness meets, Wootters' concurrence from
-    the 4x4 at n = 2.  For n >= 3 no (dim, dim) array is built, neither the
-    initial state nor any point.
+    per (kind, n, frame) (_sweep_witness), and the residual is exactly 0.0.
+    The other strengths (amplitude damping off the Z frame) are the dense
+    points, read together by _factor_points from per-qubit tables of the
+    factors mapped by their row of the stack: the residual max |rho - sigma|
+    from rank-four slabs a strip at a time, the witness value from the trace
+    and the |supp psi|**2 entries the witness meets, Wootters' concurrence
+    from the 4x4 at n = 2.  For n >= 3 no (dim, dim) array is built, neither
+    the initial state nor any point.
     """
     n, frame = p0.n, p0.frame
     if witness_kind is None and n != 2:
@@ -474,8 +463,6 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
                          "pass a witness kind instead")
     qubit_list = _checked_qubits(qubits, n)
     strengths = tuple(float(s) for s in grid)
-    _check_strengths(strengths)
-    _check_increasing(strengths)
     grid_bits = np.asarray(strengths, dtype=float).tobytes()
     superops, preserving, _, _ = _channel_family(kind, grid_bits, frame)
     w, phi = _sweep_witness(witness_kind, n, frame) if witness_kind is not None else (None, None)
@@ -483,7 +470,7 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     residuals = np.zeros(len(strengths))
     if preserving.any():
         counts = tuple(qubit_list.count(q) for q in range(1, n + 1))
-        diag, anti = _sector_step(_sector_entries(np.concatenate([p0.d, p0.a]), n),
+        diag, anti = _sector_step(_sector_entries(p0.coeffs, n),
                                   _step_tables(kind, grid_bits, frame, counts))
         values[preserving] = (yu_eberly(diag, anti) if w is None else
                               _sector_value(w, phi, diag, anti))

@@ -25,14 +25,15 @@ with 2x1 per-qubit factors, the Z-frame factors at the X positions:
 [[1, 1], [1, -1]] for d and [[1, -i], [1, i]] for a.
 
 So two transforms are one operation: the sector transform _x_entries and
-its adjoint _sector_coefficients.  One builder, _table, makes the
-Kronecker product of a sequence of per-qubit factors over a block of up to
-_BLOCK qubits, and one loop, _block_loop, applies a table per block.  The
+its adjoint _sector_coefficients.  One builder, _kron, makes the
+Kronecker product of a sequence of per-qubit factors, and one loop,
+_block_loop, applies a table per block of up to _BLOCK qubits.  The
 sector factors' tables are built once, for every block size; they serve
 every n and any stack.  A family-preserving channel maps the sector
 entries by the same split (channels._sector_step): per block one table,
-the Kronecker product of its qubits' 2x2 population or coherence blocks,
-and one matmul over a leading axis of channel strengths.
+_kron of its qubits' 2x2 population or coherence blocks, each to the
+power (_powers) of its qubit's count, and one matmul over a leading axis
+of channel strengths.
 
 In the X and Y frames F(Z) is +-X or +-Y, so every family operator has
 one nonzero per row, at column r ^ s for its flip mask s, and each half
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -85,12 +86,14 @@ class XStateParams:
     one gate of every parameter set: anything but an int n in
     1..MAX_DENSE_QUBITS, 2**n finite reals in each of d and a with d[0] = 1
     and a frame of FRAMES raises ValueError.  d and a are held as tuples of
-    Python floats."""
+    Python floats, and once more, d then a, as the read-only float64 array
+    coeffs that the transforms read, outside __init__, eq, hash and repr."""
 
     n: int
     d: tuple[float, ...]
     a: tuple[float, ...]
     frame: str = "Z"
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_qubit_count(self.n)
@@ -107,9 +110,12 @@ class XStateParams:
         if values[0, 0] != 1.0:
             raise ValueError("d[0] must equal 1 (trace normalization)")
         require_frame(self.frame)
-        d, a = values.astype(float, copy=False).tolist()
+        values = values.astype(float, copy=False)
+        values.setflags(write=False)
+        d, a = values.tolist()
         object.__setattr__(self, "d", tuple(d))
         object.__setattr__(self, "a", tuple(a))
+        object.__setattr__(self, "coeffs", values.reshape(-1))
 
     @classmethod
     def build(cls, n: int, frame: str = "Z", d: dict[int, float] | None = None,
@@ -150,37 +156,39 @@ class StateReport:
         }
 
 
-def _table(per_qubit) -> np.ndarray:
-    """The Kronecker products of per-qubit factors over one block.
-
-    per_qubit holds, for each qubit of the block from the left, its
-    (half, bit, row, column) factors, d then a.  The table has shape (2,
-    2**g, rows * columns) for g qubits: [h, c] is half h's product of index
-    c, flattened in (row bits, column bits) order.  Bit k-1 of c picks the
-    factor of the k-th qubit.  The product grows from the right, so its
-    longest axes stay innermost.
-    """
-    table = np.ones((2, 1, 1, 1))          # (half, index, rows, columns)
-    for qubit in reversed(per_qubit):
-        # the next qubit is the leftmost factor and the lowest bit of c
-        table = table[:, :, None, None, :, None, :] * qubit[:, None, :, :, None, :, None]
-        half, index, bit, row, rows, column, columns = table.shape
-        table = table.reshape(half, index * bit, row * rows, column * columns)
-    return table.reshape(2, table.shape[1], -1)
+def _kron(tables) -> np.ndarray:
+    """The Kronecker product of a sequence of (..., rows, columns) tables,
+    the first one's bits the top ones; leading axes broadcast.  It grows
+    from the right, so its longest axes stay innermost."""
+    t = np.ones((1, 1))
+    for m in reversed(tables):
+        t = m[..., :, None, :, None] * t[..., None, :, None, :]
+        *lead, r, rows, c, columns = t.shape
+        t = t.reshape(*lead, r * rows, c * columns)
+    return t
 
 
-def _frame_tables(per_qubit) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The read-only tables of one factor pair on every qubit of g =
-    0.._BLOCK qubits: forward[g], _table's (2, 2**g, rows * columns) as a
-    view of (2, rows * columns, 2**g) memory, and adjoint[g], its conjugate
-    as (2, rows * columns, 2**g), a view of (rows * columns, 2, 2**g)
-    memory.  A matmul's rounding can depend on its operands' memory layout,
-    and the sector transforms' output bits are pinned with these layouts."""
-    forward = tuple(np.ascontiguousarray(_table([per_qubit] * g).swapaxes(1, 2)).swapaxes(1, 2)
-                    for g in range(_BLOCK + 1))
-    adjoint = tuple(np.ascontiguousarray(f.conj().transpose(2, 0, 1)).transpose(1, 0, 2)
-                    for f in forward)
-    for table in forward + adjoint:
+def _powers(m: np.ndarray, x0: np.ndarray, counts) -> dict[int, np.ndarray]:
+    """{k: m^k x0} for each distinct k of counts, from the left products
+    m @ (m^(k-1) x0), holding only the powers that occur."""
+    powers = {}
+    for k in range(max(counts, default=-1) + 1):
+        p = m @ p if k else x0
+        if k in counts:
+            powers[k] = p
+    return powers
+
+
+def _frame_tables(tables: dict) -> tuple[dict, dict]:
+    """The read-only forward and adjoint forms of (2, k, rows) tables, under
+    their keys: forward, each table as a view of (2, rows, k) memory, and
+    adjoint, its conjugate as (2, rows, k), a view of (rows, 2, k) memory.
+    A matmul's rounding can depend on its operands' memory layout, and the
+    sector transforms' output bits are pinned with these layouts."""
+    forward = {g: np.ascontiguousarray(t.swapaxes(1, 2)).swapaxes(1, 2) for g, t in tables.items()}
+    adjoint = {g: np.ascontiguousarray(f.conj().transpose(2, 0, 1)).transpose(1, 0, 2)
+               for g, f in forward.items()}
+    for table in (*forward.values(), *adjoint.values()):
         table.setflags(write=False)
     return forward, adjoint
 
@@ -192,12 +200,23 @@ def _frame_factors(frame: AxisFrame) -> np.ndarray:
     return np.array([[PAULI_MATRICES["I"], z], [x, y]])
 
 
-# The Z-frame factors at the X positions, as one-column factors, (bit, row)
-# per half: I/Z at (r, r), [[1, 1], [1, -1]], and X/Y at (r, ~r),
-# [[1, 1], [-i, i]].  forward[g][h, c, r] is then the g-qubit operator of
+_POPCOUNT = np.zeros(1, dtype=np.intp)          # of 0..2**MAX_DENSE_QUBITS - 1
+_REVERSED = np.zeros(1, dtype=np.intp)          # their bit reversals
+for _bit in range(MAX_DENSE_QUBITS):            # the next bit doubles each table
+    _POPCOUNT = np.concatenate([_POPCOUNT, _POPCOUNT + 1])
+    _REVERSED = np.concatenate([_REVERSED, _REVERSED + (1 << (MAX_DENSE_QUBITS - 1 - _bit))])
+
+
+# The Z-frame factors at the X positions, (half, bit, row): I/Z at (r, r),
+# [[1, 1], [1, -1]], and X/Y at (r, ~r), [[1, 1], [-i, i]].  Their _kron
+# over g = 1.._BLOCK qubits, the index bit-reversed so that bit k-1 picks
+# the k-th qubit's factor, is forward[g][h, c, r], the g-qubit operator of
 # half h and index c at row r's X position.
-_SECTORS = _frame_tables(np.stack([f[:, [0, 1], columns, None] for f, columns in
-                                    zip(_frame_factors(FRAMES["Z"]), ([0, 1], [1, 0]))]))
+_SECTOR_FACTORS = np.stack([f[:, [0, 1], columns] for f, columns in
+                            zip(_frame_factors(FRAMES["Z"]), ([0, 1], [1, 0]))])
+_SECTORS = _frame_tables({
+    g: _kron([_SECTOR_FACTORS] * g)[:, _REVERSED[:1 << g] >> (MAX_DENSE_QUBITS - g)]
+    for g in range(1, _BLOCK + 1)})
 
 
 # per n, the sector tables of its blocks of up to _BLOCK qubits, from block
@@ -290,11 +309,6 @@ def _x_views(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Walsh sign, is there in both halves when F(Z) is +-Y, in neither when
 # it is +-X.
 
-_POPCOUNT = np.zeros(1, dtype=np.intp)          # of 0..2**MAX_DENSE_QUBITS - 1
-_REVERSED = np.zeros(1, dtype=np.intp)          # their bit reversals
-for _bit in range(MAX_DENSE_QUBITS):            # the next bit doubles each table
-    _POPCOUNT = np.concatenate([_POPCOUNT, _POPCOUNT + 1])
-    _REVERSED = np.concatenate([_REVERSED, _REVERSED + (1 << (MAX_DENSE_QUBITS - 1 - _bit))])
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -636,7 +650,7 @@ def _seed(p: XStateParams) -> np.ndarray:
     the (2, 2, dim) seed of _xor_fill, each entry the one rounding of
     _xor_seed, with + 0.0 making each zero +0.0; in the Z frame 0.0, then
     the diagonal, then the anti-diagonal entries (_x_entries), (2 dim + 1,)."""
-    coeffs, n = np.concatenate([p.d, p.a]), p.n
+    coeffs, n = p.coeffs, p.n
     if p.frame == "Z":
         x = _x_entries(coeffs, n)
         return np.concatenate([[0.0], x[:, 0].real, x[:, 1]])
@@ -723,7 +737,7 @@ def validate(p: XStateParams) -> StateReport:
     and the minimum eigenvalue comes from the 2x2 sector blocks in closed
     form.  No dense matrix is built.
     """
-    diag, anti = _sector_entries(np.concatenate([p.d, p.a]), p.n)
+    diag, anti = _sector_entries(p.coeffs, p.n)
     trace_dev = abs(float(diag.sum()) - 1.0)
     herm_dev = sector_hermiticity_deviation(diag, anti)
     min_eig = float(sector_eigenvalues(diag, anti).min())

@@ -97,9 +97,15 @@ def make_witness(kind: str, n: int) -> Witness:
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
+# U_F^dag of each frame, made once (the unitary costs an eigh), read-only
+_FRAME_ADJOINTS = {name: frame.unitary().conj().T for name, frame in FRAMES.items()}
+for _u_dag in _FRAME_ADJOINTS.values():
+    _u_dag.setflags(write=False)
+
+
 def _frame_amplitudes(psi: PureState, frame: str) -> np.ndarray:
-    """phi = (U_F^dag)^(x)n psi, with U_F = FRAMES[frame].unitary()."""
-    u_dag = FRAMES[frame].unitary().conj().T
+    """phi = (U_F^dag)^(x)n psi, U_F^dag from _FRAME_ADJOINTS."""
+    u_dag = _FRAME_ADJOINTS[frame]
     phi = psi.amplitudes
     for q in range(psi.n):
         phi = u_dag @ phi.reshape(1 << q, 2, -1)
@@ -140,7 +146,7 @@ def evaluate_witness(w: Witness, state: "np.ndarray | XStateParams") -> tuple[fl
     if isinstance(state, XStateParams):
         if state.n != n:
             raise ValueError(f"{n}-qubit witness given a {state.n}-qubit state")
-        diag, anti = _sector_entries(np.concatenate([state.d, state.a]), n)
+        diag, anti = _sector_entries(state.coeffs, n)
         value = float(_sector_value(w, _frame_amplitudes(w.psi, state.frame), diag, anti))
     else:
         rho = as_state(state, n)

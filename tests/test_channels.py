@@ -193,6 +193,10 @@ def test_form_preservation_small_grid(rng):
 def test_strength_grid():
     grid = strength_grid(0.0, 1.0, 5)
     assert grid == (0.0, 0.25, 0.5, 0.75, 1.0)
+    for count in (2, 11, 21):       # np.linspace's floats, bit for bit
+        grid = strength_grid(0.1, 0.9, count)
+        assert all(type(s) is float for s in grid)
+        assert np.array(grid).tobytes() == np.linspace(0.1, 0.9, count).tobytes()
     with pytest.raises(ValueError):
         strength_grid(1.0, 0.0, 5)
     with pytest.raises(ValueError):
@@ -263,9 +267,19 @@ def test_sweep_rejects_bad_qubits_before_any_work(monkeypatch, frame):
 @pytest.mark.parametrize("frame", ["Z", "X"])
 def test_sweep_rejects_bad_grid_before_any_work(monkeypatch, frame, grid, message):
     _forbid_work(monkeypatch, "grid")
-    with pytest.raises(ValueError, match=message):
-        sweep(ghz_params(3, frame), "amplitude_damping", [1, 3], grid,
-              witness_kind="ghz_type")
+    for _ in range(2):      # a bad grid is never cached: every sweep of it raises
+        with pytest.raises(ValueError, match=message):
+            sweep(ghz_params(3, frame), "amplitude_damping", [1, 3], grid,
+                  witness_kind="ghz_type")
+    assert channels._channel_family.cache_info().currsize == 0
+
+
+# the qubits are checked before the grid, and the grid before the kind
+def test_sweep_checks_the_qubits_then_the_grid_then_the_kind():
+    with pytest.raises(ValueError, match=r"qubit subset must lie in 1\.\.2"):
+        sweep(ghz_params(2), "bit_flip", [3], (0.5, 0.5))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sweep(ghz_params(2), "bit_flip", [1], (0.5, 0.5))
 
 
 def test_sweep_of_an_empty_grid_is_empty():
@@ -604,6 +618,29 @@ def test_sector_step_keeps_unreachable_entries_zero(n):
     assert traj.x_residual == (0.0, 0.0)
 
 
+# Why the preserving points step the sector entries: amplitude damping on
+# qubit 1 of a Z-frame state whose population rho[10, 10] is exactly 0 keeps
+# it exactly 0, so with rho[01, 10] = 0 the Yu-Eberly concurrence is exactly
+# 2 |rho[00, 11]| sqrt(1 - s).  A step through a transform of (d, a) leaves
+# rounding noise e there, and sqrt(e) moves the concurrence by about 1e-8.
+@pytest.mark.parametrize("seed", range(8))
+def test_sector_step_keeps_an_exact_zero_population(seed):
+    rng = np.random.default_rng(seed)
+    # dyadic entries, so that their coefficients and back are exact
+    p00, p01 = rng.integers(1, 32, 2) / 64
+    p11 = 1.0 - p00 - p01
+    bound = int(np.sqrt(p00 * p11) * 64 / np.sqrt(2))
+    a0 = complex(*rng.integers(-bound, bound + 1, 2) / 64)
+    x = np.array([[p00, p01, 0.0, p11], [a0, 0.0, 0.0, a0.conjugate()]])
+    coeffs = model._sector_coefficients(x, 2)
+    p = XStateParams(2, coeffs[:4], coeffs[4:])
+    diag, anti = _sector_entries(np.concatenate([p.d, p.a]), 2)
+    assert diag[2] == 0.0 and anti[1] == 0.0 and anti[0] == a0
+    grid = strength_grid(0.0, 1.0, 21)
+    traj = sweep(p, "amplitude_damping", [1], grid)
+    assert traj.concurrence == tuple(2 * abs(a0 * np.sqrt(1 - s)) for s in grid)
+
+
 @st.composite
 def sweep_cases(draw, max_n=6):
     n = draw(st.integers(2, max_n))
@@ -762,6 +799,29 @@ def test_dense_sweep_builds_no_dense_array():
         tracemalloc.stop()
     assert min(traj.x_residual[1:]) > 0.0
     assert peak < 16 * (1 << 20)
+
+
+# a qubit listed k times costs k small matmuls, not k powers held at once:
+# 5000 listings stay far below the 12.8 MiB that the powers of the X
+# frame's (10, 4, 4) superoperators alone would take, on the dense points
+# and on the preserving ones
+@pytest.mark.parametrize("frame,kind", [("X", "amplitude_damping"), ("Z", "phase_damping")])
+def test_a_repeated_qubit_keeps_memory_flat(frame, kind):
+    p = ghz_params(4, frame)
+    grid = strength_grid(0.0, 1.0, 11)
+    tracemalloc.start()
+    try:
+        traj = sweep(p, kind, [1] * 5000, grid, "ghz_type")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (1 << 20)
+    rho = apply_channel(materialize(p), standard_channel(kind, grid[1]), [1] * 5000, 4)
+    assert abs(traj.witness[1] - evaluate_witness(make_witness("ghz_type", 4), rho)[0]) <= 1e-12
+    if kind == "phase_damping":
+        assert traj.x_residual == (0.0,) * 11
+    else:
+        assert min(traj.x_residual[1:]) > 0.0
 
 
 # a strip of 8 complex rows of a slab (16 * dl**2 bytes each, dl = 8 at n = 6

@@ -474,6 +474,44 @@ def test_params_accept_numpy_sequences():
             XStateParams(1, np.array([1.0, 0.0]), np.array([0.0, bad]))
 
 
+# coeffs is d then a as one read-only float64 array, the bits of the
+# tuples, whatever sequence type built them; it is no constructor argument
+# and takes no part in the equality, the hash or the repr
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+def test_params_hold_their_coefficients_once(rng, frame):
+    for n in (1, 2, 5):
+        d = rng.normal(size=1 << n)
+        d[0] = 1.0
+        a = rng.normal(size=1 << n)
+        for p in (XStateParams(n, tuple(d), tuple(a), frame), XStateParams(n, list(d), a, frame),
+                  XStateParams(n, d.astype(np.float32), a.astype(np.float32), frame)):
+            assert p.coeffs.dtype == np.float64 and p.coeffs.shape == (2 << n,)
+            assert p.coeffs.tobytes() == np.concatenate([p.d, p.a]).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                p.coeffs[0] = 0.0
+            q = XStateParams(n, p.d, p.a, frame)
+            assert q == p and hash(q) == hash(p) and q.coeffs is not p.coeffs
+            assert repr(q) == repr(p) and "coeffs" not in repr(p)
+    p = ghz_params(3)                   # built from integer arrays
+    assert p.coeffs.tobytes() == np.concatenate([p.d, p.a]).tobytes()
+    with pytest.raises(TypeError):
+        XStateParams(1, (1.0, 0.0), (0.0, 0.0), "Z", np.zeros(4))
+
+
+# one power chain: m^k x0 by left products, only for the counts asked for,
+# bitwise the matmuls m @ (m @ (... @ x0))
+def test_powers_are_the_left_products_that_occur(rng):
+    m, x0 = rng.normal(size=(2, 5, 4, 4))
+    powers = model._powers(m, x0, [3, 0, 3, 1, 6])
+    assert list(powers) == [0, 1, 3, 6] and powers[0] is x0
+    p = x0
+    for k in range(1, 7):
+        p = m @ p
+        if k in powers:
+            assert powers[k].tobytes() == p.tobytes()
+    assert model._powers(m, x0, []) == {} and list(model._powers(m, x0, [2])) == [2]
+
+
 @pytest.mark.parametrize("frame", sorted(FRAMES))
 def test_decompose_returns_python_floats(rng, frame):
     for n in (1, 3, 5):

@@ -12,8 +12,8 @@ from conftest import (center_twist, fit_is_rounding_dependent, kron_chain, oracl
                       oracle_fit_sectors, oracle_negativity, oracle_witness_matrix,
                       oracle_wootters_concurrence, random_density, random_product_states,
                       random_unitary, random_valid_x_params, unscreened_fit_sectors)
-from xstates import (PureState, Witness, XStateParams, apply_channel, concurrence, dicke_state,
-                     evaluate_witness, ghz_params, ghz_state, make_witness,
+from xstates import (FRAMES, PureState, Witness, XStateParams, apply_channel, concurrence,
+                     dicke_state, evaluate_witness, ghz_params, ghz_state, make_witness,
                      materialize, named_example, negativity, standard_channel,
                      strength_grid, sweep, werner, witness, witness_report)
 from xstates import linalg, model
@@ -434,6 +434,23 @@ def oracle_ghz(n, frame):
     scale = 1.0 if frame == "Z" else sqrt(2)
     up, down = (np.array(v, dtype=complex) / scale for v in (up, down))
     return (kron_chain([up] * n) + kron_chain([down] * n)).ravel() / sqrt(2)
+
+
+# each frame's U^dag is made once per process and read-only, with the bits
+# of a fresh unitary: a witness value of parameters runs no eigh
+def test_frame_unitary_is_made_once_per_frame(rng):
+    w = make_witness("ghz_type", 4)
+    states = [random_valid_x_params(rng, 4, frame) for frame in "ZXY"]
+    first = [evaluate_witness(w, p) for p in states]
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        again = [evaluate_witness(w, p) for p in states]
+    assert eigh.call_count == 0
+    assert again == first
+    assert sorted(witness._FRAME_ADJOINTS) == sorted(FRAMES)
+    for frame, u_dag in witness._FRAME_ADJOINTS.items():
+        assert u_dag.tobytes() == FRAMES[frame].unitary().conj().T.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            u_dag[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n", range(2, 13))
