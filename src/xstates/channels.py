@@ -55,11 +55,17 @@ def _check_increasing(strengths) -> None:
         raise ValueError("strength grid must be strictly increasing")
 
 
+def _kind_name(kind: str) -> str:
+    """The channel kind's own name: "spontaneous_emission" is an alias of
+    amplitude_damping.  Anything else is passed on as it is."""
+    return "amplitude_damping" if kind == "spontaneous_emission" else kind
+
+
 def _kraus_stack(kind: str, strengths: np.ndarray) -> np.ndarray:
     """The (G, K, 2, 2) Kraus operators of the named channel at G strengths
     in [0, 1]; see standard_channel for the formulas."""
     s = np.asarray(strengths, dtype=float)[:, None, None]
-    if kind in ("amplitude_damping", "spontaneous_emission"):
+    if kind == "amplitude_damping":
         ops = (np.sqrt(1 - s) * np.diag([0.0, 1.0]) + np.diag([1.0, 0.0]),
                np.sqrt(s) * np.array([[0.0, 1.0], [0.0, 0.0]]))
     elif kind == "phase_damping":
@@ -87,8 +93,8 @@ def standard_channel(kind: str, strength: float) -> Channel:
     """
     _check_strengths((strength,))
     s = float(strength)
-    name = "amplitude_damping" if kind == "spontaneous_emission" else kind
-    return Channel(tuple(_kraus_stack(kind, [s])[0]), f"{name}({s})")
+    name = _kind_name(kind)
+    return Channel(tuple(_kraus_stack(name, [s])[0]), f"{name}({s})")
 
 
 CHANNEL_KINDS = ("amplitude_damping", "phase_damping", "depolarizing")
@@ -136,18 +142,13 @@ def _contract(rho: np.ndarray, superop: np.ndarray, qubits: list[int], n: int) -
 _UNITS = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j]]) / 2
 
 
-@functools.lru_cache(maxsize=None)
 def _frame_bases(frame: str) -> tuple[np.ndarray, np.ndarray]:
     """Two per-qubit bases of the frame's 2x2 matrices, as rows of flattened
     matrices: its family factors (I, F(Z), F(X), F(Y)), and the images
     F(|0><0|), F(|1><1|), F(|0><1|), F(|1><0|) of the matrix units, the
-    same change of basis (_UNITS) applied to the factors.  Read-only, made
-    once per frame."""
+    same change of basis (_UNITS) applied to the factors."""
     factors = _frame_factors(FRAMES[frame]).reshape(4, 4)
-    bases = factors, _UNITS @ factors
-    for basis in bases:
-        basis.setflags(write=False)
-    return bases
+    return factors, _UNITS @ factors
 
 
 def _preserves_family(superop: np.ndarray, factors: np.ndarray) -> "bool | np.ndarray":
@@ -163,7 +164,7 @@ def _preserves_family(superop: np.ndarray, factors: np.ndarray) -> "bool | np.nd
 def _sector_step(entries, tables) -> tuple[np.ndarray, np.ndarray]:
     """Z-frame sector entries (diag, anti), two arrays (2**n,), after a
     family-preserving channel on listed qubits at P strengths, as arrays
-    (P, 2**n): tables holds _step_tables' population and coherence tables,
+    (P, 2**n): tables holds _sweep_tables' population and coherence tables,
     one (P, 2**g, 2**g) per block of g qubits, qubit 1's block first.
 
     The basis index has qubit 1's bit on top.  Each block's table maps the
@@ -185,13 +186,12 @@ def _sector_step(entries, tables) -> tuple[np.ndarray, np.ndarray]:
     return stepped[0], stepped[1]
 
 
-# The (kind, grid, frame) families one process keeps: a decoherence study
-# scans many initial states over a few grids.  An entry is O(G) for a grid
-# of G strengths and is held until it is evicted.
-_FAMILY_CACHE_SIZE = 32
+# The entries each sweep cache keeps: a decoherence study scans many initial
+# states over a few channels, grids and qubit lists.
+_CACHE_SIZE = 32
 
 
-@functools.lru_cache(maxsize=_FAMILY_CACHE_SIZE)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _channel_family(kind: str, grid: bytes, frame: str
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The named channel at each of G strengths, given as their float64
@@ -199,7 +199,7 @@ def _channel_family(kind: str, grid: bytes, frame: str
     superoperators, the (G,) mask of strengths where it preserves the
     frame's family (_preserves_family), and the (P, 2, 2) population and
     coherence blocks at the P preserving strengths, the factors of
-    _step_tables.
+    _sweep_tables' step tables.  An entry is O(G).
 
     The grid is checked first (strengths in [0, 1], strictly increasing),
     then the kind, and the Kraus operators are built and checked for
@@ -235,39 +235,58 @@ _XOR_SUM = _XOR_SUM.reshape(16, 8)
 _XOR_SUM.setflags(write=False)
 
 
-# The (kind, grid, frame, counts) step tables one process keeps, beside the
-# families they are built from: one per qubit list of a scan's sweeps.  An
-# entry holds P * sum_blocks 4**g population and coherence entries, 24 bytes
-# each, for the P preserving strengths of a grid: 6 KiB per strength at
-# n = 4, 12 KiB at n = 8, 18 KiB at n = 12.
-_STEP_CACHE_SIZE = 32
+def _xor_tables(superops: np.ndarray, frame: str, counts) -> tuple[np.ndarray, np.ndarray]:
+    """The XOR tables of the points E(rho0) of a state of the frame on
+    n = len(counts) qubits, E each channel of the stack superops (G, 4, 4)
+    on qubit q listed counts[q - 1] times: (qubit, G, half, r, s) of each
+    qubit's mapped factors S^k F (_XOR_SUM), k its count (_powers), and the
+    unmapped tables (G, half, r, s).  With the state's coefficients c
+    (half, s) times 2**-n, E(rho0)[r, r ^ s] = sum_h c[h, s] prod_q
+    mapped[q, :, h, r_q, s_q]."""
+    count = len(superops)
+    mapped = _powers(superops, np.broadcast_to(_frame_bases(frame)[0].T, (count, 4, 4)),
+                     [0, *counts])
+    tables = {k: (f.reshape(count, 16) @ _XOR_SUM).reshape(count, 2, 2, 2)
+              for k, f in mapped.items()}
+    return np.stack([tables[k] for k in counts]), tables[0]
 
 
-@functools.lru_cache(maxsize=_STEP_CACHE_SIZE)
-def _step_tables(kind: str, grid: bytes, frame: str, counts: tuple[int, ...]
-                 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The population and coherence tables of _sector_step for the channel
-    family of (kind, grid, frame) on qubits listed counts[q - 1] times each.
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _sweep_tables(kind: str, grid: bytes, frame: str, counts: tuple[int, ...]
+                  ) -> tuple[np.ndarray, tuple, "np.ndarray | None", "np.ndarray | None"]:
+    """What a sweep reads of the channel family of (kind, grid, frame) on
+    n = len(counts) qubits, qubit q listed counts[q - 1] times, read-only:
+    the family's (G,) preserving mask, the step tables of _sector_step at
+    the P preserving strengths, and the mapped and unmapped _xor_tables of
+    the dense points at the others, or None twice when there are none.  The
+    family (_channel_family) checks the grid and the kind first.
 
     Per half and per block of up to model._BLOCK qubits, qubit 1's block
-    first, one (P, 2**g, 2**g) table: _kron over the block's qubits of the
-    k-th power (_powers) of the family's 2x2 block, k the qubit's count
-    (the identity for an unlisted qubit), stored transposed.  Read-only, as
-    every caller shares them.
+    first, the step tables hold one (P, 2**g, 2**g) table: _kron over the
+    block's qubits of the k-th power (_powers) of the family's 2x2
+    population or coherence block, k the qubit's count (the identity for an
+    unlisted qubit), stored transposed.  An entry holds P * sum_blocks 4**g
+    of them, 24 bytes per pair (6 KiB per strength at n = 4, 12 KiB at
+    n = 8, 18 KiB at n = 12), and 8 (n + 1) complex XOR table entries per
+    dense strength.
     """
-    _, _, pop, coh = _channel_family(kind, grid, frame)
-    tables = []
+    superops, preserving, pop, coh = _channel_family(kind, grid, frame)
+    steps = []
     for blocks in (pop, coh):
         powers = _powers(blocks, np.broadcast_to(np.eye(2, dtype=blocks.dtype), blocks.shape),
                          counts)
         factors = [powers[k].swapaxes(-1, -2) for k in counts]
-        tables.append(tuple(_kron(factors[q:q + _BLOCK]) for q in range(0, len(counts), _BLOCK)))
-    for table in tables[0] + tables[1]:
-        table.setflags(write=False)
-    return tables[0], tables[1]
+        steps.append(tuple(_kron(factors[q:q + _BLOCK]) for q in range(0, len(counts), _BLOCK)))
+    # most families have no dense strength, and empty tables still cost a
+    # cold entry 30-50 us of numpy calls
+    dense = ~preserving
+    mapped, unmapped = _xor_tables(superops[dense], frame, counts) if dense.any() else (None, None)
+    for a in (*steps[0], *steps[1], *(() if mapped is None else (mapped, unmapped))):
+        a.setflags(write=False)
+    return preserving, (steps[0], steps[1]), mapped, unmapped
 
 
-@functools.lru_cache(maxsize=_FAMILY_CACHE_SIZE)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _sweep_witness(kind: str, n: int, frame: str) -> tuple[Witness, np.ndarray]:
     """make_witness(kind, n) and its amplitudes in the frame
     (witness._frame_amplitudes), made once per (kind, n, frame) in a
@@ -280,30 +299,11 @@ def _sweep_witness(kind: str, n: int, frame: str) -> tuple[Witness, np.ndarray]:
     return w, phi
 
 
-def _point_tables(p0: XStateParams, superops: np.ndarray, qubits: list[int]
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The XOR tables of the points E(rho0) of an n-qubit state, E each
-    channel of the stack superops (G, 4, 4) on each listed qubit: m
-    (qubit, G, half, r, s) of each qubit's mapped factors S^k F (_XOR_SUM),
-    k the times it is listed (_powers), the unmapped tables (G, half, r,
-    s), and the coefficients c (half, s) times 2**-n, so that
-    E(rho0)[r, r ^ s] = sum_h c[h, s] prod_q m[q, :, h, r_q, s_q]."""
-    n, count = p0.n, len(superops)
-    counts = np.bincount(qubits, minlength=n + 1)[1:].tolist()
-    mapped = _powers(superops, np.broadcast_to(_frame_bases(p0.frame)[0].T, (count, 4, 4)),
-                     [0, *counts])
-    tables = {k: (f.reshape(count, 16) @ _XOR_SUM).reshape(count, 2, 2, 2)
-              for k, f in mapped.items()}
-    c = p0.coeffs.take(_xor_terms(n, p0.frame).index) / (1 << n)
-    return np.stack([tables[k] for k in counts]), tables[0], c
-
-
-def _factor_points(p0: XStateParams, superops: np.ndarray, qubits: list[int],
+def _factor_points(p0: XStateParams, m: np.ndarray, unmapped: np.ndarray,
                    w: "Witness | None") -> tuple[np.ndarray, np.ndarray]:
-    """(records, residuals) of the points E(rho0) of an X- or Y-frame state
-    of n >= 2 qubits, for each channel E of the stack superops (G, 4, 4)
-    on each listed qubit, read from per-qubit tables: no (dim, dim) array
-    for n >= 3.
+    """(records, residuals) of the dense points E(rho0) of an X- or Y-frame
+    state of n >= 2 qubits, read from their mapped and unmapped XOR tables
+    (_xor_tables): no (dim, dim) array for n >= 3.
 
     E maps the factors of a qubit listed k times to S^k F, and keeps the
     XOR structure of the frame (model._xor_terms): half h's operator of mask
@@ -325,8 +325,8 @@ def _factor_points(p0: XStateParams, superops: np.ndarray, qubits: list[int],
     n table entries; Wootters' concurrence at n = 2 takes the 4x4 of the
     same entries.
     """
-    n, count, dim = p0.n, len(superops), 1 << p0.n
-    m, unmapped, c = _point_tables(p0, superops, qubits)
+    n, count, dim = p0.n, m.shape[1], 1 << p0.n
+    c = p0.coeffs.take(_xor_terms(n, p0.frame).index) / dim
 
     # per qubit the four terms' tables, the mapped halves then the unmapped
     # ones, and their Kronecker tables (G, term, r, s) over the top half of
@@ -434,49 +434,48 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     the initial state's frame.  Each grid point starts from the initial
     state; strengths do not accumulate.
 
-    The qubits are checked on every call, before any other work, and the
-    grid (strengths in [0, 1], strictly increasing) by _channel_family
-    before it builds anything; a bad grid is never cached.  That builds the
-    channel family (superoperators, the mask of strengths where the channel
-    preserves the frame's family, and those strengths' population and
-    coherence blocks) once per (kind, grid, frame) in a process and keeps a
-    bounded number of them, read-only.  The preserving strengths are stepped
-    together from the state's Z-frame sector entries by _sector_step: one
-    batched matmul per half and per block of up to four qubits, with the
-    Kronecker tables of those blocks that _step_tables builds once per
-    (kind, grid, frame, times each qubit is listed) and keeps, bounded and
-    read-only, beside the families.  Their records are concurrence by
-    yu_eberly or the witness value by the parameter route of
-    evaluate_witness, the witness and its amplitudes in the frame made once
-    per (kind, n, frame) (_sweep_witness), and the residual is exactly 0.0.
-    The other strengths (amplitude damping off the Z frame) are the dense
-    points, read together by _factor_points from per-qubit tables of the
-    factors mapped by their row of the stack: the residual max |rho - sigma|
-    from rank-four slabs a strip at a time, the witness value from the trace
-    and the |supp psi|**2 entries the witness meets, Wootters' concurrence
-    from the 4x4 at n = 2.  For n >= 3 no (dim, dim) array is built, neither
-    the initial state nor any point.
+    The qubits are checked on every call, before any other work, then the
+    grid (strengths in [0, 1], strictly increasing) and the kind by
+    _channel_family before it builds anything, then the witness kind; none
+    of them is cached when it fails.  Everything the sweep reads apart from
+    the state comes from three bounded, read-only caches, the alias
+    spontaneous_emission keyed as amplitude_damping: the channel family
+    (superoperators, the mask of strengths where the channel preserves the
+    frame's family, and those strengths' population and coherence blocks)
+    once per (kind, grid, frame); the tables of _sweep_tables once per
+    (kind, grid, frame, times each qubit is listed); and the witness with
+    its amplitudes in the frame once per (witness kind, n, frame)
+    (_sweep_witness).  The preserving strengths are stepped together from
+    the state's Z-frame sector entries by _sector_step: one batched matmul
+    per half and per block of up to four qubits, with the Kronecker tables
+    of those blocks.  Their records are concurrence by yu_eberly or the
+    witness value by the parameter route of evaluate_witness, and the
+    residual is exactly 0.0.  The other strengths (amplitude damping off
+    the Z frame) are the dense points, read together by _factor_points from
+    their per-qubit XOR tables: the residual max |rho - sigma| from
+    rank-four slabs a strip at a time, the witness value from the trace and
+    the |supp psi|**2 entries the witness meets, Wootters' concurrence from
+    the 4x4 at n = 2.  For n >= 3 no (dim, dim) array is built, neither the
+    initial state nor any point.
     """
     n, frame = p0.n, p0.frame
     if witness_kind is None and n != 2:
         raise ValueError("concurrence records require a two-qubit state; "
                          "pass a witness kind instead")
-    qubit_list = _checked_qubits(qubits, n)
+    counts = tuple(map(_checked_qubits(qubits, n).count, range(1, n + 1)))
     strengths = tuple(float(s) for s in grid)
-    grid_bits = np.asarray(strengths, dtype=float).tobytes()
-    superops, preserving, _, _ = _channel_family(kind, grid_bits, frame)
+    preserving, steps, mapped, unmapped = _sweep_tables(
+        _kind_name(kind), np.asarray(strengths, dtype=float).tobytes(), frame, counts)
     w, phi = _sweep_witness(witness_kind, n, frame) if witness_kind is not None else (None, None)
     values = np.empty(len(strengths))
     residuals = np.zeros(len(strengths))
     if preserving.any():
-        counts = tuple(qubit_list.count(q) for q in range(1, n + 1))
-        diag, anti = _sector_step(_sector_entries(p0.coeffs, n),
-                                  _step_tables(kind, grid_bits, frame, counts))
+        diag, anti = _sector_step(_sector_entries(p0.coeffs, n), steps)
         values[preserving] = (yu_eberly(diag, anti) if w is None else
                               _sector_value(w, phi, diag, anti))
     dense = ~preserving
     if dense.any():
-        values[dense], residuals[dense] = _factor_points(p0, superops[dense], qubit_list, w)
+        values[dense], residuals[dense] = _factor_points(p0, mapped, unmapped, w)
     records = tuple(values.tolist())
     return Trajectory(strengths, records if w is None else None,
                       records if w is not None else None, tuple(residuals.tolist()))

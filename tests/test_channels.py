@@ -21,9 +21,9 @@ KINDS = ("amplitude_damping", "phase_damping", "depolarizing")
 
 @pytest.fixture(autouse=True)
 def cold_channel_families():
-    """Each test starts with no channel family, step table or sweep witness
+    """Each test starts with no channel family, sweep table or sweep witness
     cached, so the builds it counts or forbids are its own."""
-    for cache in (channels._channel_family, channels._step_tables, channels._sweep_witness):
+    for cache in (channels._channel_family, channels._sweep_tables, channels._sweep_witness):
         cache.cache_clear()
 
 
@@ -45,8 +45,9 @@ def test_standard_channel_forms():
     assert all(np.array_equal(a, b) for a, b in zip(alias.kraus, ch.kraus))
     with pytest.raises(ValueError):
         standard_channel("amplitude_damping", 1.2)
-    with pytest.raises(ValueError):
-        standard_channel("bit_flip", 0.5)
+    for kind in ("bit_flip", None, 5, ["amplitude_damping"]):    # of any type
+        with pytest.raises(ValueError, match="unknown channel kind"):
+            standard_channel(kind, 0.5)
 
 
 def test_channel_rejects_incomplete_kraus():
@@ -282,6 +283,23 @@ def test_sweep_checks_the_qubits_then_the_grid_then_the_kind():
         sweep(ghz_params(2), "bit_flip", [1], (0.5, 0.5))
 
 
+# the kind is checked before the witness kind; either raises on every sweep,
+# a bad kind caches no family and a bad witness kind no witness
+@pytest.mark.parametrize("kind,witness_kind,message", [
+    ("bit_flip", "w_type", "unknown channel kind 'bit_flip'"),
+    ("phase_damping", "w_type", "w_type witness is defined for n=3"),
+    ("amplitude_damping", "bell_type", "unknown witness kind 'bell_type'"),
+])
+@pytest.mark.parametrize("frame", ["Z", "X"])
+def test_sweep_checks_the_kind_then_the_witness(frame, kind, witness_kind, message):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            sweep(ghz_params(4, frame), kind, [1], (0.0, 0.5), witness_kind)
+    assert channels._sweep_witness.cache_info().currsize == 0
+    if kind == "bit_flip":
+        assert channels._channel_family.cache_info().currsize == 0
+
+
 def test_sweep_of_an_empty_grid_is_empty():
     assert sweep(ghz_params(2), "depolarizing", [1], []) == Trajectory((), (), None, ())
     assert sweep(ghz_params(3, "X"), "amplitude_damping", [1], (),
@@ -320,7 +338,8 @@ def test_sweep_builds_and_checks_one_kraus_stack(monkeypatch, frame, kind, dense
                  witness_kind="ghz_type")
     assert len(traj.witness) == count
     assert calls == collections.Counter(kraus=1, completeness=1, points=dense)
-    # the same (kind, grid, frame) again: the family is cached, the points are not
+    # the same sweep again: the family and the tables are cached, the points
+    # are not
     again = sweep(ghz_params(3, frame), kind, [1, 3], strength_grid(0.0, 1.0, count),
                   witness_kind="ghz_type")
     assert again == traj
@@ -334,9 +353,8 @@ def _trajectory_bits(traj):
 
 # a cached family gives the bits of a fresh build: Werner and GHZ states,
 # every kind and frame (X/Y amplitude damping on the dense points), and a
-# grid that starts at -0.0.  Every grid starts at a preserving strength, so
-# the cold sweep builds the step tables, from the family just cached (a
-# hit), and the warm one finds both.
+# grid that starts at -0.0.  The cold sweep builds the sweep tables and,
+# for them, the family; the warm one finds the tables.
 @pytest.mark.parametrize("grid", [strength_grid(0.0, 1.0, 11), (-0.0, 0.25, 0.5, 1.0)])
 @pytest.mark.parametrize("kind", KINDS)
 def test_cached_channel_family_gives_the_bits_of_a_fresh_build(kind, grid):
@@ -344,11 +362,11 @@ def test_cached_channel_family_gives_the_bits_of_a_fresh_build(kind, grid):
         (ghz_params(3, frame), [1, 3, 1], "ghz_type") for frame in "ZXY"]
     for p, qubits, witness_kind in cases:
         channels._channel_family.cache_clear()
-        channels._step_tables.cache_clear()
+        channels._sweep_tables.cache_clear()
         cold = sweep(p, kind, qubits, grid, witness_kind)
         warm = sweep(p, kind, qubits, grid, witness_kind)
-        assert channels._channel_family.cache_info()[:2] == (2, 1)     # (hits, misses)
-        assert channels._step_tables.cache_info()[:2] == (1, 1)
+        assert channels._channel_family.cache_info()[:2] == (0, 1)     # (hits, misses)
+        assert channels._sweep_tables.cache_info()[:2] == (1, 1)
         assert _trajectory_bits(warm) == _trajectory_bits(cold)
 
 
@@ -356,15 +374,14 @@ def test_cached_channel_family_gives_the_bits_of_a_fresh_build(kind, grid):
 def test_signed_zero_grids_are_separate_channel_families():
     for start in (-0.0, 0.0, -0.0):
         sweep(ghz_params(2), "amplitude_damping", [1], (start, 0.5))
-    # each step table build reads its family once more
     info = channels._channel_family.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
-    info = channels._step_tables.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+    info = channels._sweep_tables.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
 
 
 def test_channel_family_cache_is_bounded():
-    size = channels._FAMILY_CACHE_SIZE
+    size = channels._CACHE_SIZE
     for top in np.linspace(0.5, 1.0, size + 3):
         sweep(ghz_params(2), "depolarizing", [1], (0.0, float(top)))
     assert channels._channel_family.cache_info().currsize == size
@@ -383,43 +400,60 @@ def test_cached_channel_family_is_read_only():
             a[...] = 0
 
 
-# a cached step table gives the bits of a fresh build, on one block, on the
-# uneven blocks (4, 1) and (4, 4, 1), and with repeated and unlisted qubits
+def _table_arrays(tables):
+    """Every array of a _sweep_tables entry: the mask, the step tables and
+    the dense points' XOR tables, if any."""
+    preserving, steps, mapped, unmapped = tables
+    return [preserving, *steps[0], *steps[1], *(() if mapped is None else (mapped, unmapped))]
+
+
+# a cached sweep table gives the bits of a fresh build, on one block, on the
+# uneven blocks (4, 1) and (4, 4, 1), with repeated and unlisted qubits, and
+# with dense points (X-frame amplitude damping past strength 0)
 @pytest.mark.parametrize("kind,frame", [("amplitude_damping", "Z"), ("phase_damping", "X"),
-                                        ("depolarizing", "Y")])
+                                        ("depolarizing", "Y"), ("amplitude_damping", "X")])
 @pytest.mark.parametrize("counts", [(1, 0, 2), (2, 1, 0, 0, 3), (1,) * 9])
 def test_cached_step_tables_give_the_bits_of_a_fresh_build(kind, frame, counts):
     grid = np.linspace(0.0, 1.0, 11).tobytes()
-    cold = channels._step_tables(kind, grid, frame, counts)
-    warm = channels._step_tables(kind, grid, frame, counts)
-    fresh = channels._step_tables.__wrapped__(kind, grid, frame, counts)
-    assert channels._step_tables.cache_info()[:2] == (1, 1)
+    cold = channels._sweep_tables(kind, grid, frame, counts)
+    warm = channels._sweep_tables(kind, grid, frame, counts)
+    fresh = channels._sweep_tables.__wrapped__(kind, grid, frame, counts)
+    assert channels._sweep_tables.cache_info()[:2] == (1, 1)
     assert warm is cold
+    preserving, steps, mapped, _ = cold
+    points = 1 if (kind, frame) == ("amplitude_damping", "X") else 11
+    assert preserving.sum() == points
     sizes = [min(4, len(counts) - q) for q in range(0, len(counts), 4)]
-    for half, dtype in zip(range(2), (float, complex)):
-        assert [t.shape for t in cold[half]] == [(11, 1 << g, 1 << g) for g in sizes]
-        assert all(t.dtype == dtype for t in cold[half])
-        assert [t.tobytes() for t in cold[half]] == [t.tobytes() for t in fresh[half]]
+    for half, dtype in zip(steps, (float, complex)):
+        assert [t.shape for t in half] == [(points, 1 << g, 1 << g) for g in sizes]
+        assert all(t.dtype == dtype for t in half)
+    assert (mapped is None) == (points == 11)
+    assert [a.tobytes() for a in _table_arrays(cold)] == [a.tobytes() for a in _table_arrays(fresh)]
 
 
 def test_step_table_cache_is_bounded():
-    size = channels._STEP_CACHE_SIZE
+    size = channels._CACHE_SIZE
     for k in range(1, size + 4):     # a qubit listed k times: counts (k, 0)
         sweep(ghz_params(2), "depolarizing", [1] * k, (0.0, 0.5))
-    assert channels._step_tables.cache_info().currsize == size
+    assert channels._sweep_tables.cache_info().currsize == size
     assert channels._channel_family.cache_info().misses == 1
 
 
 def test_cached_step_tables_are_read_only():
-    sweep(ghz_params(9), "phase_damping", [1, 9, 1, 5, 9], (0.0, 0.5, 1.0), "ghz_type")
-    tables = channels._step_tables("phase_damping", np.array([0.0, 0.5, 1.0]).tobytes(), "Z",
-                                   (2, 0, 0, 0, 1, 0, 0, 0, 2))
-    assert channels._step_tables.cache_info()[:2] == (1, 1)
-    for half in tables:
-        assert [t.shape for t in half] == [(3, 16, 16), (3, 16, 16), (3, 2, 2)]
-        for t in half:
+    grid, counts = np.array([0.0, 0.5, 1.0]).tobytes(), (2, 0, 0, 0, 1, 0, 0, 0, 2)
+    for frame, points in (("Z", 3), ("X", 1)):     # amplitude damping: 2 dense points off Z
+        sweep(ghz_params(9, frame), "amplitude_damping", [1, 9, 1, 5, 9], (0.0, 0.5, 1.0),
+              "ghz_type")
+        hits = channels._sweep_tables.cache_info().hits
+        tables = channels._sweep_tables("amplitude_damping", grid, frame, counts)
+        assert channels._sweep_tables.cache_info().hits == hits + 1
+        steps = [(points, 16, 16), (points, 16, 16), (points, 2, 2)] * 2
+        dense = [(9, 2, 2, 2, 2), (2, 2, 2, 2)] if points == 1 else []
+        arrays = _table_arrays(tables)
+        assert [a.shape for a in arrays] == [(3,), *steps, *dense]
+        for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
-                t[...] = 0
+                a[...] = 0
 
 
 # the witness and its frame amplitudes are made once per (kind, n, frame),
@@ -451,7 +485,19 @@ def test_a_second_identical_sweep_writes_the_same_bytes(p, kind, qubits, witness
     grid = strength_grid(0.0, 1.0, 11)
     first = sweep(p, kind, qubits, grid, witness_kind).to_csv()
     assert sweep(p, kind, qubits, grid, witness_kind).to_csv() == first
-    assert channels._step_tables.cache_info()[:2] == (1, 1)
+    assert channels._sweep_tables.cache_info()[:2] == (1, 1)
+
+
+# the alias spontaneous_emission is keyed as amplitude_damping: one family,
+# one table entry, the same bytes
+@pytest.mark.parametrize("frame", ["Z", "X"])
+def test_spontaneous_emission_sweeps_as_amplitude_damping(frame):
+    grid = strength_grid(0.0, 1.0, 5)
+    want = sweep(ghz_params(4, frame), "amplitude_damping", [1, 4], grid, "ghz_type").to_csv()
+    got = sweep(ghz_params(4, frame), "spontaneous_emission", [1, 4], grid, "ghz_type").to_csv()
+    assert got == want
+    assert channels._channel_family.cache_info()[:2] == (0, 1)
+    assert channels._sweep_tables.cache_info()[:2] == (1, 1)
 
 
 def test_unknown_channel_kind_raises_on_every_sweep():
@@ -574,9 +620,9 @@ def sector_step_cases(draw):
 def _stepped(p, kind, grid, qubits):
     """The sector entries (P, 2**n) of the sweep's step of p's entries."""
     counts = tuple(qubits.count(q) for q in range(1, p.n + 1))
-    tables = channels._step_tables(kind, np.array(grid, dtype=float).tobytes(), p.frame,
-                                   counts)
-    return channels._sector_step(_sector_entries(np.concatenate([p.d, p.a]), p.n), tables)
+    _, steps, _, _ = channels._sweep_tables(kind, np.array(grid, dtype=float).tobytes(), p.frame,
+                                            counts)
+    return channels._sector_step(_sector_entries(np.concatenate([p.d, p.a]), p.n), steps)
 
 
 # n = 1..9 crosses the block splits 4 | 5 and 8 | 9 of the step tables; the
@@ -693,13 +739,14 @@ def test_amplitude_damping_off_the_z_frame_stays_dense(rng, frame, n, witness_ki
             assert min(residuals) > 0.0
 
 
-def _table_states(p, superops, qubits):
-    """Each point E(rho0) of the stack superops as a dense matrix, built
-    from the XOR tables that channels._factor_points reads."""
-    m, _, c = channels._point_tables(p, superops, qubits)
+def _table_states(p, m):
+    """Each point E(rho0) of p as a dense matrix, built from the mapped XOR
+    tables m (qubit, G, half, r, s) that channels._factor_points reads and
+    p's coefficients c (half, s) times 2**-n."""
+    c = p.coeffs.take(model._xor_terms(p.n, p.frame).index) / (1 << p.n)
     t = channels._kron(list(m))                        # (G, half, r, s)
     r = np.arange(1 << p.n)[:, None]
-    rho = np.zeros((len(superops), 1 << p.n, 1 << p.n), complex)
+    rho = np.zeros((m.shape[1], 1 << p.n, 1 << p.n), complex)
     rho[:, r, r ^ r.T] = (t * c[:, None, :]).sum(axis=1)
     return rho
 
@@ -724,7 +771,8 @@ def mapped_cases(draw):
 def test_mapped_points_match_dense_oracle(case):
     p, kind, strengths, qubits = case
     superops = channels._superoperator(channels._kraus_stack(kind, np.array(strengths)))
-    points = _table_states(p, superops, qubits)
+    counts = [qubits.count(q) for q in range(1, p.n + 1)]
+    points = _table_states(p, channels._xor_tables(superops, p.frame, counts)[0])
     assert len(points) == len(strengths)
     rho0 = materialize(p)
     for s, rho in zip(strengths, points):
@@ -744,14 +792,14 @@ def test_dense_point_residual_is_the_family_residual_of_its_state(case):
     n, frame = p.n, p.frame
     calls, factor_points = [], channels._factor_points
 
-    def recorded(p0, superops, qubit_list, w):
-        calls.append((superops, qubit_list))
-        return factor_points(p0, superops, qubit_list, w)
+    def recorded(p0, m, unmapped, w):
+        calls.append(m)
+        return factor_points(p0, m, unmapped, w)
     with mock.patch.object(channels, "_factor_points", recorded):
         traj = sweep(p, kind, qubits, grid, witness_kind)
     dense = [g for g, s in enumerate(grid) if not _preserves(kind, s, frame)]
     assert len(calls) == (1 if dense else 0)
-    states = [rho for call in calls for rho in _table_states(p, *call)]
+    states = [rho for m in calls for rho in _table_states(p, m)]
     assert len(states) == len(dense)
     rho0 = materialize(p)
     for g, rho in zip(dense, states):

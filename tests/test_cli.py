@@ -267,6 +267,21 @@ def test_evolve_bad_grid_exits_one(grid, message):
     assert message in err
 
 
+# the channel kind is checked before the witness kind
+@pytest.mark.parametrize("flags,message", [
+    (["--state", "bell", "--channel", "bit_flip", "--qubits", "1,2"],
+     "error: unknown channel kind 'bit_flip'"),
+    (["--state", "ghz", "--n", "4", "--channel", "phase_damping", "--kind", "w_type"],
+     "error: w_type witness is defined for n=3"),
+    (["--state", "ghz", "--n", "4", "--channel", "bit_flip", "--kind", "w_type"],
+     "error: unknown channel kind 'bit_flip'"),
+])
+def test_evolve_bad_channel_or_witness_exits_one(flags, message):
+    code, out, err = invoke(["evolve", *flags, "--strength-grid", "0:1:3"])
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "xstates", "algebra", "--n", "2"],
