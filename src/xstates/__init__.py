@@ -4,7 +4,7 @@ from .algebra import (DesignReport, LineSet, OperatorSet, SectorDecomposition,
                       center, generate_set, incidence_json, iterate_construction,
                       lines, sector_decomposition, verify_design)
 from .channels import (Channel, Trajectory, apply_channel, standard_channel,
-                       strength_grid, sweep, x_form_residual)
+                       strength_grid, sweep)
 from .linalg import (ConvergenceError, ToleranceError, expectation,
                      hermitian_eigen, kron, matrix_from_json, matrix_to_csv,
                      matrix_to_json, partial_trace, partial_transpose)

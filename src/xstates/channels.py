@@ -5,16 +5,15 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .linalg import _STRIP_BYTES, _checked_qubits, _real_value, as_state
 from .model import (_BLOCK, XStateParams, _frame_factors, _kron, _peak, _powers,
-                    _sector_entries, _xor_terms, family_residual)
+                    _sector_entries, _xor_terms)
 # bound here too, though unused: perfbench's tracer wraps every binding of it
 from .model import materialize  # noqa: F401
-from .pauli import FRAMES, PAULI_MATRICES
+from .pauli import FRAMES, PAULI_MATRICES, is_integer
 from .witness import (Witness, _frame_amplitudes, _sector_value, concurrence, make_witness,
                       yu_eberly)
 
@@ -57,7 +56,10 @@ def _check_increasing(strengths) -> None:
 
 def _kind_name(kind: str) -> str:
     """The channel kind's own name: "spontaneous_emission" is an alias of
-    amplitude_damping.  Anything else is passed on as it is."""
+    amplitude_damping.  Any other str is passed on as it is, and any other
+    kind raises ValueError."""
+    if not isinstance(kind, str):
+        raise ValueError(f"unknown channel kind {kind!r}")
     return "amplitude_damping" if kind == "spontaneous_emission" else kind
 
 
@@ -386,14 +388,9 @@ def _factor_points(p0: XStateParams, m: np.ndarray, unmapped: np.ndarray,
     return _real_value(w.alpha * trace - overlap), residuals
 
 
-def x_form_residual(rho: np.ndarray, frame: str, n: int) -> "float | np.ndarray":
-    """Max-norm weight of rho outside the frame's X family."""
-    return family_residual(rho, n, frame)
-
-
 def strength_grid(start: float, stop: float, count: int) -> tuple[float, ...]:
     """Inclusive uniform grid with ``count`` points, an integer of at least 2."""
-    if isinstance(count, bool) or not isinstance(count, Integral) or count < 2:
+    if not is_integer(count) or count < 2:
         raise ValueError(f"grid needs an integer count of at least two points, got {count!r}")
     if not stop > start:
         raise ValueError("grid must be strictly increasing")
@@ -457,6 +454,9 @@ def sweep(p0: XStateParams, kind: str, qubits, grid,
     the |supp psi|**2 entries the witness meets, Wootters' concurrence from
     the 4x4 at n = 2.  For n >= 3 no (dim, dim) array is built, neither the
     initial state nor any point.
+
+    A kind that is not a str fails before the grid's range and order are
+    checked and before any cache sees it (_kind_name).
     """
     n, frame = p0.n, p0.frame
     if witness_kind is None and n != 2:

@@ -222,8 +222,12 @@ def run(argv, stdout=None, stderr=None) -> int:
         print(f"tolerance failure: {exc}", file=err)
         return 3
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.out!r}: {exc.strerror}", file=err)
+            return 1
     else:
         out.write(payload)
     return code

@@ -18,6 +18,7 @@ from .pauli import MAX_DENSE_QUBITS, is_integer, require_qubit_count
 MAX_DIM = 1 << MAX_DENSE_QUBITS
 
 HERMITIAN_TOL = 1e-10
+TRACE_TOL = 1e-10           # largest |tr rho - 1| of a state: validate, concurrence
 
 # Largest imaginary part of an expectation tr(M rho) with M Hermitian.
 EXPECTATION_IMAG_TOL = 1e-10

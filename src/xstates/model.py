@@ -62,21 +62,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import (SECTOR_FIT_TOL, _strip_rows, as_state, sector_eigenvalues,
-                     sector_hermiticity_deviation)
+from .linalg import (HERMITIAN_TOL, SECTOR_FIT_TOL, TRACE_TOL, _strip_rows, as_state,
+                     sector_eigenvalues, sector_hermiticity_deviation)
 from .pauli import (FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame, require_frame,
                     require_qubit_count)
 
 # Qubits per Kronecker block: n <= 4 costs one matmul, n <= 12 at most three.
 _BLOCK = 4
 
-VALID_TRACE_TOL = 1e-10
-VALID_HERM_TOL = 1e-10
 VALID_EIG_TOL = -1e-10
 
 
@@ -148,12 +146,7 @@ class StateReport:
     is_valid: bool
 
     def to_json(self) -> dict:
-        return {
-            "trace_deviation": self.trace_deviation,
-            "hermiticity_deviation": self.hermiticity_deviation,
-            "min_eigenvalue": self.min_eigenvalue,
-            "is_valid": self.is_valid,
-        }
+        return asdict(self)
 
 
 def _kron(tables) -> np.ndarray:
@@ -741,8 +734,7 @@ def validate(p: XStateParams) -> StateReport:
     trace_dev = abs(float(diag.sum()) - 1.0)
     herm_dev = sector_hermiticity_deviation(diag, anti)
     min_eig = float(sector_eigenvalues(diag, anti).min())
-    ok = (trace_dev <= VALID_TRACE_TOL and herm_dev <= VALID_HERM_TOL
-          and min_eig >= VALID_EIG_TOL)
+    ok = trace_dev <= TRACE_TOL and herm_dev <= HERMITIAN_TOL and min_eig >= VALID_EIG_TOL
     return StateReport(trace_dev, herm_dev, min_eig, ok)
 
 

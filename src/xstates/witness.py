@@ -6,18 +6,17 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from math import comb, isfinite, sqrt
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .linalg import (_checked_qubits, _real_value, _strip_rows, as_state, hermitian_eigen,
-                     hermitian_eigenvalues, partial_transpose, sector_eigenvalues)
+from .linalg import (TRACE_TOL, _checked_qubits, _real_value, _strip_rows, as_state,
+                     hermitian_eigen, hermitian_eigenvalues, partial_transpose, sector_eigenvalues)
 from .model import XStateParams, _fit_sectors, _sector_entries
-from .pauli import FRAMES, PAULI_MATRICES, require_frame, require_qubit_count
+from .pauli import FRAMES, PAULI_MATRICES, is_integer, require_frame, require_qubit_count
 
 DETECTION_TOL = -1e-10
 NORMALIZATION_TOL = 1e-12      # largest | ||amplitudes|| - 1 | of a PureState
-UNIT_TRACE_TOL = 1e-10         # largest |tr rho - 1| that concurrence accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +53,7 @@ class Witness:
 def dicke_state(n: int, k: int) -> PureState:
     """Equal superposition of all basis states with exactly k excitations."""
     require_qubit_count(n)
-    if isinstance(k, bool) or not isinstance(k, Integral) or not 0 <= k <= n:
+    if not is_integer(k) or not 0 <= k <= n:
         raise ValueError(f"excitation count must be in 0..{n}")
     amp = np.zeros(1 << n, dtype=complex)
     norm = 1.0 / sqrt(comb(n, k))
@@ -214,7 +213,7 @@ def concurrence(rho: np.ndarray) -> float:
     linalg.HERMITIAN_TOL, and any other rho meets the eigensolver's check.
     """
     rho = as_state(rho, 2)
-    if not abs(complex(np.trace(rho)) - 1.0) <= UNIT_TRACE_TOL:
+    if not abs(complex(np.trace(rho)) - 1.0) <= TRACE_TOL:
         raise ValueError("state must have unit trace")
     entries = _fit_sectors(rho, 2)
     if entries is not None:

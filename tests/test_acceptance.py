@@ -12,12 +12,12 @@ from conftest import bit_reversal_permutation, random_valid_x_params
 from xstates import (FRAME_X, FRAME_Y, AxisFrame, all_proper_frames,
                      apply_channel, bell_diagonal, build_simplex, center,
                      concurrence, decompose, dicke_state, evaluate_witness,
-                     generate_set, ghz_params, ghz_state, hermitian_eigen,
-                     iterate_construction, lines, make_witness, materialize,
-                     named_example, negativity, partial_trace,
+                     family_residual, generate_set, ghz_params, ghz_state,
+                     hermitian_eigen, iterate_construction, lines, make_witness,
+                     materialize, named_example, negativity, partial_trace,
                      partial_transpose, sector_decomposition, standard_channel,
-                     strength_grid, sweep, verify_design, werner,
-                     x_form_residual, xy_product, z_product)
+                     strength_grid, sweep, verify_design, werner, xy_product,
+                     z_product)
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "frame_conventions.json").read_text())
@@ -262,7 +262,7 @@ def test_criterion_10_form_preservation():
                 ch = standard_channel(kind, s)
                 for subset in subsets:
                     out = apply_channel(stack, ch, subset, n)
-                    worst = float(np.max(x_form_residual(out, "Z", n)))
+                    worst = float(np.max(family_residual(out, n, "Z")))
                     assert worst <= 1e-12, (n, kind, s, subset, worst)
 
 

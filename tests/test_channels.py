@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import oracle_apply_kraus, random_density, random_valid_x_params
 from xstates import (Channel, Trajectory, XStateParams, apply_channel, bell_diagonal,
                      concurrence, decompose, dicke_state, evaluate_witness,
-                     ghz_params, make_witness, materialize, standard_channel,
-                     strength_grid, sweep, x_form_residual)
+                     family_residual, ghz_params, make_witness, materialize,
+                     standard_channel, strength_grid, sweep)
 from xstates import channels, model
 from xstates.model import _sector_entries
 from xstates.pauli import PAULI_MATRICES
@@ -173,7 +173,7 @@ def test_apply_channel_matches_lifted_kraus_oracle(case):
 
 def test_x_form_residual_baseline():
     w_proj = dicke_state(3, 1).projector()
-    assert x_form_residual(w_proj, "Z", 3) > 0.1
+    assert family_residual(w_proj, 3, "Z") > 0.1
 
 
 def test_form_preservation_small_grid(rng):
@@ -187,14 +187,14 @@ def test_form_preservation_small_grid(rng):
                 ch = standard_channel(kind, float(s))
                 for subset in subsets:
                     out = apply_channel(stack, ch, subset, n)
-                    res = x_form_residual(out, "Z", n)
+                    res = family_residual(out, n, "Z")
                     assert float(np.max(res)) <= 1e-12
 
 
 def test_strength_grid():
     grid = strength_grid(0.0, 1.0, 5)
     assert grid == (0.0, 0.25, 0.5, 0.75, 1.0)
-    for count in (2, 11, 21):       # np.linspace's floats, bit for bit
+    for count in (2, 11, 21, np.int64(21)):  # np.linspace's floats, bit for bit
         grid = strength_grid(0.1, 0.9, count)
         assert all(type(s) is float for s in grid)
         assert np.array(grid).tobytes() == np.linspace(0.1, 0.9, count).tobytes()
@@ -284,9 +284,13 @@ def test_sweep_checks_the_qubits_then_the_grid_then_the_kind():
 
 
 # the kind is checked before the witness kind; either raises on every sweep,
-# a bad kind caches no family and a bad witness kind no witness
+# a bad kind caches no family and a bad witness kind no witness.  A kind
+# that is not a str, even an unhashable one, is the same unknown kind.
 @pytest.mark.parametrize("kind,witness_kind,message", [
     ("bit_flip", "w_type", "unknown channel kind 'bit_flip'"),
+    (["phase_damping"], "w_type", r"unknown channel kind \['phase_damping'\]"),
+    (3, "w_type", "unknown channel kind 3"),
+    (None, "w_type", "unknown channel kind None"),
     ("phase_damping", "w_type", "w_type witness is defined for n=3"),
     ("amplitude_damping", "bell_type", "unknown witness kind 'bell_type'"),
 ])
@@ -296,8 +300,9 @@ def test_sweep_checks_the_kind_then_the_witness(frame, kind, witness_kind, messa
         with pytest.raises(ValueError, match=message):
             sweep(ghz_params(4, frame), kind, [1], (0.0, 0.5), witness_kind)
     assert channels._sweep_witness.cache_info().currsize == 0
-    if kind == "bit_flip":
+    if message.startswith("unknown channel kind"):
         assert channels._channel_family.cache_info().currsize == 0
+        assert channels._sweep_tables.cache_info().currsize == 0
 
 
 def test_sweep_of_an_empty_grid_is_empty():
@@ -331,8 +336,8 @@ def test_sweep_builds_and_checks_one_kraus_stack(monkeypatch, frame, kind, dense
     monkeypatch.setattr(Channel, "__post_init__", counted("channel", Channel.__post_init__))
     monkeypatch.setattr(channels, "_factor_points",
                         counted("points", channels._factor_points))
-    for module, name in ((channels, "_contract"), (channels, "family_residual"),
-                         (model, "family_residual"), (model, "materialize")):
+    for module, name in ((channels, "_contract"), (model, "family_residual"),
+                         (model, "materialize")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     traj = sweep(ghz_params(3, frame), kind, [1, 3], strength_grid(0.0, 1.0, count),
                  witness_kind="ghz_type")
@@ -583,7 +588,7 @@ def _dense_sweep(p0, kind, qubits, grid, witness_kind=None):
     for s in grid:
         rho = apply_channel(rho0, standard_channel(kind, s), qubits, p0.n)
         records.append(concurrence(rho) if w is None else evaluate_witness(w, rho)[0])
-        residuals.append(float(x_form_residual(rho, p0.frame, p0.n)))
+        residuals.append(float(family_residual(rho, p0.n, p0.frame)))
     return records, residuals
 
 

@@ -243,6 +243,20 @@ def test_out_flag_writes_file(tmp_path):
     assert json.loads(target.read_text())["points"] == 7
 
 
+# an --out path that cannot be opened exits 1 in one error line: no
+# traceback, no payload on stdout and no file, also for an unphysical state
+# (exit 2 otherwise)
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+@pytest.mark.parametrize("state", [["ghz", "--n", "3"], ["bell_diagonal:1,1,1"]])
+def test_out_flag_unwritable_path_exits_one(tmp_path, where, state):
+    target = tmp_path / where
+    code, out, err = invoke(["validate", "--state", *state, "--out", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {str(target)!r}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evolve_csv_parses():
     code, out, _ = invoke(["evolve", "--state", "bell", "--channel",
                            "amplitude_damping", "--strength-grid", "0:1:5",
