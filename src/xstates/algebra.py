@@ -94,12 +94,20 @@ def generate_set(n: int, frame: "str | AxisFrame" = "Z") -> OperatorSet:
     return OperatorSet(n, f, tuple(elements))
 
 
-def _masks(opset: OperatorSet, task: str, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The set's GF(2) vectors as arrays of x_masks and z_masks."""
+def _check_geometry(opset: OperatorSet, task: str) -> None:
+    """Raise ValueError unless the set is within the geometry cap and all
+    its elements act on its qubit count: the one gate of every geometry
+    task, run before it allocates anything of the set's size."""
     if opset.n > MAX_GEOMETRY_QUBITS:
         raise ValueError(f"{task} limited to n <= {MAX_GEOMETRY_QUBITS}")
     if any(p.n != opset.n for p in opset.elements):
         raise ValueError("elements must act on the set's qubit count")
+
+
+def _masks(opset: OperatorSet, task: str, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The set's GF(2) vectors as arrays of x_masks and z_masks, the set
+    checked first (_check_geometry)."""
+    _check_geometry(opset, task)
     x = np.array([p.x_mask for p in opset.elements], dtype=dtype)
     z = np.array([p.z_mask for p in opset.elements], dtype=dtype)
     return x, z
@@ -139,7 +147,9 @@ def lines(opset: OperatorSet) -> LineSet:
 
 
 def verify_design(opset: OperatorSet, lineset: LineSet | None = None) -> DesignReport:
-    """Check the 2-(v, 3, 1) property exhaustively over all point pairs."""
+    """Check the 2-(v, 3, 1) property exhaustively over all point pairs,
+    with the set checked first (_check_geometry), also for a given lineset."""
+    _check_geometry(opset, "design check")
     ls = lines(opset) if lineset is None else lineset
     v = len(opset.elements)
     triples = np.array(tuple(zip(*ls.lines)), dtype=np.int64).reshape(3, -1)  # columns i, j, k
@@ -170,8 +180,7 @@ def sector_decomposition(opset: OperatorSet) -> SectorDecomposition:
     operator of coefficient k + 1 (d, then a): its entries at (b, b) and
     (b, ~b) are 2**n times the model's sector entries of that unit vector.
     """
-    if opset.n > MAX_GEOMETRY_QUBITS:
-        raise ValueError(f"sector decomposition limited to n <= {MAX_GEOMETRY_QUBITS}")
+    _check_geometry(opset, "sector decomposition")
     if opset != generate_set(opset.n):
         raise ValueError("sector decomposition requires the Z-frame set generate_set(n)")
     n, full = opset.n, (1 << opset.n) - 1

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import _STRIP_BYTES, _checked_qubits, _real_value, as_state
 from .model import (_BLOCK, XStateParams, _frame_factors, _kron, _peak, _powers,
-                    _sector_entries, _xor_terms)
+                    _sector_entries, _xor_table, _xor_terms)
 # bound here too, though unused: perfbench's tracer wraps every binding of it
 from .model import materialize  # noqa: F401
 from .pauli import FRAMES, PAULI_MATRICES, is_integer
@@ -224,31 +223,21 @@ def _channel_family(kind: str, grid: bytes, frame: str
     return family
 
 
-# The 0/1 map of a flattened (vec, (half, bit)) matrix of per-qubit factor
-# columns to its XOR tables (half, r, s): F[r, r ^ s] is at vec position 2 r
-# + (r ^ s) of F's column, and of each half's two factors one keeps the basis
-# bit (s = 0), diagonal, and one flips it (s = 1), anti-diagonal, so the
-# table sums the two, one of them exactly 0 there.  A channel's image S^k F
-# keeps F's shape, as the three channels are phase-covariant.
-_XOR_SUM = np.zeros((4, 4, 2, 2, 2))
-for _h, _r, _s, _b in itertools.product((0, 1), repeat=4):
-    _XOR_SUM[2 * _r + (_r ^ _s), 2 * _h + _b, _h, _r, _s] = 1.0
-_XOR_SUM = _XOR_SUM.reshape(16, 8)
-_XOR_SUM.setflags(write=False)
-
-
 def _xor_tables(superops: np.ndarray, frame: str, counts) -> tuple[np.ndarray, np.ndarray]:
     """The XOR tables of the points E(rho0) of a state of the frame on
     n = len(counts) qubits, E each channel of the stack superops (G, 4, 4)
     on qubit q listed counts[q - 1] times: (qubit, G, half, r, s) of each
-    qubit's mapped factors S^k F (_XOR_SUM), k its count (_powers), and the
-    unmapped tables (G, half, r, s).  With the state's coefficients c
-    (half, s) times 2**-n, E(rho0)[r, r ^ s] = sum_h c[h, s] prod_q
-    mapped[q, :, h, r_q, s_q]."""
+    qubit's mapped factors S^k F (model._xor_table), k its count (_powers),
+    and the unmapped tables (G, half, r, s).  A channel's image S^k F keeps
+    F's shape, as the three channels are phase-covariant, so one of each
+    half's two mapped factors keeps the basis bit and one flips it.  With
+    the state's coefficients c (half, s) times 2**-n, E(rho0)[r, r ^ s] =
+    sum_h c[h, s] prod_q mapped[q, :, h, r_q, s_q]."""
     count = len(superops)
     mapped = _powers(superops, np.broadcast_to(_frame_bases(frame)[0].T, (count, 4, 4)),
                      [0, *counts])
-    tables = {k: (f.reshape(count, 16) @ _XOR_SUM).reshape(count, 2, 2, 2)
+    # each column of f is one vec(S^k F): (G, row, column, half, bit)
+    tables = {k: _xor_table(f.reshape(count, 2, 2, 2, 2).transpose(0, 3, 4, 1, 2))
               for k, f in mapped.items()}
     return np.stack([tables[k] for k in counts]), tables[0]
 
@@ -307,16 +296,16 @@ def _factor_points(p0: XStateParams, m: np.ndarray, unmapped: np.ndarray,
     state of n >= 2 qubits, read from their mapped and unmapped XOR tables
     (_xor_tables): no (dim, dim) array for n >= 3.
 
-    E maps the factors of a qubit listed k times to S^k F, and keeps the
-    XOR structure of the frame (model._xor_terms): half h's operator of mask
-    s has one term, of coefficient c_h(s), so E(rho0)[r, r ^ s] = 2**-n
-    sum_h c_h(s) prod_q m_hq[r_q, s_q], m_hq the table (_XOR_SUM) of qubit
-    q's mapped factors.  Its family coefficients are coef_h(s) = sum_h' c_h'(s)
-    prod_q tau_q[h, h', s_q], tau_q = tr(F_h^dag M_h') / 2 per flip, with
-    d_0 pinned to 1 as in model._project, and the projection sigma has the
-    same form with the unmapped tables.  So with the qubits split into a top
-    half and the rest, rho - sigma at a fixed top mask, a slab, is a sum of
-    four rank-one terms: the top half's (mapped or unmapped) Kronecker
+    E maps the factors of a qubit listed k times to S^k F, and keeps the XOR
+    structure of the frame (model._xor_terms): half h's operator of mask s
+    has one term, of coefficient c_h(s), so E(rho0)[r, r ^ s] = 2**-n sum_h
+    c_h(s) prod_q m_hq[r_q, s_q], m_hq the table (model._xor_table) of qubit
+    q's mapped factors.  Its family coefficients are coef_h(s) = sum_h'
+    c_h'(s) prod_q tau_q[h, h', s_q], tau_q = tr(F_h^dag M_h') / 2 per flip,
+    with d_0 pinned to 1 as in model._project, and the projection sigma has
+    the same form with the unmapped tables.  So with the qubits split into a
+    top half and the rest, rho - sigma at a fixed top mask, a slab, is a sum
+    of four rank-one terms: the top half's (mapped or unmapped) Kronecker
     table at that mask times the low half's, weighted per full mask; one
     matmul (top rows, 4) @ (4, low rows * low masks).  The residual is the
     peak over the slabs, measured a strip at a time, each strip within

@@ -102,8 +102,9 @@ def _strip_rows(rows: int, nbytes: int) -> int:
     """Rows per strip of an array of that many rows, of nbytes in all (a
     row spanning every leading axis): the largest power of two, at most
     rows, whose strip holds at most _STRIP_BYTES, or 1.  A power-of-two
-    row count splits into whole strips."""
-    fit = _STRIP_BYTES * rows // (nbytes or 1)
+    row count splits into whole strips.  rows may be a numpy integer, as
+    2**n is for a numpy-integer n."""
+    fit = _STRIP_BYTES * int(rows) // (nbytes or 1)
     return min(rows, 1 << ((fit | 1).bit_length() - 1))
 
 
@@ -287,11 +288,13 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix dump: {exc}") from exc
+    if not is_integer(dim):
+        raise ValueError(f"malformed matrix dump: dim must be an integer, got {dim!r}")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError("matrix dump shape does not match declared dim")
     return re + 1j * im
@@ -338,11 +341,11 @@ def matrix_text(table: np.ndarray, index: np.ndarray, fmt: str = "json") -> str:
 
 def _joined_rows(strings: list, index: np.ndarray, sep: str) -> list:
     """sep.join of the strings that each row of index picks, a strip of
-    about _STRIP_BYTES of index rows at a time."""
+    index rows (_strip_rows) at a time; no rows for a 0x0 index."""
     strings = np.array(strings, dtype=object)
-    step = max(1, _STRIP_BYTES // max(index[:1].nbytes, 1))
+    step = _strip_rows(len(index), index.nbytes)
     rows = []
-    for i in range(0, len(index), step):
+    for i in range(0, len(index), max(step, 1)):
         rows += map(sep.join, strings.take(index[i:i + step]).tolist())
     return rows
 

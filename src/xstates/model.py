@@ -69,8 +69,8 @@ import numpy as np
 
 from .linalg import (HERMITIAN_TOL, SECTOR_FIT_TOL, TRACE_TOL, _strip_rows, as_state,
                      sector_eigenvalues, sector_hermiticity_deviation)
-from .pauli import (FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame, require_frame,
-                    require_qubit_count)
+from .pauli import (FRAMES, MAX_DENSE_QUBITS, PAULI_MATRICES, AxisFrame, is_integer,
+                    require_frame, require_qubit_count)
 
 # Qubits per Kronecker block: n <= 4 costs one matmul, n <= 12 at most three.
 _BLOCK = 4
@@ -81,11 +81,12 @@ VALID_EIG_TOL = -1e-10
 @dataclass(frozen=True)
 class XStateParams:
     """The 2**(n+1) - 1 free real parameters of an n-qubit X state, and the
-    one gate of every parameter set: anything but an int n in
-    1..MAX_DENSE_QUBITS, 2**n finite reals in each of d and a with d[0] = 1
-    and a frame of FRAMES raises ValueError.  d and a are held as tuples of
-    Python floats, and once more, d then a, as the read-only float64 array
-    coeffs that the transforms read, outside __init__, eq, hash and repr."""
+    one gate of every parameter set: anything but an integer n (is_integer)
+    in 1..MAX_DENSE_QUBITS, 2**n finite reals in each of d and a with d[0]
+    = 1 and a frame of FRAMES raises ValueError.  n is held as a Python
+    int, d and a as tuples of Python floats, and once more, d then a, as
+    the read-only float64 array coeffs that the transforms read, outside
+    __init__, eq, hash and repr."""
 
     n: int
     d: tuple[float, ...]
@@ -95,6 +96,7 @@ class XStateParams:
 
     def __post_init__(self):
         require_qubit_count(self.n)
+        object.__setattr__(self, "n", int(self.n))
         size = 1 << self.n
         if len(self.d) != size:
             raise ValueError(f"d must have length {size}, got {len(self.d)}")
@@ -305,6 +307,15 @@ def _x_views(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
+def _xor_table(factors: np.ndarray) -> np.ndarray:
+    """The XOR tables (..., half, r, s) of per-qubit factors (..., half,
+    bit, row, column): F[r, r ^ s] summed over the half's two factors.  Of
+    those one keeps the basis bit and one flips it, so the other term is
+    exactly 0.  The sum starts from +0.0, so a zero entry is +0.0 on every
+    numpy.  The gather's index arrays are the (row, column) of each (r, s)."""
+    return factors.sum(axis=-3, initial=0.0)[..., [[0, 0], [1, 1]], [[0, 1], [1, 0]]]
+
+
 class _XorTerms(NamedTuple):
     """Half h's operator of mask s (in basis bits, qubit 1 the top one) is
     P[r, r ^ s] = phase[h, s] times the row signs, and its coefficient is
@@ -320,13 +331,12 @@ class _XorTerms(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _xor_terms(n: int, frame: str) -> _XorTerms:
-    """The X or Y frame's _XorTerms for n qubits, O(2**n), read off its
-    per-qubit factors once per n."""
+    """The X or Y frame's _XorTerms for n qubits, O(2**n), read off the
+    XOR table of its per-qubit factors (_xor_table) once per n."""
     factors = _frame_factors(FRAMES[frame])             # (half, bit, row, column)
     flip = (factors[:, :, 0, 0] == 0).argmax(axis=1)    # per half, the flipping bit
-    kept, flipped = factors[[0, 1], 1 - flip], factors[[0, 1], flip]
-    top = np.stack([kept[:, 0, 0], flipped[:, 0, 1]], axis=1)         # (half, s_q)
-    beta, alpha = (np.stack([kept[:, 1, 1], flipped[:, 1, 0]], axis=1) / top).real.T < 0
+    top, bottom = _xor_table(factors).swapaxes(0, 1)    # rows 0 and 1, (half, s_q)
+    beta, alpha = (bottom / top).real.T < 0
     powers = np.round(np.angle(top) / (np.pi / 2)).astype(int)
     dim, flips = 1 << n, _POPCOUNT[:1 << n]
     # parameter bit q - 1 is qubit q, basis bit n - q; it is set where the
@@ -355,7 +365,6 @@ class _Half(NamedTuple):
     build: np.ndarray       # (r, 1, c): (2 parity(r) + w) * 2**k + s, plus c' * 4 * 2**k
     gather: dict            # top half's width: (j, 1, s): rows[j] * dim + (rows[j] ^ s), plus c' 2**k
     step: np.ndarray        # (c', 1): c' * 2**k
-    step4: np.ndarray       # (c', 1): c' * 4 * 2**k
     row_walsh: np.ndarray   # (1, j, 1, s): (-1)**parity(rows[j] & s), rows even parity first
 
 
@@ -373,7 +382,7 @@ def _half(k: int) -> _Half:
                  (((parity[:, None] << 1) | walsh) << k | s)[:, None, :],
                  {top: ((rows << (k + top))[:, None] + (rows[:, None] ^ r))[:, None, :]
                   for top in (k - 1, k)},
-                 (r << k)[:, None], (r << (k + 2))[:, None],
+                 (r << k)[:, None],
                  (1.0 - 2 * (_POPCOUNT[rows[:, None] & r] & 1))[None, :, None, :])
 
 
@@ -399,7 +408,7 @@ def _xor_fill(seed: np.ndarray, n: int) -> np.ndarray:
     """
     dim, high, low = 1 << n, _half(n // 2), _half(n - n // 2)
     dh, dl = len(high.step), len(low.step)
-    take = low.step4[:dh] + low.build                             # (r_l, c_h, c_l)
+    take = (low.step[:dh] << 2) + low.build                       # (r_l, c_h, c_l)
     rho = np.empty((dh, dl, dh, dl), dtype=seed.dtype)
     rows = seed.reshape(4 * dh, -1).take(high.split, axis=0)      # (r_h, c_h, p, w, s_l)
     # every index is in range; "clip" takes straight into rho, unbuffered
@@ -809,8 +818,7 @@ def params_from_json(obj: dict) -> XStateParams:
         if key not in obj:
             raise ValueError(f"missing key {key!r}")
     n = obj["n"]
-    # bool subclasses int, but JSON true/false are not numbers
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not is_integer(n):
         raise ValueError(f"n must be a JSON integer, got {n!r}")
     for name in ("d", "a"):
         seq = obj[name]

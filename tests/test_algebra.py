@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import pathlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -288,6 +289,24 @@ def test_geometry_cap(build):
     build(8)
     with pytest.raises(ValueError, match=r"n <= 8|1\.\.8"):
         build(9)
+
+
+# the design check gates the set itself, also with a caller's lines: past
+# the cap it raises before it allocates anything of the set's size
+def test_verify_design_with_given_lines_shares_the_geometry_cap():
+    opset = generate_set(9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="design check limited to n <= 8"):
+            verify_design(opset, LineSet(((0, 1, 2),)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    mixed = OperatorSet(2, FRAME_Z, (PauliString.from_label("+Z1"),
+                                     PauliString.from_label("+Z1Z2Z3")))
+    with pytest.raises(ValueError, match="qubit count"):
+        verify_design(mixed, LineSet(((0, 1, 1),)))
 
 
 def test_sector_requires_z_frame():

@@ -14,7 +14,7 @@ from xstates import (Channel, Trajectory, XStateParams, apply_channel, bell_diag
                      standard_channel, strength_grid, sweep)
 from xstates import channels, model
 from xstates.model import _sector_entries
-from xstates.pauli import PAULI_MATRICES
+from xstates.pauli import FRAMES, PAULI_MATRICES
 
 KINDS = ("amplitude_damping", "phase_damping", "depolarizing")
 
@@ -434,6 +434,29 @@ def test_cached_step_tables_give_the_bits_of_a_fresh_build(kind, frame, counts):
         assert all(t.dtype == dtype for t in half)
     assert (mapped is None) == (points == 11)
     assert [a.tobytes() for a in _table_arrays(cold)] == [a.tobytes() for a in _table_arrays(fresh)]
+
+
+# each qubit's XOR table (model._xor_table) is F[r, r ^ s] of its two
+# mapped factors S^k F summed from +0.0, bitwise, with S^k F the left
+# products of model._powers; a qubit listed once, one unlisted and one
+# listed 3 times
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+@pytest.mark.parametrize("kind", KINDS)
+def test_xor_tables_read_each_mapped_factor(kind, frame):
+    superops = channels._superoperator(channels._kraus_stack(kind, [0.0, 0.3, 1.0]))
+    counts = (1, 0, 3)
+    mapped, unmapped = channels._xor_tables(superops, frame, counts)
+    assert mapped.shape == (3, 3, 2, 2, 2) and unmapped.shape == (3, 2, 2, 2)
+    columns = np.broadcast_to(model._frame_factors(FRAMES[frame]).reshape(4, 4).T, (3, 4, 4))
+    for table, k in zip([*mapped, unmapped], [*counts, 0]):
+        f = columns             # columns vec(S^k F): (G, row and column, half and bit)
+        for _ in range(k):
+            f = superops @ f
+        want = np.empty((3, 2, 2, 2), complex)
+        for g, h, r, s in itertools.product(range(3), range(2), range(2), range(2)):
+            column = f[g, 2 * r + (r ^ s)]
+            want[g, h, r, s] = 0.0 + column[2 * h] + column[2 * h + 1]
+        assert table.tobytes() == want.tobytes()
 
 
 def test_step_table_cache_is_bounded():

@@ -231,6 +231,17 @@ def test_matrix_dump_round_trip(rng):
         matrix_from_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]})
 
 
+# a dump's dim follows the integer rule (pauli.is_integer): a float, a bool
+# or a string is a malformed dump even when its int() fits the entries
+@pytest.mark.parametrize("dim,size", [(2.9, 2), (2.0, 2), (True, 1), ("2", 2), (None, 2)])
+def test_matrix_dump_dim_must_be_an_integer(dim, size):
+    dump = {"dim": dim, "re": np.eye(size).tolist(), "im": np.zeros((size, size)).tolist()}
+    with pytest.raises(ValueError, match="malformed matrix dump"):
+        matrix_from_json(dump)
+    dump["dim"] = np.int64(size)
+    assert matrix_from_json(dump).tobytes() == np.eye(size, dtype=complex).tobytes()
+
+
 _SPECIALS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-300, -2.5e17]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -17,7 +18,7 @@ from xstates import (FRAMES, XStateParams, bell_diagonal, decompose,
                      ghz_state, hermitian_eigen, materialize, named_example,
                      negativity, params_from_json, params_to_json, partial_trace,
                      partial_transpose, validate, werner)
-from xstates.linalg import SECTOR_FIT_TOL, sector_eigenvalues
+from xstates.linalg import SECTOR_FIT_TOL, json_text, sector_eigenvalues
 from xstates.model import VALID_EIG_TOL, _sector_entries, entry_table, fit_sectors
 
 BELL = XStateParams.build(2, d={3: 1.0}, a={0: 1.0, 3: -1.0})
@@ -245,6 +246,19 @@ def test_constructor_rejections():
     p = XStateParams(np.int64(2), [1, 0, 0, 0], np.array([0, 1, 0, 0]))
     assert p == XStateParams(2, (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
     assert all(type(v) is float for v in p.d + p.a)
+
+
+# a numpy-integer n is held as its Python int, whichever way the parameter
+# set is made, so it writes as JSON
+def test_numpy_integer_qubit_count_is_held_as_int():
+    made = [XStateParams(np.int64(1), [1, 0], [0, 0]),
+            XStateParams.build(np.int64(2), "X", a={1: 0.5}),
+            ghz_params(np.int32(3), "Y"),
+            decompose(np.eye(4) / 4, np.int64(2), "X")[0],
+            params_from_json({"n": np.int64(1), "frame": "Z", "d": [1, 0], "a": [0, 0]})]
+    for p, n in zip(made, (1, 2, 3, 2, 1)):
+        assert type(p.n) is int and p.n == n
+        assert json.loads(json_text(params_to_json(p)))["n"] == n
 
 
 @pytest.mark.parametrize("frame", sorted(FRAMES))
@@ -510,6 +524,20 @@ def test_powers_are_the_left_products_that_occur(rng):
         if k in powers:
             assert powers[k].tobytes() == p.tobytes()
     assert model._powers(m, x0, []) == {} and list(model._powers(m, x0, [2])) == [2]
+
+
+# the XOR rule stated once: each half's table is F[r, r ^ s] of its two
+# factors summed from +0.0; in the X and Y frames one of the two keeps the
+# basis bit and one flips it, so the other term is exactly 0
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+def test_xor_table_reads_r_xor_s_off_the_frame_factors(frame):
+    factors = model._frame_factors(FRAMES[frame])
+    want = np.empty((2, 2, 2), complex)
+    for h, r, s in itertools.product(range(2), repeat=3):
+        kept, flipped = factors[h, 0, r, r ^ s], factors[h, 1, r, r ^ s]
+        want[h, r, s] = 0.0 + kept + flipped
+        assert frame == "Z" or kept == 0 or flipped == 0
+    assert model._xor_table(factors).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("frame", sorted(FRAMES))
